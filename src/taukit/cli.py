@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import arknit, modcat as mc, tautilt as tt, torsion as tn
 from .algebra import NotAdmissibleError, SpecError, build_algebra, parse_spec, serialize_spec
@@ -32,18 +31,6 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 4
-
-
-@dataclass
-class RunConfig:
-    spec_path: str
-    command: str
-    max_indec: int = 64
-    max_dim: int = 64
-    subset_budget: int = 20
-    field: int | None = None
-    out: str | None = None
-    seed: int = 0
 
 
 class UsageError(Exception):
@@ -312,7 +299,7 @@ def main(argv=None) -> int:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_USAGE
     except (arknit.LimitExceededError, arknit.BudgetExceededError,
-            tn.TooLargeError, tt.TooLargeError) as exc:
+            tn.TooLargeError) as exc:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_BUDGET
 

@@ -252,14 +252,21 @@ def rref(m: Mat) -> RrefResult:
     return RrefResult(out, len(pivots), tuple(pivots))
 
 
+def _echelon(m: Mat) -> RrefResult:
+    """rref(m), except that a matrix with no entries is its own echelon form."""
+    if m.rows == 0 or m.cols == 0:
+        return RrefResult(m, 0, ())
+    return rref(m)
+
+
 def rank(m: Mat) -> int:
-    return rref(m).rank
+    return _echelon(m).rank
 
 
 def kernel_basis(m: Mat) -> list:
     """Basis of the right null space as a list of column vectors (tuples)."""
     p = m.field.p
-    res = rref(m)
+    res = _echelon(m)
     pivot_set = set(res.pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -277,7 +284,7 @@ def solve(m: Mat, b) -> tuple | None:
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     aug = Mat.hstack(m.field, [m, Mat.column(m.field, b)], rows=m.rows)
-    res = rref(aug)
+    res = _echelon(aug)
     if res.pivots and res.pivots[-1] == m.cols:
         return None
     x = [0] * m.cols
@@ -291,7 +298,7 @@ def solve_matrix(m: Mat, bmat: Mat) -> Mat | None:
     if bmat.rows != m.rows:
         raise ValueError("right-hand side row count mismatch")
     aug = Mat.hstack(m.field, [m, bmat], rows=m.rows)
-    res = rref(aug)
+    res = _echelon(aug)
     if any(c >= m.cols for c in res.pivots):
         return None
     cols = []
@@ -305,7 +312,7 @@ def solve_matrix(m: Mat, bmat: Mat) -> Mat | None:
 
 def column_space_basis(m: Mat) -> Mat:
     """Deterministic basis of the column space: the pivot columns of m."""
-    piv = rref(m).pivots
+    piv = _echelon(m).pivots
     return Mat.from_columns(m.field, [m.col(j) for j in piv], rows=m.rows)
 
 
@@ -313,7 +320,7 @@ def complement_basis(basis: Mat) -> Mat:
     """Standard basis vectors completing the (full-column-rank) basis to all of F_p^n."""
     n = basis.rows
     aug = Mat.hstack(basis.field, [basis, Mat.identity(basis.field, n)], rows=n)
-    piv = rref(aug).pivots
+    piv = _echelon(aug).pivots
     extra = [c - basis.cols for c in piv if c >= basis.cols]
     cols = []
     for j in extra:

@@ -31,13 +31,26 @@ from . import torsion as tn
 from .algebra import Algebra
 from .exactlin import Mat, rref
 from .highercat import ExactSeq, Subcat
-
-
-class TooLargeError(Exception):
-    pass
-
+from .torsion import TooLargeError
 
 DEFINITIONS = ("ambient", "quotient")
+
+
+def _summands(T, A: Algebra) -> list:
+    """The indecomposable summands of T, one per iso class.
+
+    A Module T is decomposed.  Any other T is a sequence of pairwise
+    non-isomorphic indecomposables (census members, say) and is returned as
+    given, with no check that it is one.
+    """
+    if isinstance(T, mc.Module):
+        if T.algebra != A:
+            raise ValueError("module is not over the given algebra")
+        return [X for X, _ in mc.decompose(T).summands] if not T.is_zero() else []
+    summands = list(T)
+    if any(X.algebra != A for X in summands):
+        raise ValueError("module is not over the given algebra")
+    return summands
 
 
 def add_coresolution(M, T, maxlen: int, mono_start: bool = True) -> ExactSeq | None:
@@ -48,12 +61,12 @@ def add_coresolution(M, T, maxlen: int, mono_start: bool = True) -> ExactSeq | N
     or the chain runs past maxlen.  With mono_start=False the first map
     M -> T_0 may fail to be injective, giving the exact sequence
     M -> T_0 -> ... -> T_k -> 0 that starts with a left approximation.
+    T is a module, or the list of its indecomposable summands, pairwise
+    non-isomorphic, which is then used without being decomposed.
     """
-    if M.algebra != T.algebra:
-        raise ValueError("modules over different algebras")
+    members = _summands(T, M.algebra)
     if M.is_zero():
         return ExactSeq([M], [])
-    members = [X for X, _ in mc.decompose(T).summands]
     modules = [M]
     maps: list = []
     cur = M
@@ -94,18 +107,19 @@ class NotSupportTau2:
 def is_support_tau2_tilting(T, A: Algebra, definition: str = "ambient"):
     """SupportTau2Cert for a support tau_2-tilting module, NotSupportTau2 otherwise.
 
-    `definition` names the reading (see the module docstring): "ambient"
-    adds tau_2-rigidity over A to the checks over A/<e> and lets the sequence
-    A/<e> -> T0 -> T1 -> T2 -> 0 start with a non-injective left
+    T is a module over A, or the list of its indecomposable summands,
+    pairwise non-isomorphic (a tuple of census members, say); a list is used
+    as given and never decomposed, and the certificate's module is its direct
+    sum.  `definition` names the reading (see the module docstring):
+    "ambient" adds tau_2-rigidity over A to the checks over A/<e> and lets the
+    sequence A/<e> -> T0 -> T1 -> T2 -> 0 start with a non-injective left
     add(T)-approximation; "quotient" checks rigidity over A/<e> only and asks
     for an injective start.
     """
-    if T.algebra != A:
-        raise ValueError("module is not over the given algebra")
     if definition not in DEFINITIONS:
         raise ValueError(f"unknown definition {definition!r}; expected one of {DEFINITIONS}")
     ambient = definition == "ambient"
-    summands = [X for X, _ in mc.decompose(T).summands] if not T.is_zero() else []
+    summands = _summands(T, A)
     basic = mc.direct_sum(A, summands).module if summands else mc.zero_module(A)
     e = frozenset(mc.annihilator_vertices([basic])) if A.vertices else frozenset()
     Aq = algebra_mod.quotient_by_idempotent(A, e)
@@ -120,7 +134,9 @@ def is_support_tau2_tilting(T, A: Algebra, definition: str = "ambient"):
     if ambient and e and mc.hom_dim(basic, mc.tau_d(basic, 2)) != 0:
         return NotSupportTau2("not tau2-rigid over A: Hom_A(T, tau2 T) nonzero")
     reg = mc.regular_module(Aq).module
-    cores = add_coresolution(reg, Tq, 2, mono_start=not ambient)
+    # restriction to A/<e> keeps the summands indecomposable and non-isomorphic
+    cores = add_coresolution(reg, [mc.restrict_module(X, Aq) for X in summands], 2,
+                             mono_start=not ambient)
     if cores is None:
         start = "A/<e>" if ambient else "0 -> A/<e>"
         return NotSupportTau2(f"no add-T coresolution {start} -> T0 -> T1 -> T2 -> 0")
@@ -161,15 +177,18 @@ def fac_cap_C(T, C: Subcat) -> Subcat:
     return Subcat.of(C.host, keep)
 
 
+def _ext_projective_members(Tclass: Subcat) -> tuple:
+    """Sorted indices of the members X of the class with Ext^2(X, class) = 0."""
+    idx = Tclass.host
+    members = Tclass.member_list()
+    return tuple(i for i in members if all(idx.ext_dim(2, i, j) == 0 for j in members))
+
+
 def ext_projective_generator(Tclass: Subcat):
     """Direct sum of the members X of the class with Ext^2(X, class) = 0."""
     idx = Tclass.host
-    keep = []
-    for i in Tclass.member_list():
-        if all(idx.ext_dim(2, i, j) == 0 for j in Tclass.member_list()):
-            keep.append(i)
-    A = idx.algebra
-    return mc.direct_sum(A, [idx.modules[i] for i in keep]).module
+    return mc.direct_sum(idx.algebra,
+                         [idx.modules[i] for i in _ext_projective_members(Tclass)]).module
 
 
 def annihilator_paths(modules):
@@ -251,6 +270,8 @@ def verify_theorem1(A: Algebra, C: Subcat, max_members: int = 20,
     see `is_support_tau2_tilting`) among basic sums of members of C and all
     2-ff torsion pairs in C, then checks that Fac(-) cap C and the
     Ext-projective generator are mutually inverse bijections up to iso.
+    Candidates and generators are tuples of member indices: each candidate
+    is checked as its list of members, so no sum is built and decomposed.
     """
     n = len(C.members)
     if n > max_members:
@@ -259,11 +280,9 @@ def verify_theorem1(A: Algebra, C: Subcat, max_members: int = 20,
     tilting = []
     for r in range(n + 1):
         for S in itertools.combinations(C.member_list(), r):
-            T = mc.direct_sum(A, [idx.modules[i] for i in S]).module if S \
-                else mc.zero_module(A)
-            res = is_support_tau2_tilting(T, A, definition)
+            res = is_support_tau2_tilting([idx.modules[i] for i in S], A, definition)
             if isinstance(res, SupportTau2Cert):
-                tilting.append((tuple(sorted(S)), res))
+                tilting.append((S, res))
     tilting.sort(key=lambda t: t[0])
     pairs = tn.enumerate_2ff_torsion_pairs(C, max_members=max_members)
     pair_by_T = {p.T.key(): p for p in pairs}
@@ -278,8 +297,7 @@ def verify_theorem1(A: Algebra, C: Subcat, max_members: int = 20,
     psi = {}
     tilting_keys = {key for key, _ in tilting}
     for p in pairs:
-        gen = ext_projective_generator(p.T)
-        gen_key = tuple(sorted(idx.summand_indices(gen) or []))
+        gen_key = _ext_projective_members(p.T)
         psi[p.T.key()] = gen_key
         if gen_key not in tilting_keys:
             mismatches.append(("psi misses a tilting module", p.T.key(), gen_key))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from taukit import arknit, highercat as hc, modcat as mc, tautilt as tt
@@ -249,6 +251,32 @@ def test_unknown_definition_is_rejected(L3):
     reg = mc.regular_module(L3).module
     with pytest.raises(ValueError):
         tt.is_support_tau2_tilting(reg, L3, definition="faithful")
+
+
+@pytest.mark.parametrize("definition", tt.DEFINITIONS)
+def test_member_list_matches_direct_sum(L3idx, L3, Cstar, definition):
+    # a list of census members is checked as given, with the same verdict as its sum
+    members = Cstar.member_list()
+    for r in range(len(members) + 1):
+        for S in itertools.combinations(members, r):
+            summands = [L3idx.modules[i] for i in S]
+            as_sum = mc.direct_sum(L3, summands).module if S else mc.zero_module(L3)
+            listed = tt.is_support_tau2_tilting(summands, L3, definition)
+            summed = tt.is_support_tau2_tilting(as_sum, L3, definition)
+            assert type(listed) is type(summed), S
+            if isinstance(summed, tt.SupportTau2Cert):
+                assert listed.support_complement == summed.support_complement
+            else:
+                assert listed.reason == summed.reason
+
+
+def test_verify_theorem1_does_not_decompose(L3idx, L3, Cstar, monkeypatch):
+    def refuse(M, seed=0):
+        raise AssertionError("decompose called on the verify path")
+
+    monkeypatch.setattr(mc, "decompose", refuse)
+    report = tt.verify_theorem1(L3, Cstar)
+    assert report.ok and report.counts() == (7, 7)
 
 
 def test_verify_theorem1_semisimple(SS3):
