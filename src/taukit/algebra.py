@@ -472,9 +472,19 @@ def opposite(algebra: Algebra) -> Algebra:
     return build_algebra(op_spec)
 
 
+_QUOTIENT_CACHE: dict = {}
+
+
 def quotient_by_idempotent(algebra: Algebra, kill) -> Algebra:
-    """A/<e> for e the sum of trivial paths at the given vertices."""
-    kill = set(kill)
+    """A/<e> for e the sum of trivial paths at the given vertices.
+
+    Each quotient is built once per (spec, vertex set); later calls return
+    the same Algebra object.
+    """
+    kill = frozenset(kill)
+    key = (algebra.spec, kill)
+    if key in _QUOTIENT_CACHE:
+        return _QUOTIENT_CACHE[key]
     unknown = kill - set(algebra.vertices)
     if unknown:
         raise ValueError(f"unknown vertices {sorted(unknown)}")
@@ -490,7 +500,8 @@ def quotient_by_idempotent(algebra: Algebra, kill) -> Algebra:
         if terms:
             relations.append(Relation(terms, rel.source, rel.target))
     new_spec = QuiverSpec(spec.p, vertices, arrows, tuple(sorted(relations, key=lambda r: r.terms)))
-    return build_algebra(new_spec)
+    _QUOTIENT_CACHE[key] = build_algebra(new_spec)
+    return _QUOTIENT_CACHE[key]
 
 
 def quotient_by_monomial_ideal(algebra: Algebra, kill_paths) -> Algebra:

@@ -109,7 +109,7 @@ def _seed_modules(A: Algebra):
             seeds.append(radP)
         I = mc.injective(A, v)
         soc, inc = mc.submodule_from_columns(I, mc.socle_columns(I))
-        quot = mc.map_parts(inc).cokernel
+        quot, _ = mc.cokernel(inc)
         if not quot.is_zero():
             seeds.append(quot)
     return seeds

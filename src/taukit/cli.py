@@ -209,14 +209,15 @@ def cmd_tau2(args) -> int:
     idx = _index(A, args)
     C = _ct_subcat(A, idx, args)
     # the CLI reports the quotient-only reading, so its output matches earlier versions
-    report = tt.verify_theorem1(A, C, max_members=args.subset_budget, definition="quotient")
+    tilting = tt.support_tau2_tilting_modules(A, C, max_members=args.subset_budget,
+                                              definition="quotient")
     modules = [
         {
             "summands": [list(idx.modules[i].dim_vector()) for i in key],
             "rank": len(key),
             "support_complement": sorted(cert.support_complement),
         }
-        for key, cert in report.tilting
+        for key, cert in tilting
     ]
     _write(emit_report({"modules": modules}), args.out)
     return EXIT_OK
@@ -242,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-indec", dest="max_indec", type=int, default=64)
     parser.add_argument("--max-dim", dest="max_dim", type=int, default=64)
     parser.add_argument("--subset-budget", dest="subset_budget", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized fallbacks")
     parser.add_argument("--out", default=None, help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 

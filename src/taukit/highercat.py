@@ -299,18 +299,17 @@ def c_resolution(C: Subcat, M, side: str, d: int) -> ExactSeq:
             g = approx.map if inclusion is None else inclusion.compose(approx.map)
             modules.insert(0, approx.source)
             maps.insert(0, g)
-            parts = mc.map_parts(approx.map)
-            K = parts.kernel
+            K, incl = mc.kernel(approx.map)
             if K.is_zero():
                 break
             if step == d - 2:
                 if not C.contains(K):
                     raise FailedResolutionError("final kernel not in the subcategory")
                 modules.insert(0, K)
-                maps.insert(0, parts.kernel_inclusion)
+                maps.insert(0, incl)
             else:
                 cur = K
-                inclusion = parts.kernel_inclusion
+                inclusion = incl
         seq = ExactSeq(modules, maps)
     else:
         modules = [M]
@@ -324,18 +323,17 @@ def c_resolution(C: Subcat, M, side: str, d: int) -> ExactSeq:
             g = approx.map if projection is None else approx.map.compose(projection)
             modules.append(approx.target)
             maps.append(g)
-            parts = mc.map_parts(approx.map)
-            Q = parts.cokernel
+            Q, proj = mc.cokernel(approx.map)
             if Q.is_zero():
                 break
             if step == d - 2:
                 if not C.contains(Q):
                     raise FailedResolutionError("final cokernel not in the subcategory")
                 modules.append(Q)
-                maps.append(parts.cokernel_projection)
+                maps.append(proj)
             else:
                 cur = Q
-                projection = parts.cokernel_projection
+                projection = proj
         seq = ExactSeq(modules, maps)
     if not seq.is_exact():
         raise FailedResolutionError("resolution is not exact")
@@ -414,9 +412,8 @@ def pullback(g: mc.ModMap, h: mc.ModMap) -> Pullback:
     A = g.source.algebra
     ds = mc.direct_sum(A, [g.source, h.source])
     diff = mc.map_from_sum(ds, [g, h.scale(-1)])
-    parts = mc.map_parts(diff)
-    inc = parts.kernel_inclusion
-    return Pullback(parts.kernel,
+    K, inc = mc.kernel(diff)
+    return Pullback(K,
                     ds.projections[0].compose(inc),
                     ds.projections[1].compose(inc),
                     inc)
@@ -496,8 +493,7 @@ def d_pullback(C: Subcat, seq: ExactSeq, f: mc.ModMap) -> DPullback:
                 (1, 1): seq.maps[k].scale(-1),
             }
             phi = mc.block_map(ds, tgt, blocks)
-        parts = mc.map_parts(phi)
-        K, incl = parts.kernel, parts.kernel_inclusion
+        K, incl = mc.kernel(phi)
         if C.contains(K):
             approx = _identity_approximation(K)
         else:
@@ -632,8 +628,7 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     dsPM = mc.direct_sum(A, [P, M])
     dsNN = mc.direct_sum(A, [Np, N])
     phi = mc.block_map(dsPM, dsNN, {(0, 0): p_Np, (1, 0): p_N, (1, 1): a1.scale(-1)})
-    partsS = mc.map_parts(phi)
-    K_S, inclS = partsS.kernel, partsS.kernel_inclusion
+    K_S, inclS = mc.kernel(phi)
     if C.contains(K_S):
         apS = _identity_approximation(K_S)
     else:
@@ -657,8 +652,7 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     section = _find_section(r_Mp)
     if section is None:
         raise NotTwoExactError("R does not split over M'")
-    partsQ = mc.map_parts(r_Mp)
-    Q, q_R = partsQ.kernel, partsQ.kernel_inclusion
+    Q, q_R = mc.kernel(r_Mp)
     if not C.contains(Q):
         raise NotTwoExactError("split complement Q leaves the subcategory")
     q_S = _solve_q_map(Q, S, q_R, r_P, s_P, s_M)

@@ -371,44 +371,55 @@ class MapParts:
     cokernel_projection: ModMap
 
 
+def _stable_subspace(big: Module, basis: dict):
+    """The submodule of `big` with the given arrow-stable basis, and its inclusion."""
+    A = big.algebra
+    action = {}
+    for a in A.arrows:
+        sol = solve_matrix(basis[a.target], big.action[a.name].mul(basis[a.source]))
+        if sol is None:
+            raise AssertionError("subspace is not arrow-stable")
+        action[a.name] = sol
+    sub = Module(A, {v: basis[v].cols for v in A.vertices}, action, check=False)
+    return sub, ModMap(sub, big, basis, check=False)
+
+
+def kernel(f: ModMap):
+    """Pointwise kernel of f with its induced arrow action: (K, inclusion K -> source)."""
+    A = f.source.algebra
+    M = f.source
+    kbas = {v: Mat.from_columns(A.field, kernel_basis(f.mats[v]), rows=M.dims[v])
+            for v in A.vertices}
+    return _stable_subspace(M, kbas)
+
+
+def cokernel(f: ModMap):
+    """Pointwise cokernel of f with its induced arrow action: (Q, projection target -> Q)."""
+    A = f.source.algebra
+    field = A.field
+    N = f.target
+    cbas, proj = {}, {}
+    for v in A.vertices:
+        ibas = column_space_basis(f.mats[v])
+        comp = complement_basis(ibas)
+        cbas[v] = comp
+        full = Mat.hstack(field, [ibas, comp], rows=N.dims[v])
+        inv = solve_matrix(full, Mat.identity(field, N.dims[v]))
+        proj[v] = Mat.from_rows(field, [inv.data[i] for i in range(ibas.cols, N.dims[v])],
+                                cols=N.dims[v]) if N.dims[v] else Mat.zeros(field, 0, 0)
+    action = {a.name: proj[a.target].mul(N.action[a.name]).mul(cbas[a.source]) for a in A.arrows}
+    Q = Module(A, {v: cbas[v].cols for v in A.vertices}, action, check=False)
+    return Q, ModMap(N, Q, proj, check=False)
+
+
 def map_parts(f: ModMap) -> MapParts:
     """Pointwise kernel, image and cokernel with their induced arrow actions."""
     A = f.source.algebra
-    field = A.field
-    M, N = f.source, f.target
-    kbas, ibas, cbas, proj = {}, {}, {}, {}
-    for v in A.vertices:
-        kbas[v] = Mat.from_columns(field, kernel_basis(f.mats[v]), rows=M.dims[v])
-        ibas[v] = column_space_basis(f.mats[v])
-        comp = complement_basis(ibas[v])
-        cbas[v] = comp
-        full = Mat.hstack(field, [ibas[v], comp], rows=N.dims[v])
-        inv = solve_matrix(full, Mat.identity(field, N.dims[v]))
-        proj[v] = Mat.from_rows(field, [inv.data[i] for i in range(ibas[v].cols, N.dims[v])],
-                                cols=N.dims[v]) if N.dims[v] else Mat.zeros(field, 0, 0)
-
-    def induced(basis, big, arrow):
-        u, w = arrow.source, arrow.target
-        rhs = big.action[arrow.name].mul(basis[u])
-        sol = solve_matrix(basis[w], rhs)
-        if sol is None:
-            raise AssertionError("subspace is not arrow-stable")
-        return sol
-
-    ker_action = {a.name: induced(kbas, M, a) for a in A.arrows}
-    img_action = {a.name: induced(ibas, N, a) for a in A.arrows}
-    cok_action = {a.name: proj[a.target].mul(N.action[a.name]).mul(cbas[a.source]) for a in A.arrows}
-
-    kernel = Module(A, {v: kbas[v].cols for v in A.vertices}, ker_action, check=False)
-    image = Module(A, {v: ibas[v].cols for v in A.vertices}, img_action, check=False)
-    cokernel = Module(A, {v: N.dims[v] - ibas[v].cols for v in A.vertices}, cok_action, check=False)
-
-    ker_inc = ModMap(kernel, M, kbas, check=False)
-    img_mono = ModMap(image, N, ibas, check=False)
-    epi_mats = {v: solve_matrix(ibas[v], f.mats[v]) for v in A.vertices}
-    img_epi = ModMap(M, image, epi_mats, check=False)
-    cok_proj = ModMap(N, cokernel, proj, check=False)
-    return MapParts(kernel, ker_inc, image, img_epi, img_mono, cokernel, cok_proj)
+    ibas = {v: column_space_basis(f.mats[v]) for v in A.vertices}
+    image, img_mono = _stable_subspace(f.target, ibas)
+    img_epi = ModMap(f.source, image, {v: solve_matrix(ibas[v], f.mats[v]) for v in A.vertices},
+                     check=False)
+    return MapParts(*kernel(f), image, img_epi, img_mono, *cokernel(f))
 
 
 def submodule_from_columns(M: Module, columns: dict):
@@ -586,13 +597,13 @@ def injective_envelope(M: Module) -> ModMap:
 def is_projective(M: Module) -> bool:
     if M.is_zero():
         return True
-    return map_parts(projective_cover(M)).kernel.is_zero()
+    return kernel(projective_cover(M))[0].is_zero()
 
 
 def is_injective(M: Module) -> bool:
     if M.is_zero():
         return True
-    return map_parts(injective_envelope(M)).cokernel.is_zero()
+    return cokernel(injective_envelope(M))[0].is_zero()
 
 
 def syzygy(M: Module, k: int = 1) -> Module:
@@ -603,7 +614,7 @@ def syzygy(M: Module, k: int = 1) -> Module:
     for _ in range(k):
         if cur.is_zero():
             return cur
-        cur = map_parts(projective_cover(cur)).kernel
+        cur, _ = kernel(projective_cover(cur))
     return cur
 
 
@@ -615,7 +626,7 @@ def cosyzygy(M: Module, k: int = 1) -> Module:
     for _ in range(k):
         if cur.is_zero():
             return cur
-        cur = map_parts(injective_envelope(cur)).cokernel
+        cur, _ = cokernel(injective_envelope(cur))
     return cur
 
 
@@ -650,8 +661,7 @@ def minimal_presentation(M: Module) -> Presentation:
     A = M.algebra
     cover0 = projective_cover(M)
     verts0 = _cover_summand_vertices(cover0)
-    parts = map_parts(cover0)
-    K, incl = parts.kernel, parts.kernel_inclusion
+    K, incl = kernel(cover0)
     cover1 = projective_cover(K)
     verts1 = _cover_summand_vertices(cover1)
     g = incl.compose(cover1)  # P1 -> P0
@@ -713,7 +723,7 @@ def transpose(M: Module) -> Module:
         # the reversed element, realized on opposite path bases
         blocks[(i, j)] = _right_mult_map(Aop, pres.verts0[j], pres.verts1[i], terms)
     gstar = block_map(src, tgt, blocks)
-    return map_parts(gstar).cokernel
+    return cokernel(gstar)[0]
 
 
 def _right_mult_map(Aop: Algebra, v_from, v_to, terms) -> ModMap:
@@ -782,15 +792,15 @@ def projective_resolution(M: Module, length: int) -> Resolution:
     diffs = []
     cover = projective_cover(M)
     verts.append(_cover_summand_vertices(cover))
-    cur = map_parts(cover)
+    K, incl = kernel(cover)
     for _ in range(length):
-        if cur.kernel.is_zero():
+        if K.is_zero():
             break
-        nxt = projective_cover(cur.kernel)
+        nxt = projective_cover(K)
         verts.append(_cover_summand_vertices(nxt))
-        g = cur.kernel_inclusion.compose(nxt)
+        g = incl.compose(nxt)
         diffs.append(_element_form(A, verts[-1], verts[-2], g))
-        cur = map_parts(nxt)
+        K, incl = kernel(nxt)
     return Resolution(verts, diffs)
 
 

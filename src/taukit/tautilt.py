@@ -78,15 +78,14 @@ def add_coresolution(M, T, maxlen: int, mono_start: bool = True) -> ExactSeq | N
         g = ap.map if projection is None else ap.map.compose(projection)
         modules.append(ap.target)
         maps.append(g)
-        parts = mc.map_parts(ap.map)
-        Q = parts.cokernel
+        Q, proj = mc.cokernel(ap.map)
         if Q.is_zero():
             seq = ExactSeq(modules, maps)
             if not seq.is_exact(mono_start=mono_start):
                 raise AssertionError("coresolution failed its own exactness check")
             return seq
         cur = Q
-        projection = parts.cokernel_projection
+        projection = proj
     return None
 
 
@@ -262,16 +261,13 @@ class CorrespondenceReport:
         }
 
 
-def verify_theorem1(A: Algebra, C: Subcat, max_members: int = 20,
-                    definition: str = "ambient") -> CorrespondenceReport:
-    """Exhaustively verify the correspondence on a 2-cluster-tilting subcategory.
+def support_tau2_tilting_modules(A: Algebra, C: Subcat, max_members: int = 20,
+                                 definition: str = "ambient") -> list:
+    """All support tau_2-tilting modules among basic sums of members of C.
 
-    Enumerates support tau_2-tilting modules (under the named `definition`,
-    see `is_support_tau2_tilting`) among basic sums of members of C and all
-    2-ff torsion pairs in C, then checks that Fac(-) cap C and the
-    Ext-projective generator are mutually inverse bijections up to iso.
-    Candidates and generators are tuples of member indices: each candidate
-    is checked as its list of members, so no sum is built and decomposed.
+    Returns sorted (member tuple, SupportTau2Cert) pairs, under the named
+    `definition` (see `is_support_tau2_tilting`).  Each candidate is checked
+    as its list of members, so no sum is built and decomposed.
     """
     n = len(C.members)
     if n > max_members:
@@ -284,6 +280,19 @@ def verify_theorem1(A: Algebra, C: Subcat, max_members: int = 20,
             if isinstance(res, SupportTau2Cert):
                 tilting.append((S, res))
     tilting.sort(key=lambda t: t[0])
+    return tilting
+
+
+def verify_theorem1(A: Algebra, C: Subcat, max_members: int = 20,
+                    definition: str = "ambient") -> CorrespondenceReport:
+    """Exhaustively verify the correspondence on a 2-cluster-tilting subcategory.
+
+    Enumerates support tau_2-tilting modules (`support_tau2_tilting_modules`)
+    and all 2-ff torsion pairs in C, then checks that Fac(-) cap C and the
+    Ext-projective generator are mutually inverse bijections up to iso.
+    Generators are tuples of member indices, like the candidates.
+    """
+    tilting = support_tau2_tilting_modules(A, C, max_members, definition)
     pairs = tn.enumerate_2ff_torsion_pairs(C, max_members=max_members)
     pair_by_T = {p.T.key(): p for p in pairs}
     mismatches = []

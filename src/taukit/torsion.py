@@ -63,36 +63,38 @@ def is_2_finite(X: Subcat, C: Subcat, side: str):
     """2-contravariant ('contra') or 2-covariant ('co') finiteness of X in C.
 
     Returns (ok, certificates) where certificates maps each member index of C
-    to the probing sequence X2 -> X1 -> M (or its dual).
+    to the probing sequence X2 -> X1 -> M (or its dual).  The check stops at
+    the first member whose sequence is not exact, so the certificates are
+    complete only when ok is True.
     """
     if side not in ("contra", "co"):
         raise ValueError("side must be 'contra' or 'co'")
     members = X.modules()
     certs = {}
-    ok = True
     for mi in C.member_list():
         M = C.host.modules[mi]
         if side == "contra":
             ap1 = hc.right_full_approximation(members, M)
-            parts = mc.map_parts(ap1.map)
-            ap2 = hc.right_full_approximation(members, parts.kernel)
-            g = parts.kernel_inclusion.compose(ap2.map)  # X2 -> X1
+            K, incl = mc.kernel(ap1.map)
+            ap2 = hc.right_full_approximation(members, K)
+            g = incl.compose(ap2.map)  # X2 -> X1
             f = ap1.map
             seq = ExactSeq([ap2.source, ap1.source, M], [g, f])
             good = all(_middle_exact_against(C0, ap2.source, ap1.source, M, g, f, "contra")
                        for C0 in C.modules())
         else:
             ap1 = hc.left_full_approximation(M, members)
-            parts = mc.map_parts(ap1.map)
-            ap2 = hc.left_full_approximation(parts.cokernel, members)
-            g = ap2.map.compose(parts.cokernel_projection)  # X1 -> X2
+            Q, proj = mc.cokernel(ap1.map)
+            ap2 = hc.left_full_approximation(Q, members)
+            g = ap2.map.compose(proj)  # X1 -> X2
             f = ap1.map
             seq = ExactSeq([M, ap1.target, ap2.target], [f, g])
             good = all(_middle_exact_against(C0, ap2.target, ap1.target, M, g, f, "co")
                        for C0 in C.modules())
         certs[mi] = seq
-        ok = ok and good
-    return ok, certs
+        if not good:
+            return False, certs
+    return True, certs
 
 
 @dataclass
@@ -100,7 +102,6 @@ class TorsPair2FF:
     C: Subcat
     T: Subcat
     F: Subcat
-    certs: dict
 
     def key(self):
         return (self.T.key(), self.F.key())
@@ -114,9 +115,16 @@ class TorsPair2FF:
             def chain(seq):
                 return [list(m.dim_vector()) for m in seq.modules]
 
+            all_certs = {}
+            for X, name in ((self.T, "T"), (self.F, "F")):
+                for side in ("contra", "co"):
+                    ok, certs = is_2_finite(X, self.C, side)
+                    if not ok:
+                        raise SequenceFailedError(f"{name} is not 2-{side}variantly finite")
+                    all_certs[f"{name}_{side}"] = certs
             out["finiteness_certificates"] = {
                 name: {str(mi): chain(seq) for mi, seq in sorted(certs.items())}
-                for name, certs in sorted(self.certs.items())
+                for name, certs in sorted(all_certs.items())
             }
             out["canonical_sequences"] = {
                 str(mi): chain(canonical_sequence(self, self.C.host.modules[mi]))
@@ -303,11 +311,9 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng, tries):
         w, d1 = build(coeffs)
         if not all(rank(w.mats[v]) == ker_v[v] for v in A.vertices):
             continue
-        parts = mc.map_parts(w)
-        T0p = parts.kernel
+        T0p, iota = mc.kernel(w)
         if not T.contains(T0p):
             continue
-        iota = parts.kernel_inclusion
         # vertical T0' -> T0 through the mono T0 -> X
         d1_res = d1.compose(iota)
         mats = {}
@@ -356,12 +362,7 @@ def enumerate_2ff_torsion_pairs(C: Subcat, max_members: int = 20) -> list:
             ok, _ = is_torsion_pair_2ff(T, Fsub, C)
             if not ok:
                 continue
-            certs = {}
-            for X, name in ((T, "T"), (Fsub, "F")):
-                for side in ("contra", "co"):
-                    _, cert = is_2_finite(X, C, side)
-                    certs[f"{name}_{side}"] = cert
-            pair = TorsPair2FF(C, T, Fsub, certs)
+            pair = TorsPair2FF(C, T, Fsub)
             if pair.key() not in seen:
                 seen.add(pair.key())
                 pairs.append(pair)

@@ -147,3 +147,8 @@ def test_opposite_semisimple(SS3):
 def test_dim_is_sum_of_projective_dims(L3):
     total = sum(len(L3.paths_from(v)) for v in L3.vertices)
     assert total == L3.dim
+
+
+def test_quotient_is_built_once(L3):
+    assert quotient_by_idempotent(L3, {"1"}) is quotient_by_idempotent(L3, ["1"])
+    assert quotient_by_idempotent(L3, {"1"}) is not quotient_by_idempotent(L3, {"2"})

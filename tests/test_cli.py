@@ -113,6 +113,18 @@ def test_tau2_enum(lambda3_file, capsys):
     assert len(data["modules"]) == 8
 
 
+def test_tau2_enum_does_not_enumerate_torsion_pairs(lambda3_file, capsys, monkeypatch):
+    from taukit import torsion as tn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tau2 enum enumerated torsion pairs")
+
+    monkeypatch.setattr(tn, "enumerate_2ff_torsion_pairs", refuse)
+    code, out = run_cli(capsys, lambda3_file, "tau2", "enum", "--ct", CSTAR)
+    assert code == 0
+    assert len(json.loads(out)["modules"]) == 8
+
+
 def test_verify_theorem1_reports_witness(lambda3_file, capsys):
     code, out = run_cli(capsys, lambda3_file, "verify", "theorem1", "--ct", CSTAR)
     # under the quotient-only reading the CLI reports, the fixture falsifies the

@@ -4,8 +4,8 @@ import pytest
 
 from taukit import modcat as mc
 from taukit.algebra import quotient_by_idempotent
-from taukit.exactlin import Mat
-from tests.conftest import lambda3
+from taukit.exactlin import Mat, rank
+from tests.conftest import lambda3, nakayama_rad2
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,33 @@ def test_rank_nullity_bookkeeping(L3, L3mods):
     parts = mc.map_parts(f)
     for v in L3.vertices:
         assert parts.kernel.dims[v] + parts.image.dims[v] == P["2"].dims[v]
+
+
+@pytest.mark.parametrize("make", [lambda3, lambda p: nakayama_rad2(5, p)], ids=["A3", "A5rad2"])
+@pytest.mark.parametrize("p", [2, 101])
+def test_kernel_and_cokernel_exact_on_census_maps(make, p):
+    from taukit import arknit
+
+    mods = arknit.knit_indecomposables(make(p)).modules
+    for M in mods:
+        for N in mods:
+            for f in mc.hom_basis(M, N):
+                K, incl = mc.kernel(f)
+                Q, proj = mc.cokernel(f)
+                for X, g in ((K, incl), (Q, proj)):
+                    X.validate()
+                    g.validate()
+                for v in M.algebra.vertices:
+                    r = rank(f.mats[v])
+                    assert rank(incl.mats[v]) == K.dims[v] == M.dims[v] - r
+                    assert f.mats[v].mul(incl.mats[v]).is_zero()
+                    assert rank(proj.mats[v]) == Q.dims[v] == N.dims[v] - r
+                    assert proj.mats[v].mul(f.mats[v]).is_zero()
+                parts = mc.map_parts(f)
+                assert (parts.kernel.dims, parts.kernel.action) == (K.dims, K.action)
+                assert parts.kernel_inclusion.mats == incl.mats
+                assert (parts.cokernel.dims, parts.cokernel.action) == (Q.dims, Q.action)
+                assert parts.cokernel_projection.mats == proj.mats
 
 
 def test_decompose_zero_and_simple(L3, L3mods):

@@ -297,3 +297,43 @@ def test_add_p1_two_finiteness_fails_exhaustively_over_f2():
                            for C0 in members):
                         found = True
     assert not found
+
+
+def test_enumeration_checks_finiteness_only_inside_the_pair_test(Cstar, monkeypatch):
+    real_finite, real_pair = tn.is_2_finite, tn.is_torsion_pair_2ff
+    calls = {"pair": 0, "outside": 0}
+    depth = [0]
+
+    def finite(*args):
+        if not depth[0]:
+            calls["outside"] += 1
+        return real_finite(*args)
+
+    def pair(*args):
+        calls["pair"] += 1
+        depth[0] += 1
+        try:
+            return real_pair(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(tn, "is_2_finite", finite)
+    monkeypatch.setattr(tn, "is_torsion_pair_2ff", pair)
+    assert len(tn.enumerate_2ff_torsion_pairs(Cstar)) == 7
+    assert calls["pair"] >= 7
+    assert calls["outside"] == 0
+
+
+def test_certificates_on_demand_match_is_2_finite(Cstar):
+    def chain(seq):
+        return [list(m.dim_vector()) for m in seq.modules]
+
+    for pair in tn.enumerate_2ff_torsion_pairs(Cstar):
+        certs = pair.to_json(include_certs=True)["finiteness_certificates"]
+        assert list(certs) == ["F_co", "F_contra", "T_co", "T_contra"]
+        for X, name in ((pair.T, "T"), (pair.F, "F")):
+            for side in ("contra", "co"):
+                ok, expected = tn.is_2_finite(X, Cstar, side)
+                assert ok
+                assert certs[f"{name}_{side}"] == {
+                    str(mi): chain(seq) for mi, seq in sorted(expected.items())}
