@@ -285,12 +285,6 @@ class Algebra:
         """Basis paths with source v, in basis order (a basis of A e_v)."""
         return [pth for pth in self.basis if pth.source == v]
 
-    def paths_between(self, u: str, w: str):
-        return [pth for pth in self.basis if pth.source == u and pth.target == w]
-
-    def path_action_word(self, arrows: tuple):
-        return arrows
-
     def check_consistency(self):
         """Exhaustive associativity and unit checks on the basis (build-time gate)."""
         p = self.field.p
@@ -460,16 +454,29 @@ def parse_algebra(text: str, max_len: int = 64) -> Algebra:
     return build_algebra(parse_spec(text), max_len=max_len)
 
 
+_OPPOSITE_CACHE: dict = {}
+
+
 def opposite(algebra: Algebra) -> Algebra:
-    """The opposite algebra: arrows and relation paths reversed."""
+    """The opposite algebra: arrows and relation paths reversed.
+
+    Each opposite is built once per spec and remembered in both directions:
+    later calls return the same Algebra objects, and the opposite of the
+    opposite is the algebra it was first built from.
+    """
     spec = algebra.spec
+    if spec in _OPPOSITE_CACHE:
+        return _OPPOSITE_CACHE[spec]
     arrows = tuple(Arrow(a.name, a.target, a.source) for a in spec.arrows)
     relations = []
     for rel in spec.relations:
         terms = tuple(sorted((c, tuple(reversed(w))) for c, w in rel.terms))
         relations.append(Relation(terms, rel.target, rel.source))
     op_spec = QuiverSpec(spec.p, spec.vertices, arrows, tuple(sorted(relations, key=lambda r: r.terms)))
-    return build_algebra(op_spec)
+    op = algebra if op_spec == spec else build_algebra(op_spec)
+    _OPPOSITE_CACHE[spec] = op
+    _OPPOSITE_CACHE[op_spec] = algebra
+    return op
 
 
 _QUOTIENT_CACHE: dict = {}

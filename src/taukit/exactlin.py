@@ -157,9 +157,6 @@ class Mat:
     def sub(self, other: "Mat") -> "Mat":
         return self.add(other.scale(-1))
 
-    def neg(self) -> "Mat":
-        return self.scale(-1)
-
     def scale(self, c: int) -> "Mat":
         p = self.field.p
         c %= p

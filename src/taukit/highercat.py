@@ -5,6 +5,13 @@ from a complete index.  Approximations are built multiplicity-full (one
 copy of X per basis element of Hom(X, M)) and minimized where the
 construction needs minimal ones by stripping summands that keep the
 approximation property.
+
+Only the contravariant constructions are implemented: right
+approximations, right C-resolutions and Hom(C, -)-exactness.  Each
+covariant one is its contravariant twin transported by the duality
+D = Hom_K(-, K): mod A -> mod A^op, which turns left approximations of M
+by the X into right approximations of D M by the D X.  The left
+construction runs the right one on the duals and dualizes the result back.
 """
 
 from __future__ import annotations
@@ -109,16 +116,21 @@ class ExactSeq:
         }
 
 
+def dual_seq(seq: ExactSeq) -> ExactSeq:
+    """D of a chain: the dual modules and maps, in reverse order."""
+    return ExactSeq([mc.dual(m) for m in reversed(seq.modules)],
+                    [mc.dual_map(f) for f in reversed(seq.maps)])
+
+
 # -- approximations -------------------------------------------------------------
 
 
 @dataclass
 class Approximation:
-    """A (right or left) approximation kept with its per-copy components."""
+    """An approximation kept with its per-copy components."""
 
     map: mc.ModMap
     components: list
-    right: bool
 
     @property
     def source(self):
@@ -129,49 +141,39 @@ class Approximation:
         return self.map.target
 
 
+def _approximation_from(components, M) -> Approximation:
+    """The map from the direct sum of the components' sources to M."""
+    if not components:
+        return Approximation(mc.ModMap.zero(mc.zero_module(M.algebra), M), [])
+    ds = mc.direct_sum(M.algebra, [f.source for f in components])
+    return Approximation(mc.map_from_sum(ds, components), components)
+
+
+def _dual_approximation(approx: Approximation) -> Approximation:
+    return Approximation(mc.dual_map(approx.map), [mc.dual_map(f) for f in approx.components])
+
+
 def right_full_approximation(members, M) -> Approximation:
     """Multiplicity-full right approximation: one copy of X per basis hom X -> M."""
-    A = M.algebra
-    comps = []
-    for X in members:
-        comps.extend(mc.hom_basis(X, M))
-    if not comps:
-        z = mc.zero_module(A)
-        return Approximation(mc.ModMap.zero(z, M), [], True)
-    ds = mc.direct_sum(A, [f.source for f in comps])
-    return Approximation(mc.map_from_sum(ds, comps), comps, True)
+    return _approximation_from([g for X in members for g in mc.hom_basis(X, M)], M)
 
 
 def left_full_approximation(M, members) -> Approximation:
-    A = M.algebra
-    comps = []
-    for X in members:
-        comps.extend(mc.hom_basis(M, X))
-    if not comps:
-        z = mc.zero_module(A)
-        return Approximation(mc.ModMap.zero(M, z), [], False)
-    ds = mc.direct_sum(A, [f.target for f in comps])
-    return Approximation(mc.map_into_sum(ds, comps), comps, False)
-
-
-def _in_span(field, vecs, target_vec) -> bool:
-    mat = Mat.from_columns(field, vecs, rows=len(target_vec)) if vecs \
-        else Mat.zeros(field, len(target_vec), 0)
-    return solve(mat, target_vec) is not None
+    """Multiplicity-full left approximation M -> X-copies, the dual of the
+    right approximation of D M by the D X."""
+    duals = [mc.dual(X) for X in members]
+    return _dual_approximation(right_full_approximation(duals, mc.dual(M)))
 
 
 def factors_through_right(f: mc.ModMap, g: mc.ModMap) -> bool:
     """Does g: X -> M factor as f h through f: W -> M?"""
     basis = mc.hom_basis(g.source, f.source)
     vecs = [mc.hom_to_vector(f.compose(h)) for h in basis]
-    return _in_span(f.source.algebra.field, vecs, mc.hom_to_vector(g))
-
-
-def factors_through_left(f: mc.ModMap, g: mc.ModMap) -> bool:
-    """Does g: M -> X factor as h f through f: M -> W?"""
-    basis = mc.hom_basis(f.target, g.target)
-    vecs = [mc.hom_to_vector(h.compose(f)) for h in basis]
-    return _in_span(f.source.algebra.field, vecs, mc.hom_to_vector(g))
+    field = f.source.algebra.field
+    target_vec = mc.hom_to_vector(g)
+    mat = Mat.from_columns(field, vecs, rows=len(target_vec)) if vecs \
+        else Mat.zeros(field, len(target_vec), 0)
+    return solve(mat, target_vec) is not None
 
 
 def is_right_approximation(f: mc.ModMap, members) -> bool:
@@ -179,40 +181,20 @@ def is_right_approximation(f: mc.ModMap, members) -> bool:
                for X in members for g in mc.hom_basis(X, f.target))
 
 
-def is_left_approximation(f: mc.ModMap, members) -> bool:
-    return all(factors_through_left(f, g)
-               for X in members for g in mc.hom_basis(f.source, X))
-
-
-def _rebuild(approx: Approximation, keep) -> Approximation:
-    comps = [approx.components[i] for i in keep]
-    A = (approx.target if approx.right else approx.source).algebra
-    if not comps:
-        z = mc.zero_module(A)
-        m = mc.ModMap.zero(z, approx.target) if approx.right else mc.ModMap.zero(approx.source, z)
-        return Approximation(m, [], approx.right)
-    if approx.right:
-        ds = mc.direct_sum(A, [f.source for f in comps])
-        return Approximation(mc.map_from_sum(ds, comps), comps, True)
-    ds = mc.direct_sum(A, [f.target for f in comps])
-    return Approximation(mc.map_into_sum(ds, comps), comps, False)
-
-
 def minimize_approximation(approx: Approximation, members) -> Approximation:
-    """Greedily strip summand copies while the approximation property survives."""
+    """Strip summand copies, in one pass, while the right approximation property survives.
+
+    Being an approximation is monotone in the set of kept copies, so a copy
+    that cannot be dropped stays needed after later drops, and one pass finds
+    every copy that can go.
+    """
+    keep = list(range(len(approx.components)))
     cur = approx
-    changed = True
-    while changed:
-        changed = False
-        for drop in range(len(cur.components)):
-            keep = [i for i in range(len(cur.components)) if i != drop]
-            candidate = _rebuild(cur, keep)
-            ok = is_right_approximation(candidate.map, members) if cur.right \
-                else is_left_approximation(candidate.map, members)
-            if ok:
-                cur = candidate
-                changed = True
-                break
+    for drop in range(len(approx.components)):
+        trial = [i for i in keep if i != drop]
+        candidate = _approximation_from([approx.components[i] for i in trial], approx.target)
+        if is_right_approximation(candidate.map, members):
+            keep, cur = trial, candidate
     return cur
 
 
@@ -221,18 +203,13 @@ def right_min_approximation(members, M) -> Approximation:
 
 
 def left_min_approximation(M, members) -> Approximation:
-    return minimize_approximation(left_full_approximation(M, members), members)
+    """Minimal left approximation, the dual of the minimal right one of D M."""
+    duals = [mc.dual(X) for X in members]
+    return _dual_approximation(right_min_approximation(duals, mc.dual(M)))
 
 
 def _identity_approximation(M) -> Approximation:
-    return Approximation(mc.ModMap.identity(M), [mc.ModMap.identity(M)], True)
-
-
-def _right_approx_in(C: "Subcat", M, minimal: bool = True) -> Approximation:
-    if C.contains(M):
-        return _identity_approximation(M)
-    members = C.modules()
-    return right_min_approximation(members, M) if minimal else right_full_approximation(members, M)
+    return Approximation(mc.ModMap.identity(M), [mc.ModMap.identity(M)])
 
 
 # -- d-cluster-tilting ------------------------------------------------------------
@@ -277,67 +254,55 @@ def is_d_cluster_tilting(C: Subcat, d: int, complete: bool = True) -> CTReport:
 
 
 def c_resolution(C: Subcat, M, side: str, d: int) -> ExactSeq:
-    """Right: 0 -> C_{d-1} -> ... -> C_0 -> M -> 0; left side dual."""
+    """Right: 0 -> C_{d-1} -> ... -> C_0 -> M -> 0.
+
+    Left: 0 -> M -> C_0 -> ... -> C_{d-1} -> 0, the dual of the right
+    resolution of D M by the duals of the members.
+    """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    members = C.modules()
-    if C.contains(M):
+    if side == "left":
+        duals = [mc.dual(X) for X in C.modules()]
+        return dual_seq(_right_resolution(duals, lambda K: C.contains(mc.dual(K)),
+                                          mc.dual(M), d))
+    return _right_resolution(C.modules(), C.contains, M, d)
+
+
+def _right_resolution(members, contains, M, d: int) -> ExactSeq:
+    """0 -> C_{d-1} -> ... -> C_0 -> M -> 0 from iterated full right
+    approximations by the members; contains tests membership in their add."""
+    if contains(M):
         seq = ExactSeq([M, M], [mc.ModMap.identity(M)])
-        _check_c_exactness(seq, members, side)
+        _check_c_exactness(seq, members)
         return seq
     if d < 2:
         raise FailedResolutionError("module outside C admits no length-0 resolution")
-    if side == "right":
-        modules = [M]
-        maps: list = []
-        cur = M
-        inclusion = None
-        for step in range(d - 1):
-            approx = right_full_approximation(members, cur)
-            if not approx.map.is_epi():
-                raise FailedResolutionError("right approximation is not epi")
-            g = approx.map if inclusion is None else inclusion.compose(approx.map)
-            modules.insert(0, approx.source)
-            maps.insert(0, g)
-            K, incl = mc.kernel(approx.map)
-            if K.is_zero():
-                break
-            if step == d - 2:
-                if not C.contains(K):
-                    raise FailedResolutionError("final kernel not in the subcategory")
-                modules.insert(0, K)
-                maps.insert(0, incl)
-            else:
-                cur = K
-                inclusion = incl
-        seq = ExactSeq(modules, maps)
-    else:
-        modules = [M]
-        maps = []
-        cur = M
-        projection = None
-        for step in range(d - 1):
-            approx = left_full_approximation(cur, members)
-            if not approx.map.is_mono():
-                raise FailedResolutionError("left approximation is not mono")
-            g = approx.map if projection is None else approx.map.compose(projection)
-            modules.append(approx.target)
-            maps.append(g)
-            Q, proj = mc.cokernel(approx.map)
-            if Q.is_zero():
-                break
-            if step == d - 2:
-                if not C.contains(Q):
-                    raise FailedResolutionError("final cokernel not in the subcategory")
-                modules.append(Q)
-                maps.append(proj)
-            else:
-                cur = Q
-                projection = proj
-        seq = ExactSeq(modules, maps)
+    modules = [M]
+    maps: list = []
+    cur = M
+    inclusion = None
+    for step in range(d - 1):
+        approx = right_full_approximation(members, cur)
+        if not approx.map.is_epi():
+            raise FailedResolutionError("right approximation is not epi")
+        g = approx.map if inclusion is None else inclusion.compose(approx.map)
+        modules.insert(0, approx.source)
+        maps.insert(0, g)
+        K, incl = mc.kernel(approx.map)
+        if K.is_zero():
+            break
+        if step == d - 2:
+            if not contains(K):
+                raise FailedResolutionError("final kernel not in the subcategory")
+            modules.insert(0, K)
+            maps.insert(0, incl)
+        else:
+            cur = K
+            inclusion = incl
+    seq = ExactSeq(modules, maps)
     if not seq.is_exact():
         raise FailedResolutionError("resolution is not exact")
-    _check_c_exactness(seq, members, side)
+    _check_c_exactness(seq, members)
     return seq
 
 
@@ -345,52 +310,37 @@ def hom_exactness_probe(seq: ExactSeq, members, side: str) -> bool:
     """Exactness of the induced hom complexes against every member.
 
     side 'right': Hom(C, -) applied to the sequence must be exact, including
-    surjectivity at the last spot.  side 'left': Hom(-, C) dually.
+    injectivity at the first spot and surjectivity at the last.  side 'left':
+    Hom(-, C) dually, which is the 'right' probe of the dual sequence
+    against the dual members.
     """
+    if side == "left":
+        return hom_exactness_probe(dual_seq(seq), [mc.dual(X) for X in members], "right")
     A = seq.modules[0].algebra
     field = A.field
     for C0 in members:
-        if side == "right":
-            spaces = [mc.hom_basis(C0, m) for m in seq.modules]
-            dims = [len(s) for s in spaces]
-            ranks = []
-            for i, f in enumerate(seq.maps):
-                vecs = [mc.hom_to_vector(f.compose(phi)) for phi in spaces[i]]
-                length = sum(seq.modules[i + 1].dims[v] * C0.dims[v] for v in A.vertices)
-                m = Mat.from_rows(field, vecs, cols=length) if vecs else Mat.zeros(field, 0, length)
-                ranks.append(rank(m))
-        else:
-            spaces = [mc.hom_basis(m, C0) for m in seq.modules]
-            dims = [len(s) for s in spaces]
-            ranks = []
-            for i, f in enumerate(seq.maps):
-                vecs = [mc.hom_to_vector(phi.compose(f)) for phi in spaces[i + 1]]
-                length = sum(C0.dims[v] * seq.modules[i].dims[v] for v in A.vertices)
-                m = Mat.from_rows(field, vecs, cols=length) if vecs else Mat.zeros(field, 0, length)
-                ranks.append(rank(m))
+        spaces = [mc.hom_basis(C0, m) for m in seq.modules]
+        dims = [len(s) for s in spaces]
+        ranks = []
+        for i, f in enumerate(seq.maps):
+            vecs = [mc.hom_to_vector(f.compose(phi)) for phi in spaces[i]]
+            length = sum(seq.modules[i + 1].dims[v] * C0.dims[v] for v in A.vertices)
+            m = Mat.from_rows(field, vecs, cols=length) if vecs else Mat.zeros(field, 0, length)
+            ranks.append(rank(m))
         if not ranks:
             continue
-        if side == "right":
-            if ranks[0] != dims[0]:
+        if ranks[0] != dims[0]:
+            return False
+        for i in range(1, len(dims) - 1):
+            if ranks[i - 1] + ranks[i] != dims[i]:
                 return False
-            for i in range(1, len(dims) - 1):
-                if ranks[i - 1] + ranks[i] != dims[i]:
-                    return False
-            if ranks[-1] != dims[-1]:
-                return False
-        else:
-            if ranks[-1] != dims[-1]:
-                return False
-            for i in range(1, len(dims) - 1):
-                if ranks[i - 1] + ranks[i] != dims[i]:
-                    return False
-            if ranks[0] != dims[0]:
-                return False
+        if ranks[-1] != dims[-1]:
+            return False
     return True
 
 
-def _check_c_exactness(seq: ExactSeq, members, side: str):
-    if not hom_exactness_probe(seq, members, side):
+def _check_c_exactness(seq: ExactSeq, members):
+    if not hom_exactness_probe(seq, members, "right"):
         raise FailedResolutionError("hom-exactness probe failed")
 
 
@@ -417,20 +367,6 @@ def pullback(g: mc.ModMap, h: mc.ModMap) -> Pullback:
                     ds.projections[0].compose(inc),
                     ds.projections[1].compose(inc),
                     inc)
-
-
-def pair_into_pullback(pb: Pullback, u: mc.ModMap, v: mc.ModMap) -> mc.ModMap:
-    """The induced map into the pullback from a compatible pair (u, v)."""
-    A = pb.module.algebra
-    ds_mats = {vtx: Mat.vstack(A.field, [u.mats[vtx], v.mats[vtx]], cols=u.source.dims[vtx])
-               for vtx in A.vertices}
-    mats = {}
-    for vtx in A.vertices:
-        sol = solve_matrix(pb.inclusion.mats[vtx], ds_mats[vtx])
-        if sol is None:
-            raise FailedResolutionError("pair does not land in the pullback")
-        mats[vtx] = sol
-    return mc.ModMap(u.source, pb.module, mats, check=False)
 
 
 def lift_through_right_approx(approx: Approximation, t: mc.ModMap) -> mc.ModMap:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import algebra as algebra_mod
-from .algebra import Algebra
+from .algebra import Algebra, opposite
 from .exactlin import (
     Mat,
     column_space_basis,
@@ -23,22 +22,6 @@ from .exactlin import (
     solve,
     solve_matrix,
 )
-
-_OPPOSITE_CACHE: dict = {}
-
-
-def opposite_of(A: Algebra) -> Algebra:
-    """Opposite algebra, cached so that opposite_of(opposite_of(A)) is A itself."""
-    if A.spec in _OPPOSITE_CACHE:
-        return _OPPOSITE_CACHE[A.spec]
-    op = algebra_mod.opposite(A)
-    if op.spec == A.spec:
-        _OPPOSITE_CACHE[A.spec] = A
-        return A
-    _OPPOSITE_CACHE[A.spec] = op
-    _OPPOSITE_CACHE[op.spec] = A
-    return op
-
 
 class DecompositionError(Exception):
     """A decomposable module resisted every splitting attempt."""
@@ -170,9 +153,6 @@ class ModMap:
 
     def is_epi(self) -> bool:
         return all(rank(m) == m.rows for m in self.mats.values())
-
-    def vertex_rank(self, v) -> int:
-        return rank(self.mats[v])
 
     def __repr__(self) -> str:
         return f"ModMap({self.source!r} -> {self.target!r})"
@@ -347,16 +327,6 @@ def hom_to_vector(f: ModMap) -> tuple:
     return tuple(out)
 
 
-def hom_coords(f: ModMap, basis) -> tuple | None:
-    """Coordinates of f in the given hom basis, or None if not in the span."""
-    A = f.source.algebra
-    if not basis:
-        return () if f.is_zero() else None
-    cols = [hom_to_vector(g) for g in basis]
-    mat = Mat.from_columns(A.field, cols, rows=len(hom_to_vector(f)))
-    return solve(mat, hom_to_vector(f))
-
-
 # -- kernels, images, cokernels ----------------------------------------------
 
 
@@ -472,7 +442,7 @@ def reject_into(M: Module, F: Module):
 def dual(M: Module) -> Module:
     """D(M) = Hom_K(M, K) as a module over the opposite algebra."""
     A = M.algebra
-    Aop = opposite_of(A)
+    Aop = opposite(A)
     action = {a.name: M.action[a.name].transpose() for a in A.arrows}
     return Module(Aop, dict(M.dims), action, check=False)
 
@@ -516,7 +486,7 @@ def projective(A: Algebra, v) -> Module:
 
 def injective(A: Algebra, v) -> Module:
     """I(v) = D(e_v A), computed as the dual of the opposite projective."""
-    return dual(projective(opposite_of(A), v))
+    return dual(projective(opposite(A), v))
 
 
 def regular_module(A: Algebra):
@@ -601,9 +571,7 @@ def is_projective(M: Module) -> bool:
 
 
 def is_injective(M: Module) -> bool:
-    if M.is_zero():
-        return True
-    return cokernel(injective_envelope(M))[0].is_zero()
+    return is_projective(dual(M))
 
 
 def syzygy(M: Module, k: int = 1) -> Module:
@@ -619,15 +587,8 @@ def syzygy(M: Module, k: int = 1) -> Module:
 
 
 def cosyzygy(M: Module, k: int = 1) -> Module:
-    """The k-th cosyzygy: iterated cokernels of minimal injective envelopes."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    cur = M
-    for _ in range(k):
-        if cur.is_zero():
-            return cur
-        cur, _ = cokernel(injective_envelope(cur))
-    return cur
+    """The k-th cosyzygy, D of the k-th syzygy of D M."""
+    return dual(syzygy(dual(M), k))
 
 
 # -- presentations, transpose, translates -------------------------------------
@@ -713,7 +674,7 @@ def _element_form(A: Algebra, src_verts, tgt_verts, g: ModMap) -> dict:
 def transpose(M: Module) -> Module:
     """Tr M over the opposite algebra, from a minimal projective presentation."""
     A = M.algebra
-    Aop = opposite_of(A)
+    Aop = opposite(A)
     pres = minimal_presentation(M)
     src = direct_sum(Aop, [projective(Aop, v) for v in pres.verts0])
     tgt = direct_sum(Aop, [projective(Aop, v) for v in pres.verts1])
@@ -881,17 +842,9 @@ def stable_hom_dim(M: Module, N: Module) -> int:
 
 
 def costable_hom_dim(M: Module, N: Module) -> int:
-    """dim of Hom(M, N) modulo maps factoring through an injective."""
-    homs = hom_basis(M, N)
-    if not homs:
-        return 0
-    env = injective_envelope(M)
-    through = [g.compose(env) for g in hom_basis(env.target, N)]
-    vecs = [hom_to_vector(t) for t in through]
-    A = M.algebra
-    mat = Mat.from_rows(A.field, vecs, cols=len(hom_to_vector(homs[0]))) if vecs \
-        else Mat.zeros(A.field, 0, len(hom_to_vector(homs[0])))
-    return len(homs) - rank(mat)
+    """dim of Hom(M, N) modulo maps factoring through an injective, which is
+    the stable Hom(D N, D M)."""
+    return stable_hom_dim(dual(N), dual(M))
 
 
 # -- annihilators ---------------------------------------------------------------
@@ -1344,11 +1297,3 @@ def is_isomorphic(M: Module, N: Module) -> bool:
         if not found:
             return False
     return True
-
-
-def make_basic(M: Module) -> Module:
-    """One copy of each indecomposable summand."""
-    if M.is_zero():
-        return M
-    cert = decompose(M)
-    return direct_sum(M.algebra, [X for X, _ in cert.summands]).module

@@ -3,7 +3,8 @@
 Candidate torsion classes are subsets of the indecomposables of C; the
 2-functorial finiteness conditions are checked with multiplicity-full
 approximations, whose failure implies failure for every approximation
-(anything else factors through the full one).
+(anything else factors through the full one).  The 2-covariant check is
+the 2-contravariant one transported by the duality D.
 """
 
 from __future__ import annotations
@@ -31,29 +32,16 @@ def right_full_approx(X: Subcat, M) -> mc.ModMap:
     return hc.right_full_approximation(X.modules(), M).map
 
 
-def left_full_approx(M, X: Subcat) -> mc.ModMap:
-    return hc.left_full_approximation(M, X.modules()).map
-
-
-def _middle_exact_against(C0, X2, X1, M, g, f, side: str) -> bool:
-    """Exactness of Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) at the middle
-    (or the Hom(-, C0) version for the covariant side)."""
+def _middle_exact_against(C0, X2, X1, M, g, f) -> bool:
+    """Exactness of Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) at the middle."""
     A = M.algebra
     field = A.field
-    if side == "contra":
-        H2 = mc.hom_basis(C0, X2)
-        H1 = mc.hom_basis(C0, X1)
-        vec_len1 = sum(X1.dims[v] * C0.dims[v] for v in A.vertices)
-        vec_lenM = sum(M.dims[v] * C0.dims[v] for v in A.vertices)
-        d1 = [mc.hom_to_vector(g.compose(phi)) for phi in H2]
-        d2 = [mc.hom_to_vector(f.compose(phi)) for phi in H1]
-    else:
-        H2 = mc.hom_basis(X2, C0)
-        H1 = mc.hom_basis(X1, C0)
-        vec_len1 = sum(C0.dims[v] * X1.dims[v] for v in A.vertices)
-        vec_lenM = sum(C0.dims[v] * M.dims[v] for v in A.vertices)
-        d1 = [mc.hom_to_vector(phi.compose(g)) for phi in H2]
-        d2 = [mc.hom_to_vector(phi.compose(f)) for phi in H1]
+    H2 = mc.hom_basis(C0, X2)
+    H1 = mc.hom_basis(C0, X1)
+    vec_len1 = sum(X1.dims[v] * C0.dims[v] for v in A.vertices)
+    vec_lenM = sum(M.dims[v] * C0.dims[v] for v in A.vertices)
+    d1 = [mc.hom_to_vector(g.compose(phi)) for phi in H2]
+    d2 = [mc.hom_to_vector(f.compose(phi)) for phi in H1]
     m1 = Mat.from_rows(field, d1, cols=vec_len1) if d1 else Mat.zeros(field, 0, vec_len1)
     m2 = Mat.from_rows(field, d2, cols=vec_lenM) if d2 else Mat.zeros(field, 0, vec_lenM)
     return rank(m1) + rank(m2) == len(H1)
@@ -65,34 +53,32 @@ def is_2_finite(X: Subcat, C: Subcat, side: str):
     Returns (ok, certificates) where certificates maps each member index of C
     to the probing sequence X2 -> X1 -> M (or its dual).  The check stops at
     the first member whose sequence is not exact, so the certificates are
-    complete only when ok is True.
+    complete only when ok is True.  The covariant check is the contravariant
+    one on the duals of X and C, and its certificates are dualized back.
     """
     if side not in ("contra", "co"):
         raise ValueError("side must be 'contra' or 'co'")
-    members = X.modules()
+    members = {mi: C.host.modules[mi] for mi in C.member_list()}
+    if side == "contra":
+        return _is_2_contra_finite(X.modules(), members)
+    ok, certs = _is_2_contra_finite([mc.dual(Y) for Y in X.modules()],
+                                    {mi: mc.dual(M) for mi, M in members.items()})
+    return ok, {mi: hc.dual_seq(seq) for mi, seq in certs.items()}
+
+
+def _is_2_contra_finite(X_members, C_members: dict):
+    """is_2_finite on the contravariant side, for modules of X and C given as
+    a list and as a dict keyed by member index."""
     certs = {}
-    for mi in C.member_list():
-        M = C.host.modules[mi]
-        if side == "contra":
-            ap1 = hc.right_full_approximation(members, M)
-            K, incl = mc.kernel(ap1.map)
-            ap2 = hc.right_full_approximation(members, K)
-            g = incl.compose(ap2.map)  # X2 -> X1
-            f = ap1.map
-            seq = ExactSeq([ap2.source, ap1.source, M], [g, f])
-            good = all(_middle_exact_against(C0, ap2.source, ap1.source, M, g, f, "contra")
-                       for C0 in C.modules())
-        else:
-            ap1 = hc.left_full_approximation(M, members)
-            Q, proj = mc.cokernel(ap1.map)
-            ap2 = hc.left_full_approximation(Q, members)
-            g = ap2.map.compose(proj)  # X1 -> X2
-            f = ap1.map
-            seq = ExactSeq([M, ap1.target, ap2.target], [f, g])
-            good = all(_middle_exact_against(C0, ap2.target, ap1.target, M, g, f, "co")
-                       for C0 in C.modules())
-        certs[mi] = seq
-        if not good:
+    for mi, M in C_members.items():
+        ap1 = hc.right_full_approximation(X_members, M)
+        K, incl = mc.kernel(ap1.map)
+        ap2 = hc.right_full_approximation(X_members, K)
+        g = incl.compose(ap2.map)  # X2 -> X1
+        f = ap1.map
+        certs[mi] = ExactSeq([ap2.source, ap1.source, M], [g, f])
+        if not all(_middle_exact_against(C0, ap2.source, ap1.source, M, g, f)
+                   for C0 in C_members.values()):
             return False, certs
     return True, certs
 
@@ -347,7 +333,6 @@ def enumerate_2ff_torsion_pairs(C: Subcat, max_members: int = 20) -> list:
         raise TooLargeError(f"{n} members exceeds the subset budget {max_members}")
     idx = C.host
     pairs = []
-    seen = set()
     for r in range(n + 1):
         for S in itertools.combinations(C.member_list(), r):
             Sset = set(S)
@@ -362,9 +347,6 @@ def enumerate_2ff_torsion_pairs(C: Subcat, max_members: int = 20) -> list:
             ok, _ = is_torsion_pair_2ff(T, Fsub, C)
             if not ok:
                 continue
-            pair = TorsPair2FF(C, T, Fsub)
-            if pair.key() not in seen:
-                seen.add(pair.key())
-                pairs.append(pair)
+            pairs.append(TorsPair2FF(C, T, Fsub))
     pairs.sort(key=lambda p: p.key())
     return pairs

@@ -140,6 +140,12 @@ def test_opposite_involution(L3):
     assert opposite(op) == L3
 
 
+def test_opposite_is_built_once(L3):
+    op = opposite(L3)
+    assert opposite(L3) is op
+    assert opposite(opposite(op)) is op
+
+
 def test_opposite_semisimple(SS3):
     assert opposite(SS3) == SS3
 

@@ -1,6 +1,8 @@
 import pytest
 
 from taukit import arknit, highercat as hc, modcat as mc
+from taukit.exactlin import Mat, solve
+from tests.conftest import lambda3, nakayama_rad2
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,70 @@ def test_minimize_approximation(L3idx, Cstar):
     minimal = hc.minimize_approximation(full, Cstar.modules())
     assert len(minimal.components) < len(full.components)
     assert hc.is_right_approximation(minimal.map, Cstar.modules())
+
+
+def _factors_through_left(f, g):
+    """Does g: M -> X factor as h f through f: M -> W?"""
+    basis = mc.hom_basis(f.target, g.target)
+    vecs = [mc.hom_to_vector(h.compose(f)) for h in basis]
+    target = mc.hom_to_vector(g)
+    field = g.source.algebra.field
+    mat = Mat.from_columns(field, vecs, rows=len(target)) if vecs \
+        else Mat.zeros(field, len(target), 0)
+    return solve(mat, target) is not None
+
+
+def _is_left_approximation(f, M, members):
+    return all(_factors_through_left(f, g) for X in members for g in mc.hom_basis(M, X))
+
+
+A5R2_CT = [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1), (1, 1, 0, 0, 0),
+           (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101"])
+def test_left_approximations_through_duality(case):
+    if case == "A3":
+        idx = arknit.knit_indecomposables(lambda3())
+        ct = [(1, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0)]
+    else:
+        idx = arknit.knit_indecomposables(nakayama_rad2(5, int(case.rsplit("-", 1)[1])))
+        ct = A5R2_CT
+    vecs = by_vec(idx)
+    members = hc.Subcat.of(idx, [vecs[v] for v in ct]).modules()
+    A = idx.algebra
+    for M in idx.modules:
+        full = hc.left_full_approximation(M, members)
+        assert full.source.dims == M.dims
+        assert _is_left_approximation(full.map, M, members)
+        minimal = hc.left_min_approximation(M, members)
+        assert _is_left_approximation(minimal.map, M, members)
+        comps = minimal.components
+        for drop in range(len(comps)):
+            rest = comps[:drop] + comps[drop + 1:]
+            if rest:
+                ds = mc.direct_sum(A, [c.target for c in rest])
+                smaller = mc.map_into_sum(ds, rest)
+            else:
+                smaller = mc.ModMap.zero(M, mc.zero_module(A))
+            assert not _is_left_approximation(smaller, M, members)
+
+
+def test_hom_exactness_probe_negative(L3idx):
+    """0 -> S3 -> P2 -> S2 -> 0 is exact, but Hom(S2, -) and Hom(-, S3) are not."""
+    vecs = by_vec(L3idx)
+    S3 = L3idx.modules[vecs[(0, 0, 1)]]
+    P2 = L3idx.modules[vecs[(0, 1, 1)]]
+    S2 = L3idx.modules[vecs[(0, 1, 0)]]
+    (g,) = mc.hom_basis(P2, S2)
+    parts = mc.map_parts(g)
+    start = parts.kernel_inclusion.compose(mc.iso_between_indecomposables(S3, parts.kernel))
+    seq = hc.ExactSeq([S3, P2, S2], [start, g])
+    assert seq.is_exact()
+    assert not hc.hom_exactness_probe(seq, [S2], "right")
+    assert not hc.hom_exactness_probe(seq, [S3], "left")
+    for side in ("right", "left"):
+        assert hc.hom_exactness_probe(seq, [P2], side)
 
 
 def test_pullback_universal_property(L3idx):

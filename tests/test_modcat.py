@@ -3,7 +3,7 @@ import random
 import pytest
 
 from taukit import modcat as mc
-from taukit.algebra import quotient_by_idempotent
+from taukit.algebra import opposite, quotient_by_idempotent
 from taukit.exactlin import Mat, rank
 from tests.conftest import lambda3, nakayama_rad2
 
@@ -194,11 +194,23 @@ def test_syzygies(L3, L3mods):
     assert mc.syzygy(S["1"], 3).is_zero()
 
 
+@pytest.mark.parametrize("make", [lambda3, lambda p: nakayama_rad2(5, p)], ids=["A3", "A5rad2"])
+def test_cosyzygy_is_iterated_cokernel_of_injective_envelope(make):
+    from taukit import arknit
+
+    for M in arknit.knit_indecomposables(make(101)).modules:
+        cur = M
+        for k in (1, 2):
+            if not cur.is_zero():
+                cur = mc.cokernel(mc.injective_envelope(cur))[0]
+            assert mc.is_isomorphic(mc.cosyzygy(M, k), cur)
+
+
 def test_transpose(L3, L3mods):
     P, S = L3mods
     assert mc.transpose(P["1"]).is_zero()
     t = mc.transpose(S["2"])
-    assert t.algebra == mc.opposite_of(L3)
+    assert t.algebra == opposite(L3)
     # coker(e_2 A -> e_3 A) is the simple at 3 over the opposite, so that
     # D Tr S2 = S3 matches the almost split sequence 0 -> S3 -> P2 -> S2 -> 0
     assert t.dim_vector() == (0, 0, 1)
@@ -245,7 +257,7 @@ def test_ext_dims(L3, L3mods):
 
 def test_ext_duality(L3):
     # Ext^i_A(M, N) = Ext^i_{A^op}(D N, D M)
-    op = mc.opposite_of(L3)
+    op = opposite(L3)
     mods = [mc.simple(L3, v) for v in L3.vertices] + [mc.projective(L3, v) for v in L3.vertices]
     for M in mods:
         for N in mods:

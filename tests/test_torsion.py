@@ -293,7 +293,7 @@ def test_add_p1_two_finiteness_fails_exhaustively_over_f2():
                     if not f.compose(g).is_zero():
                         continue
                     if all(tn._middle_exact_against(C0, ds_j.module, ds_k.module, S1,
-                                                    g, f, "contra")
+                                                    g, f)
                            for C0 in members):
                         found = True
     assert not found
