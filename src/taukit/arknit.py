@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import modcat as mc
 from .algebra import Algebra
-from .exactlin import Mat, rank
+from .exactlin import Mat, rank, solve_matrix
 
 
 class LimitExceededError(Exception):
@@ -45,6 +45,8 @@ class IndecIndex:
     tau_map: dict = field(default_factory=dict)  # index -> index, non-projectives only
     _hom_cache: dict = field(default_factory=dict, repr=False)
     _ext_cache: dict = field(default_factory=dict, repr=False)
+    _basis_cache: dict = field(default_factory=dict, repr=False)
+    _compose_cache: dict = field(default_factory=dict, repr=False)
     _proj_flags: list = field(default_factory=list, repr=False)
     _inj_flags: list = field(default_factory=list, repr=False)
 
@@ -60,6 +62,39 @@ class IndecIndex:
         if key not in self._hom_cache:
             self._hom_cache[key] = mc.hom_dim(self.modules[i], self.modules[j])
         return self._hom_cache[key]
+
+    def hom_basis(self, i: int, j: int) -> list:
+        """The `mc.hom_basis` of Hom(X_i, X_j), computed once."""
+        key = (i, j)
+        if key not in self._basis_cache:
+            self._basis_cache[key] = mc.hom_basis(self.modules[i], self.modules[j])
+        return self._basis_cache[key]
+
+    def compose(self, i: int, j: int, k: int) -> list:
+        """Structure constants of Hom(X_j, X_k) x Hom(X_i, X_j) -> Hom(X_i, X_k).
+
+        Entry [a][b] holds the coordinates of a o b in hom_basis(i, k), for a
+        in hom_basis(j, k) and b in hom_basis(i, j).  Computed once per triple.
+        """
+        key = (i, j, k)
+        if key not in self._compose_cache:
+            self._compose_cache[key] = self._composition_table(i, j, k)
+        return self._compose_cache[key]
+
+    def _composition_table(self, i: int, j: int, k: int) -> list:
+        first, second = self.hom_basis(i, j), self.hom_basis(j, k)
+        products = [mc.hom_to_vector(a.compose(b)) for a in second for b in first]
+        if not products:
+            return [[] for _ in second]
+        target = self.hom_basis(i, k)
+        field_ = self.algebra.field
+        rows = len(products[0])
+        span = Mat.from_columns(field_, [mc.hom_to_vector(h) for h in target], rows=rows)
+        coords = solve_matrix(span, Mat.from_columns(field_, products, rows=rows))
+        if coords is None:
+            raise AssertionError(f"a composite X_{i} -> X_{k} left the span of its Hom basis")
+        cols = coords.columns()
+        return [cols[a * len(first):(a + 1) * len(first)] for a in range(len(second))]
 
     def ext_dim(self, k: int, i: int, j: int) -> int:
         key = (k, i, j)

@@ -14,7 +14,7 @@ Generators are named by dim vector, entries joined by dashes (e.g. 1-1-0);
 an ambiguous name takes an index suffix like 1-1-0#2.  Reports are JSON on
 stdout (DOT for `ar --dot`); identical runs produce byte-identical output.
 Exit codes: 0 success, 2 falsification witness, 3 budget or limit hit,
-4 usage error.
+4 usage error, 5 internal error (a failed self-check of the computation).
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ import sys
 
 from . import arknit, modcat as mc, tautilt as tt, torsion as tn
 from .algebra import NotAdmissibleError, SpecError, build_algebra, parse_spec, serialize_spec
-from .highercat import Subcat, is_d_cluster_tilting
+from .highercat import NotTwoExactError, Subcat, is_d_cluster_tilting
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 4
+EXIT_INTERNAL = 5
 
 
 class UsageError(Exception):
@@ -302,6 +303,10 @@ def main(argv=None) -> int:
             tn.TooLargeError) as exc:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_BUDGET
+    except (AssertionError, mc.DecompositionError, NotTwoExactError,
+            tn.SequenceFailedError) as exc:
+        sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

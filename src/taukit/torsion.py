@@ -3,8 +3,11 @@
 Candidate torsion classes are subsets of the indecomposables of C; the
 2-functorial finiteness conditions are checked with multiplicity-full
 approximations, whose failure implies failure for every approximation
-(anything else factors through the full one).  The 2-covariant check is
-the 2-contravariant one transported by the duality D.
+(anything else factors through the full one).  Every term of that check
+lies in add C, which is equivalent to proj Gamma for Gamma = End_A(+C)
+(Auslander), so it is decided on the composition table of Gamma that the
+census keeps (`IndecIndex.compose`), building no modules.  The 2-covariant
+check is the same one on the opposite table, Gamma^op.
 """
 
 from __future__ import annotations
@@ -32,55 +35,121 @@ def right_full_approx(X: Subcat, M) -> mc.ModMap:
     return hc.right_full_approximation(X.modules(), M).map
 
 
-def _middle_exact_against(C0, X2, X1, M, g, f) -> bool:
-    """Exactness of Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) at the middle."""
-    A = M.algebra
-    field = A.field
-    H2 = mc.hom_basis(C0, X2)
-    H1 = mc.hom_basis(C0, X1)
-    vec_len1 = sum(X1.dims[v] * C0.dims[v] for v in A.vertices)
-    vec_lenM = sum(M.dims[v] * C0.dims[v] for v in A.vertices)
-    d1 = [mc.hom_to_vector(g.compose(phi)) for phi in H2]
-    d2 = [mc.hom_to_vector(f.compose(phi)) for phi in H1]
-    m1 = Mat.from_rows(field, d1, cols=vec_len1) if d1 else Mat.zeros(field, 0, vec_len1)
-    m2 = Mat.from_rows(field, d2, cols=vec_lenM) if d2 else Mat.zeros(field, 0, vec_lenM)
-    return rank(m1) + rank(m2) == len(H1)
+@dataclass
+class FinitenessCert:
+    """The probing sequence of one member M of C, as multiplicities over C.
+
+    x1[t] and x2[t] count the copies of the t-th member of C in X1 and X2 of
+    X2 -> X1 -> M ("contra"), or in X^1 and X^2 of M -> X^1 -> X^2 ("co").
+    """
+
+    side: str
+    member: int
+    x1: list
+    x2: list
+
+    def chain(self, C: Subcat) -> list:
+        """The dim vectors of the sequence, in the order of its terms."""
+        dims = [C.host.modules[t].dim_vector() for t in C.member_list()]
+
+        def total(mults):
+            return [sum(m * d[v] for m, d in zip(mults, dims))
+                    for v in range(len(C.host.algebra.vertices))]
+
+        terms = [total(self.x2), total(self.x1),
+                 list(C.host.modules[self.member].dim_vector())]
+        return terms if self.side == "contra" else terms[::-1]
+
+
+class _Table:
+    """Hom dimensions and composition in Gamma = End(+C), or in Gamma^op.
+
+    Hom^op(i, j) = Hom(j, i) and a o^op b = b o a, so the covariant reading
+    of a table entry swaps the roles of the two factors.
+    """
+
+    def __init__(self, idx, side: str):
+        self.idx, self.op = idx, side == "co"
+
+    def dim(self, i: int, j: int) -> int:
+        return len(self.idx.hom_basis(j, i) if self.op else self.idx.hom_basis(i, j))
+
+    def product(self, i: int, j: int, k: int, a: int, b: int) -> tuple:
+        """Coordinates of a o b, a in Hom(j, k) and b in Hom(i, j)."""
+        if self.op:
+            return self.idx.compose(k, j, i)[b][a]
+        return self.idx.compose(i, j, k)[a][b]
 
 
 def is_2_finite(X: Subcat, C: Subcat, side: str):
     """2-contravariant ('contra') or 2-covariant ('co') finiteness of X in C.
 
+    Decided in Gamma = End_A(+C), since add C is equivalent to proj Gamma:
+    every term below lies in add C, so the check is linear algebra on the
+    composition table of the census (`IndecIndex.compose`); the covariant
+    side is the same check on Gamma^op.  For each member M of C, X1 -> M is
+    the multiplicity-full right X-approximation and K its kernel.  Hom is
+    left exact, so Hom(Y, K) = ker F_Y for F_Y: Hom(Y, X1) -> Hom(Y, M).
+    The member passes when, for every C0 in C, each map C0 -> K factors
+    through add X, i.e. Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) is exact
+    at the middle for the full X-approximation X2 -> K.
+
     Returns (ok, certificates) where certificates maps each member index of C
-    to the probing sequence X2 -> X1 -> M (or its dual).  The check stops at
-    the first member whose sequence is not exact, so the certificates are
-    complete only when ok is True.  The covariant check is the contravariant
-    one on the duals of X and C, and its certificates are dualized back.
+    to its `FinitenessCert`.  The check stops at the first member that fails,
+    so the certificates are complete only when ok is True.
     """
     if side not in ("contra", "co"):
         raise ValueError("side must be 'contra' or 'co'")
-    members = {mi: C.host.modules[mi] for mi in C.member_list()}
-    if side == "contra":
-        return _is_2_contra_finite(X.modules(), members)
-    ok, certs = _is_2_contra_finite([mc.dual(Y) for Y in X.modules()],
-                                    {mi: mc.dual(M) for mi, M in members.items()})
-    return ok, {mi: hc.dual_seq(seq) for mi, seq in certs.items()}
-
-
-def _is_2_contra_finite(X_members, C_members: dict):
-    """is_2_finite on the contravariant side, for modules of X and C given as
-    a list and as a dict keyed by member index."""
+    table = _Table(C.host, side)
+    field = C.host.algebra.field
+    xs, cs = X.member_list(), C.member_list()
     certs = {}
-    for mi, M in C_members.items():
-        ap1 = hc.right_full_approximation(X_members, M)
-        K, incl = mc.kernel(ap1.map)
-        ap2 = hc.right_full_approximation(X_members, K)
-        g = incl.compose(ap2.map)  # X2 -> X1
-        f = ap1.map
-        certs[mi] = ExactSeq([ap2.source, ap1.source, M], [g, f])
-        if not all(_middle_exact_against(C0, ap2.source, ap1.source, M, g, f)
-                   for C0 in C_members.values()):
+    for M in cs:
+        copies = [(x, b) for x in xs for b in range(table.dim(x, M))]
+        kernels = {x: kernel_basis(_restriction(table, field, copies, x, M)) for x in xs}
+        certs[M] = FinitenessCert(side, M,
+                                  [table.dim(t, M) if t in X.members else 0 for t in cs],
+                                  [len(kernels[t]) if t in X.members else 0 for t in cs])
+        # a member C0 of X passes: every map C0 -> K factors through C0 itself
+        if not all(_kernel_maps_factor(table, field, copies, kernels, C0,
+                                       _restriction(table, field, copies, C0, M))
+                   for C0 in cs if C0 not in X.members):
             return False, certs
     return True, certs
+
+
+def _restriction(table, field, copies, Y, M) -> Mat:
+    """F_Y: Hom(Y, X1) -> Hom(Y, M), with X1 the sum of the copies (x, b).
+
+    Columns run over the copies and, inside each, over the basis maps Y -> x.
+    """
+    cols = [table.product(Y, x, M, b, c) for x, b in copies for c in range(table.dim(Y, x))]
+    return Mat.from_columns(field, cols, rows=table.dim(Y, M))
+
+
+def _kernel_maps_factor(table, field, copies, kernels, C0, F) -> bool:
+    """Whether the maps C0 -> x' -> K (x' in X) span Hom(C0, K) = ker F."""
+    kernel_dim = F.cols - rank(F)
+    if kernel_dim == 0:
+        return True
+    spans = []
+    for xp, psis in kernels.items():
+        for d in range(table.dim(C0, xp)):
+            # the basis maps x' -> x, each composed with the d-th basis map C0 -> x'
+            comps = {x: [table.product(C0, xp, x, c, d) for c in range(table.dim(xp, x))]
+                     for x in kernels}
+            for psi in psis:
+                coords = iter(psi)
+                vec = []
+                for x, _ in copies:
+                    block = [0] * table.dim(C0, x)
+                    for comp in comps[x]:
+                        coef = next(coords)
+                        for e, val in enumerate(comp):
+                            block[e] += coef * val
+                    vec.extend(block)
+                spans.append(vec)
+    return rank(Mat.from_rows(field, spans, cols=F.cols)) == kernel_dim
 
 
 @dataclass
@@ -109,7 +178,7 @@ class TorsPair2FF:
                         raise SequenceFailedError(f"{name} is not 2-{side}variantly finite")
                     all_certs[f"{name}_{side}"] = certs
             out["finiteness_certificates"] = {
-                name: {str(mi): chain(seq) for mi, seq in sorted(certs.items())}
+                name: {str(mi): cert.chain(self.C) for mi, cert in sorted(certs.items())}
                 for name, certs in sorted(all_certs.items())
             }
             out["canonical_sequences"] = {

@@ -136,6 +136,26 @@ def test_verify_theorem1_reports_witness(lambda3_file, capsys):
     assert data["counts"] == {"modules": 8, "pairs": 7}
 
 
+@pytest.mark.parametrize("error", ["AssertionError", "DecompositionError",
+                                   "NotTwoExactError", "SequenceFailedError"])
+def test_internal_error_is_reported_as_its_own_class(lambda3_file, capsys, monkeypatch, error):
+    from taukit import highercat, modcat, tautilt, torsion
+
+    classes = {"AssertionError": AssertionError, "DecompositionError": modcat.DecompositionError,
+               "NotTwoExactError": highercat.NotTwoExactError,
+               "SequenceFailedError": torsion.SequenceFailedError}
+
+    def fail(*args, **kwargs):
+        raise classes[error]("a self-check failed")
+
+    monkeypatch.setattr(tautilt, "verify_theorem1", fail)
+    code = main([lambda3_file, "verify", "theorem1", "--ct", CSTAR])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert json.loads(captured.out) == {"error": error, "detail": "a self-check failed"}
+    assert captured.err == ""
+
+
 def test_verify_theorem1_semisimple(ss3_file, capsys):
     code, out = run_cli(capsys, ss3_file, "verify", "theorem1",
                         "--ct", "1-0-0,0-1-0,0-0-1")

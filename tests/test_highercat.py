@@ -284,3 +284,30 @@ def test_glue_split_padded_sequence(L3idx, Cstar):
     assert padded.is_exact()
     diag = hc.glue_two_resolutions(Cstar, seq, padded)
     assert diag.no_common_summand
+
+
+def _nakayama_rad2_ct(idx, n):
+    """The 2-CT subcategory of A_n/rad^2 (n odd): the length-2 modules and the
+    odd simples."""
+    vecs = by_vec(idx)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    dims = [tuple(a + b for a, b in zip(unit[i], unit[i + 1])) for i in range(n - 1)]
+    dims += unit[::2]
+    return hc.Subcat.of(idx, [vecs[dv] for dv in dims])
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_tau2_sends_ct_members_into_ct_or_zero(n, p):
+    # tau_2 S_i = S_{i+2} for odd i < n, and every other member of C goes to 0
+    idx = arknit.knit_indecomposables(nakayama_rad2(n, p))
+    C = _nakayama_rad2_ct(idx, n)
+    assert hc.is_d_cluster_tilting(C, 2).ok
+    images = {}
+    for i in C.member_list():
+        summands = idx.summand_indices(mc.tau_d(idx.modules[i], 2))
+        assert len(summands) <= 1 and set(summands) <= C.members, i
+        if summands:
+            images[idx.modules[i].dim_vector()] = idx.modules[summands[0]].dim_vector()
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    assert images == {unit[i]: unit[i + 2] for i in range(0, n - 2, 2)}

@@ -1,6 +1,11 @@
+import itertools
+
 import pytest
 
 from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
+from taukit.exactlin import Mat, rank
+from tests.conftest import lambda3, nakayama_rad2
+from tests.test_highercat import A5R2_CT
 
 
 @pytest.fixture(scope="module")
@@ -292,8 +297,7 @@ def test_add_p1_two_finiteness_fails_exhaustively_over_f2():
                     g = mc.block_map(ds_j, ds_k, blocks)
                     if not f.compose(g).is_zero():
                         continue
-                    if all(tn._middle_exact_against(C0, ds_j.module, ds_k.module, S1,
-                                                    g, f)
+                    if all(_middle_exact_against(C0, ds_j.module, ds_k.module, S1, g, f)
                            for C0 in members):
                         found = True
     assert not found
@@ -325,9 +329,6 @@ def test_enumeration_checks_finiteness_only_inside_the_pair_test(Cstar, monkeypa
 
 
 def test_certificates_on_demand_match_is_2_finite(Cstar):
-    def chain(seq):
-        return [list(m.dim_vector()) for m in seq.modules]
-
     for pair in tn.enumerate_2ff_torsion_pairs(Cstar):
         certs = pair.to_json(include_certs=True)["finiteness_certificates"]
         assert list(certs) == ["F_co", "F_contra", "T_co", "T_contra"]
@@ -336,4 +337,71 @@ def test_certificates_on_demand_match_is_2_finite(Cstar):
                 ok, expected = tn.is_2_finite(X, Cstar, side)
                 assert ok
                 assert certs[f"{name}_{side}"] == {
-                    str(mi): chain(seq) for mi, seq in sorted(expected.items())}
+                    str(mi): cert.chain(Cstar) for mi, cert in sorted(expected.items())}
+
+
+# -- the module-level 2-finiteness check, kept as an independent reference ------
+
+
+def _middle_exact_against(C0, X2, X1, M, g, f) -> bool:
+    """Exactness of Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) at the middle."""
+    A = M.algebra
+    field = A.field
+    H2 = mc.hom_basis(C0, X2)
+    H1 = mc.hom_basis(C0, X1)
+    vec_len1 = sum(X1.dims[v] * C0.dims[v] for v in A.vertices)
+    vec_lenM = sum(M.dims[v] * C0.dims[v] for v in A.vertices)
+    d1 = [mc.hom_to_vector(g.compose(phi)) for phi in H2]
+    d2 = [mc.hom_to_vector(f.compose(phi)) for phi in H1]
+    m1 = Mat.from_rows(field, d1, cols=vec_len1) if d1 else Mat.zeros(field, 0, vec_len1)
+    m2 = Mat.from_rows(field, d2, cols=vec_lenM) if d2 else Mat.zeros(field, 0, vec_lenM)
+    return rank(m1) + rank(m2) == len(H1)
+
+
+def _module_level_2_contra_finite(X_members, C_members: dict):
+    """(ok, chains): X2 -> X1 -> M built from full approximations and a kernel."""
+    chains = {}
+    for mi, M in C_members.items():
+        ap1 = hc.right_full_approximation(X_members, M)
+        K, incl = mc.kernel(ap1.map)
+        ap2 = hc.right_full_approximation(X_members, K)
+        g = incl.compose(ap2.map)
+        chains[mi] = [list(m.dim_vector()) for m in (ap2.source, ap1.source, M)]
+        if not all(_middle_exact_against(C0, ap2.source, ap1.source, M, g, ap1.map)
+                   for C0 in C_members.values()):
+            return False, chains
+    return True, chains
+
+
+def _module_level_2_finite(X, C, side):
+    """The contravariant check on modules; the covariant one on their duals."""
+    members = {mi: C.host.modules[mi] for mi in C.member_list()}
+    if side == "contra":
+        return _module_level_2_contra_finite(X.modules(), members)
+    ok, chains = _module_level_2_contra_finite(
+        [mc.dual(Y) for Y in X.modules()], {mi: mc.dual(M) for mi, M in members.items()})
+    return ok, {mi: chain[::-1] for mi, chain in chains.items()}
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101"])
+def test_is_2_finite_matches_module_level_check(case):
+    if case == "A3":
+        idx = arknit.knit_indecomposables(lambda3())
+        ct = [(1, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0)]
+    else:
+        idx = arknit.knit_indecomposables(nakayama_rad2(5, int(case.rsplit("-", 1)[1])))
+        ct = A5R2_CT
+    vecs = by_vec(idx)
+    C = hc.Subcat.of(idx, [vecs[v] for v in ct])
+    members = C.member_list()
+    verdicts = set()
+    for r in range(len(members) + 1):
+        for S in itertools.combinations(members, r):
+            X = hc.Subcat.of(idx, S)
+            for side in ("contra", "co"):
+                ok, certs = tn.is_2_finite(X, C, side)
+                expected_ok, expected_chains = _module_level_2_finite(X, C, side)
+                assert ok == expected_ok, (S, side)
+                assert {mi: cert.chain(C) for mi, cert in certs.items()} == expected_chains
+                verdicts.add(ok)
+    assert verdicts == {True, False}
