@@ -86,7 +86,6 @@ from .torsion import (
     is_2_finite,
     is_torsion_pair_2ff,
     pushout_lift_check,
-    right_full_approx,
 )
 
 __version__ = "0.1.0"

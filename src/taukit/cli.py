@@ -14,7 +14,8 @@ Generators are named by dim vector, entries joined by dashes (e.g. 1-1-0);
 an ambiguous name takes an index suffix like 1-1-0#2.  Reports are JSON on
 stdout (DOT for `ar --dot`); identical runs produce byte-identical output.
 Exit codes: 0 success, 2 falsification witness, 3 budget or limit hit,
-4 usage error, 5 internal error (a failed self-check of the computation).
+4 usage error, 5 internal error (a failed self-check of the computation,
+including knitting's).
 """
 
 from __future__ import annotations
@@ -87,10 +88,15 @@ def _resolve_generators(idx, text: str):
         matches = [i for i, m in enumerate(idx.modules) if m.dim_vector() == dims]
         if not matches:
             raise UsageError(f"no indecomposable with dim vector {token}")
-        if len(matches) > 1 and pick is None:
+        if pick is None:
+            if len(matches) > 1:
+                raise UsageError(
+                    f"ambiguous dim vector {token}: use a suffix #0..#{len(matches) - 1}")
+            pick = 0
+        elif not 0 <= pick < len(matches):
             raise UsageError(
-                f"ambiguous dim vector {token}: use a suffix #0..#{len(matches) - 1}")
-        out.append(matches[pick or 0] if pick is not None else matches[0])
+                f"suffix #{pick} out of range for {token}: use #0..#{len(matches) - 1}")
+        out.append(matches[pick])
     return out
 
 
@@ -304,7 +310,7 @@ def main(argv=None) -> int:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_BUDGET
     except (AssertionError, mc.DecompositionError, NotTwoExactError,
-            tn.SequenceFailedError) as exc:
+            tn.SequenceFailedError, arknit.KnitIncompleteError) as exc:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_INTERNAL
 

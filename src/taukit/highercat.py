@@ -3,8 +3,9 @@
 A subcategory is the additive closure of finitely many indecomposables
 from a complete index.  Approximations are built multiplicity-full (one
 copy of X per basis element of Hom(X, M)) and minimized where the
-construction needs minimal ones by stripping summands that keep the
-approximation property.
+construction needs minimal ones: one pass drops a copy whose component
+factors through the others still kept.  The gluing grid compares its
+terms as multisets of census members.
 
 Only the contravariant constructions are implemented: right
 approximations, right C-resolutions and Hom(C, -)-exactness.  Each
@@ -16,15 +17,12 @@ construction runs the right one on the duals and dualizes the result back.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import modcat as mc
 from .arknit import IndecIndex
 from .exactlin import Mat, kernel_basis, rank, solve, solve_matrix
-
-
-class IncompleteHostError(Exception):
-    pass
 
 
 class FailedResolutionError(Exception):
@@ -165,41 +163,32 @@ def left_full_approximation(M, members) -> Approximation:
     return _dual_approximation(right_full_approximation(duals, mc.dual(M)))
 
 
-def factors_through_right(f: mc.ModMap, g: mc.ModMap) -> bool:
-    """Does g: X -> M factor as f h through f: W -> M?"""
-    basis = mc.hom_basis(g.source, f.source)
-    vecs = [mc.hom_to_vector(f.compose(h)) for h in basis]
-    field = f.source.algebra.field
-    target_vec = mc.hom_to_vector(g)
-    mat = Mat.from_columns(field, vecs, rows=len(target_vec)) if vecs \
-        else Mat.zeros(field, len(target_vec), 0)
-    return solve(mat, target_vec) is not None
-
-
 def is_right_approximation(f: mc.ModMap, members) -> bool:
-    return all(factors_through_right(f, g)
+    return all(mc.factor_through([f], g) is not None
                for X in members for g in mc.hom_basis(X, f.target))
 
 
-def minimize_approximation(approx: Approximation, members) -> Approximation:
-    """Strip summand copies, in one pass, while the right approximation property survives.
+def minimize_approximation(approx: Approximation) -> Approximation:
+    """Strip summand copies of a right approximation in one pass.
 
-    Being an approximation is monotone in the set of kept copies, so a copy
-    that cannot be dropped stays needed after later drops, and one pass finds
-    every copy that can go.
+    The kept copies stay an approximation at every step, so copy c can go
+    exactly when its component factors through the other kept copies: a map
+    through c then reroutes through them, and c's source is one of the
+    members.  A copy that must stay is still needed after later drops.
     """
-    keep = list(range(len(approx.components)))
-    cur = approx
-    for drop in range(len(approx.components)):
-        trial = [i for i in keep if i != drop]
-        candidate = _approximation_from([approx.components[i] for i in trial], approx.target)
-        if is_right_approximation(candidate.map, members):
-            keep, cur = trial, candidate
-    return cur
+    comps = approx.components
+    keep = list(range(len(comps)))
+    for c in range(len(comps)):
+        rest = [i for i in keep if i != c]
+        if mc.factor_through([comps[i] for i in rest], comps[c]) is not None:
+            keep = rest
+    if len(keep) == len(comps):
+        return approx
+    return _approximation_from([comps[i] for i in keep], approx.target)
 
 
 def right_min_approximation(members, M) -> Approximation:
-    return minimize_approximation(right_full_approximation(members, M), members)
+    return minimize_approximation(right_full_approximation(members, M))
 
 
 def left_min_approximation(M, members) -> Approximation:
@@ -221,10 +210,8 @@ class CTReport:
     violations: list  # (degree, candidate index, member index, side)
 
 
-def is_d_cluster_tilting(C: Subcat, d: int, complete: bool = True) -> CTReport:
+def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
     """Both Ext-orthogonality equalities, scanned over the whole host index."""
-    if not complete:
-        raise IncompleteHostError("host index is partial")
     if d < 1:
         raise ValueError("d must be >= 1")
     idx = C.host
@@ -371,20 +358,10 @@ def pullback(g: mc.ModMap, h: mc.ModMap) -> Pullback:
 
 def lift_through_right_approx(approx: Approximation, t: mc.ModMap) -> mc.ModMap:
     """Some s with approx.map o s = t; exists whenever t's source lies in C."""
-    basis = mc.hom_basis(t.source, approx.source)
-    vecs = [mc.hom_to_vector(approx.map.compose(h)) for h in basis]
-    target_vec = mc.hom_to_vector(t)
-    field = t.source.algebra.field
-    mat = Mat.from_columns(field, vecs, rows=len(target_vec)) if vecs \
-        else Mat.zeros(field, len(target_vec), 0)
-    sol = solve(mat, target_vec)
-    if sol is None:
+    lift = mc.factor_through([approx.map], t)
+    if lift is None:
         raise FailedResolutionError("no lift through the approximation")
-    out = mc.ModMap.zero(t.source, approx.source)
-    for c, h in zip(sol, basis):
-        if c:
-            out = out.add(h.scale(c))
-    return out
+    return lift[0]
 
 
 @dataclass
@@ -585,8 +562,7 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     l_S = lift_through_right_approx(apS, mc.ModMap(L, K_S, matsS, check=False))
 
     # Q: split off M' from R
-    section = _find_section(r_Mp)
-    if section is None:
+    if mc.factor_through([r_Mp], mc.ModMap.identity(Mp)) is None:
         raise NotTwoExactError("R does not split over M'")
     Q, q_R = mc.kernel(r_Mp)
     if not C.contains(Q):
@@ -615,15 +591,17 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     if any(not sq.is_zero() for sq in squares):
         raise NotTwoExactError("grid square does not commute")
 
-    QplusMp = mc.direct_sum(L.algebra, [Q, Mp]).module
-    QplusM = mc.direct_sum(L.algebra, [Q, M]).module
-    split_R = mc.is_isomorphic(R, QplusMp)
-    split_S = mc.is_isomorphic(S, QplusM)
-    no_common = _no_common_summand(P, Q)
+    # every term lies in add C, so Krull-Schmidt makes iso classes census multisets
+    mP, mQ, mR, mS, mM, mMp = (Counter(C.host.summand_indices(X))
+                               for X in (P, Q, R, S, M, Mp))
+    split_R = mR == mQ + mMp
+    split_S = mS == mQ + mM
+    no_common = not mP & mQ
 
     compact = None
-    if _multiset_contains(_summand_multiset(P), _summand_multiset(Mp)):
-        compact = {"Pprime": _summand_difference(P, Mp), "sequence": col4}
+    if mMp <= mP:
+        Pprime = mc.direct_sum(A, [C.host.modules[i] for i in sorted((mP - mMp).elements())])
+        compact = {"Pprime": Pprime.module, "sequence": col4}
 
     maps = {
         "p_N": p_N, "p_Nprime": p_Np, "s_M": s_M, "s_P": s_P,
@@ -632,24 +610,6 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     }
     return GlueDiagram(P, Q, R, S, maps, [row2, row3, seqB], [col3, col4, seqA],
                        split_R, split_S, no_common, compact)
-
-
-def _find_section(f: mc.ModMap) -> mc.ModMap | None:
-    """A section s of the epi f (f o s = id), or None when f does not split."""
-    basis = mc.hom_basis(f.target, f.source)
-    vecs = [mc.hom_to_vector(f.compose(h)) for h in basis]
-    ident = mc.hom_to_vector(mc.ModMap.identity(f.target))
-    field = f.source.algebra.field
-    mat = Mat.from_columns(field, vecs, rows=len(ident)) if vecs \
-        else Mat.zeros(field, len(ident), 0)
-    sol = solve(mat, ident)
-    if sol is None:
-        return None
-    out = mc.ModMap.zero(f.target, f.source)
-    for c, h in zip(sol, basis):
-        if c:
-            out = out.add(h.scale(c))
-    return out
 
 
 def _solve_q_map(Q, S, q_R, r_P, s_P, s_M, tries: int = 128) -> mc.ModMap:
@@ -699,47 +659,3 @@ def _solve_q_map(Q, S, q_R, r_P, s_P, s_M, tries: int = 128) -> mc.ModMap:
         if full_image(candidate):
             return candidate
     raise NotTwoExactError("could not realize the exact Q -> S component")
-
-
-def _summand_multiset(M):
-    if M.is_zero():
-        return []
-    return list(mc.decompose(M).summands)
-
-
-def _multiset_contains(big, small) -> bool:
-    used = [0] * len(big)
-    for Y, mult in small:
-        found = False
-        for i, (X, mx) in enumerate(big):
-            if used[i] + mult <= mx and mc.iso_between_indecomposables(Y, X) is not None:
-                used[i] += mult
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
-def _summand_difference(big_mod, small_mod):
-    big = _summand_multiset(big_mod)
-    small = _summand_multiset(small_mod)
-    counts = [m for _, m in big]
-    for Y, mult in small:
-        for i, (X, _) in enumerate(big):
-            if counts[i] >= mult and mc.iso_between_indecomposables(Y, X) is not None:
-                counts[i] -= mult
-                break
-    A = big_mod.algebra
-    parts = []
-    for (X, _), left in zip(big, counts):
-        parts.extend([X] * left)
-    return mc.direct_sum(A, parts).module
-
-
-def _no_common_summand(P, Q) -> bool:
-    for X, _ in _summand_multiset(P):
-        for Y, _ in _summand_multiset(Q):
-            if mc.iso_between_indecomposables(X, Y) is not None:
-                return False
-    return True

@@ -327,6 +327,34 @@ def hom_to_vector(f: ModMap) -> tuple:
     return tuple(out)
 
 
+def factor_through(maps, g: ModMap) -> list | None:
+    """Maps h_i: M -> X_i with sum f_i h_i = g, for f_i: X_i -> N and g: M -> N.
+
+    Hom(M, X_1 + ... + X_k) is read as the sum of the Hom(M, X_i), so no direct
+    sum is built and one linear system decides the factorization.  None when g
+    does not factor.
+    """
+    bases = [hom_basis(g.source, f.source) for f in maps]
+    target_vec = hom_to_vector(g)
+    cols = [hom_to_vector(f.compose(h)) for f, basis in zip(maps, bases) for h in basis]
+    field = g.source.algebra.field
+    mat = Mat.from_columns(field, cols, rows=len(target_vec)) if cols \
+        else Mat.zeros(field, len(target_vec), 0)
+    sol = solve(mat, target_vec)
+    if sol is None:
+        return None
+    out = []
+    coeffs = iter(sol)
+    for f, basis in zip(maps, bases):
+        h = ModMap.zero(g.source, f.source)
+        for b in basis:
+            c = next(coeffs)
+            if c:
+                h = h.add(b.scale(c))
+        out.append(h)
+    return out
+
+
 # -- kernels, images, cokernels ----------------------------------------------
 
 

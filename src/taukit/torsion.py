@@ -30,11 +30,6 @@ class SequenceFailedError(Exception):
     """A canonical sequence failed for a supposedly verified pair."""
 
 
-def right_full_approx(X: Subcat, M) -> mc.ModMap:
-    """Multiplicity-full right X-approximation of M."""
-    return hc.right_full_approximation(X.modules(), M).map
-
-
 @dataclass
 class FinitenessCert:
     """The probing sequence of one member M of C, as multiplicities over C.

@@ -137,13 +137,15 @@ def test_verify_theorem1_reports_witness(lambda3_file, capsys):
 
 
 @pytest.mark.parametrize("error", ["AssertionError", "DecompositionError",
-                                   "NotTwoExactError", "SequenceFailedError"])
+                                   "NotTwoExactError", "SequenceFailedError",
+                                   "KnitIncompleteError"])
 def test_internal_error_is_reported_as_its_own_class(lambda3_file, capsys, monkeypatch, error):
-    from taukit import highercat, modcat, tautilt, torsion
+    from taukit import arknit, highercat, modcat, tautilt, torsion
 
     classes = {"AssertionError": AssertionError, "DecompositionError": modcat.DecompositionError,
                "NotTwoExactError": highercat.NotTwoExactError,
-               "SequenceFailedError": torsion.SequenceFailedError}
+               "SequenceFailedError": torsion.SequenceFailedError,
+               "KnitIncompleteError": arknit.KnitIncompleteError}
 
     def fail(*args, **kwargs):
         raise classes[error]("a self-check failed")
@@ -175,6 +177,13 @@ def test_bad_generator_name(lambda3_file, capsys):
     code, out = run_cli(capsys, lambda3_file, "ctcheck", "--gens", "9-9-9")
     assert code == 4
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("gens", ["1-1-0#3", "1-1-0#-1,0-1-1,0-0-1,1-0-0"])
+def test_generator_suffix_out_of_range(lambda3_file, capsys, gens):
+    code, out = run_cli(capsys, lambda3_file, "ctcheck", "--gens", gens)
+    assert code == 4
+    assert json.loads(out)["error"] == "UsageError"
 
 
 def test_missing_file(capsys):

@@ -124,7 +124,7 @@ def test_minimize_approximation(L3idx, Cstar):
     S1 = L3idx.modules[vecs[(1, 0, 0)]]
     full = hc.right_full_approximation(Cstar.modules(), S1)
     # full approximation contains P1 (cover) and S1 (identity); minimal is S1 alone
-    minimal = hc.minimize_approximation(full, Cstar.modules())
+    minimal = hc.minimize_approximation(full)
     assert len(minimal.components) < len(full.components)
     assert hc.is_right_approximation(minimal.map, Cstar.modules())
 
@@ -148,8 +148,8 @@ A5R2_CT = [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1), (1, 1, 0, 0, 0),
            (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)]
 
 
-@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101"])
-def test_left_approximations_through_duality(case):
+def census_and_ct_members(case):
+    """The census of A3 or A5/rad^2 over F_p and the members of its 2-CT subcategory."""
     if case == "A3":
         idx = arknit.knit_indecomposables(lambda3())
         ct = [(1, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0)]
@@ -157,7 +157,12 @@ def test_left_approximations_through_duality(case):
         idx = arknit.knit_indecomposables(nakayama_rad2(5, int(case.rsplit("-", 1)[1])))
         ct = A5R2_CT
     vecs = by_vec(idx)
-    members = hc.Subcat.of(idx, [vecs[v] for v in ct]).modules()
+    return idx, hc.Subcat.of(idx, [vecs[v] for v in ct]).modules()
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101"])
+def test_left_approximations_through_duality(case):
+    idx, members = census_and_ct_members(case)
     A = idx.algebra
     for M in idx.modules:
         full = hc.left_full_approximation(M, members)
@@ -174,6 +179,24 @@ def test_left_approximations_through_duality(case):
             else:
                 smaller = mc.ModMap.zero(M, mc.zero_module(A))
             assert not _is_left_approximation(smaller, M, members)
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101"])
+def test_right_min_approximations_drop_no_further_copy(case):
+    idx, members = census_and_ct_members(case)
+    A = idx.algebra
+    for M in idx.modules:
+        minimal = hc.right_min_approximation(members, M)
+        assert minimal.target.dims == M.dims
+        assert hc.is_right_approximation(minimal.map, members)
+        comps = minimal.components
+        for drop in range(len(comps)):
+            rest = comps[:drop] + comps[drop + 1:]
+            if rest:
+                smaller = mc.map_from_sum(mc.direct_sum(A, [c.source for c in rest]), rest)
+            else:
+                smaller = mc.ModMap.zero(mc.zero_module(A), M)
+            assert not hc.is_right_approximation(smaller, members)
 
 
 def test_hom_exactness_probe_negative(L3idx):
@@ -284,6 +307,11 @@ def test_glue_split_padded_sequence(L3idx, Cstar):
     assert padded.is_exact()
     diag = hc.glue_two_resolutions(Cstar, seq, padded)
     assert diag.no_common_summand
+    assert diag.split_R and diag.split_S
+    # P' is P with the summands of M' = P2+P2 taken out
+    Mp = padded.modules[1]
+    assert diag.compact["Pprime"].dim_vector() == tuple(
+        p - m for p, m in zip(diag.P.dim_vector(), Mp.dim_vector()))
 
 
 def _nakayama_rad2_ct(idx, n):

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from taukit import modcat as mc
+from taukit import highercat as hc, modcat as mc
 from taukit.algebra import opposite, quotient_by_idempotent
 from taukit.exactlin import Mat, rank
 from tests.conftest import lambda3, nakayama_rad2
+from tests.test_highercat import census_and_ct_members
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,34 @@ def test_kernel_and_cokernel_exact_on_census_maps(make, p):
                 assert parts.kernel_inclusion.mats == incl.mats
                 assert (parts.cokernel.dims, parts.cokernel.action) == (Q.dims, Q.action)
                 assert parts.cokernel_projection.mats == proj.mats
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101"])
+def test_factor_through_full_approximation_components(case):
+    idx, members = census_and_ct_members(case)
+    for M in idx.modules:
+        comps = hc.right_full_approximation(members, M).components
+        for X in members:
+            for g in mc.hom_basis(X, M):
+                hs = mc.factor_through(comps, g)
+                assert hs is not None and len(hs) == len(comps)
+                total = mc.ModMap.zero(X, M)
+                for f, h in zip(comps, hs):
+                    assert h.source is X and h.target is f.source
+                    total = total.add(f.compose(h))
+                assert total.sub(g).is_zero()
+
+
+def test_factor_through_projective_cover(L3, L3mods):
+    P, S = L3mods
+    for v in L3.vertices:
+        cover = mc.projective_cover(S[v])
+        split = mc.factor_through([cover], mc.ModMap.identity(S[v]))
+        assert (split is None) == (not mc.is_projective(S[v]))
+        assert mc.factor_through([mc.projective_cover(P[v])],
+                                 mc.ModMap.identity(P[v])) is not None
+    assert not mc.is_projective(S["1"])
+    assert mc.factor_through([], mc.ModMap.identity(S["1"])) is None
 
 
 def test_decompose_zero_and_simple(L3, L3mods):

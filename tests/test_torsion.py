@@ -33,10 +33,10 @@ def test_right_full_approx_examples(L3idx, Cstar):
     S3 = L3idx.modules[vecs[(0, 0, 1)]]
     S2 = L3idx.modules[vecs[(0, 1, 0)]]
     X = sub_of(L3idx, (1, 1, 0), (0, 1, 1), (1, 0, 0))  # add(P1+P2+S1)
-    f = tn.right_full_approx(X, S3)
+    f = hc.right_full_approximation(X.modules(), S3).map
     assert f.source.is_zero()
     X2 = sub_of(L3idx, (0, 1, 1))  # add(P2)
-    g = tn.right_full_approx(X2, S2)
+    g = hc.right_full_approximation(X2.modules(), S2).map
     assert g.source.dim_vector() == (0, 1, 1)
     assert g.is_epi()
 
@@ -44,7 +44,7 @@ def test_right_full_approx_examples(L3idx, Cstar):
 def test_right_full_approx_of_member_splits(L3idx, Cstar):
     vecs = by_vec(L3idx)
     P2 = L3idx.modules[vecs[(0, 1, 1)]]
-    f = tn.right_full_approx(Cstar, P2)
+    f = hc.right_full_approximation(Cstar.modules(), P2).map
     assert f.is_epi()
     assert hc.is_right_approximation(f, Cstar.modules())
 
