@@ -1,11 +1,12 @@
 """Higher cluster-tilting machinery inside mod A.
 
 A subcategory is the additive closure of finitely many indecomposables
-from a complete index.  Approximations are built multiplicity-full (one
-copy of X per basis element of Hom(X, M)) and minimized where the
-construction needs minimal ones: one pass drops a copy whose component
-factors through the others still kept.  The gluing grid compares its
-terms as multisets of census members.
+from a complete index.  Approximations are component lists, one copy of X
+per basis element of Hom(X, M); a minimal one drops in one pass each copy
+whose component factors through the others kept, then builds its one sum.
+Each d-pullback or gluing stage is a kernel and a minimal approximation of
+it, and each lift is one factorization through a stage map: nothing is
+searched.  The gluing grid compares its terms as census multisets.
 
 Only the contravariant constructions are implemented: right
 approximations, right C-resolutions and Hom(C, -)-exactness.  Each
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import modcat as mc
 from .arknit import IndecIndex
-from .exactlin import Mat, kernel_basis, rank, solve, solve_matrix
+from .exactlin import Mat, rank
 
 
 class FailedResolutionError(Exception):
@@ -151,9 +152,14 @@ def _dual_approximation(approx: Approximation) -> Approximation:
     return Approximation(mc.dual_map(approx.map), [mc.dual_map(f) for f in approx.components])
 
 
+def _right_components(members, M) -> list:
+    """One component per basis hom X -> M, for X among the members."""
+    return [g for X in members for g in mc.hom_basis(X, M)]
+
+
 def right_full_approximation(members, M) -> Approximation:
     """Multiplicity-full right approximation: one copy of X per basis hom X -> M."""
-    return _approximation_from([g for X in members for g in mc.hom_basis(X, M)], M)
+    return _approximation_from(_right_components(members, M), M)
 
 
 def left_full_approximation(M, members) -> Approximation:
@@ -168,7 +174,7 @@ def is_right_approximation(f: mc.ModMap, members) -> bool:
                for X in members for g in mc.hom_basis(X, f.target))
 
 
-def minimize_approximation(approx: Approximation) -> Approximation:
+def _minimal_components(comps) -> list:
     """Strip summand copies of a right approximation in one pass.
 
     The kept copies stay an approximation at every step, so copy c can go
@@ -176,29 +182,27 @@ def minimize_approximation(approx: Approximation) -> Approximation:
     through c then reroutes through them, and c's source is one of the
     members.  A copy that must stay is still needed after later drops.
     """
-    comps = approx.components
     keep = list(range(len(comps)))
     for c in range(len(comps)):
         rest = [i for i in keep if i != c]
         if mc.factor_through([comps[i] for i in rest], comps[c]) is not None:
             keep = rest
-    if len(keep) == len(comps):
-        return approx
-    return _approximation_from([comps[i] for i in keep], approx.target)
+    return [comps[i] for i in keep]
+
+
+def minimize_approximation(approx: Approximation) -> Approximation:
+    return _approximation_from(_minimal_components(approx.components), approx.target)
 
 
 def right_min_approximation(members, M) -> Approximation:
-    return minimize_approximation(right_full_approximation(members, M))
+    """Minimized on the components, so the one direct sum built is the minimal one."""
+    return _approximation_from(_minimal_components(_right_components(members, M)), M)
 
 
 def left_min_approximation(M, members) -> Approximation:
     """Minimal left approximation, the dual of the minimal right one of D M."""
     duals = [mc.dual(X) for X in members]
     return _dual_approximation(right_min_approximation(duals, mc.dual(M)))
-
-
-def _identity_approximation(M) -> Approximation:
-    return Approximation(mc.ModMap.identity(M), [mc.ModMap.identity(M)])
 
 
 # -- d-cluster-tilting ------------------------------------------------------------
@@ -356,12 +360,16 @@ def pullback(g: mc.ModMap, h: mc.ModMap) -> Pullback:
                     inc)
 
 
-def lift_through_right_approx(approx: Approximation, t: mc.ModMap) -> mc.ModMap:
-    """Some s with approx.map o s = t; exists whenever t's source lies in C."""
-    lift = mc.factor_through([approx.map], t)
-    if lift is None:
-        raise FailedResolutionError("no lift through the approximation")
-    return lift[0]
+def _stage(C: Subcat, phi: mc.ModMap) -> mc.ModMap:
+    """The kernel of phi covered from C: its inclusion when the kernel lies in
+    C, else the inclusion after a minimal right C-approximation of it."""
+    K, incl = mc.kernel(phi)
+    if C.contains(K):
+        return incl
+    approx = right_min_approximation(C.modules(), K)
+    if not approx.map.is_epi():
+        raise FailedResolutionError("stage approximation is not epi")
+    return incl.compose(approx.map)
 
 
 @dataclass
@@ -374,9 +382,12 @@ class DPullback:
 def d_pullback(C: Subcat, seq: ExactSeq, f: mc.ModMap) -> DPullback:
     """Lift a d-exact sequence along a map into its last term.
 
-    Stage k approximates the kernel of the connecting-sequence differential
-    X_{k+1} + Y_k -> X_{k+2} + Y_{k+1}; at the top stage that kernel is the
-    plain pullback over Y_{d+1}.  Exactness of both output rows is verified.
+    Stage k covers the kernel of the connecting-sequence differential
+    X_{k+1} + Y_k -> X_{k+2} + Y_{k+1} from C; at the top stage that kernel
+    is the plain pullback over Y_{d+1}.  The differentials and the first
+    stage map X_1 -> X_2 + Y_1 are the connecting sequence, and the start map
+    Y_0 -> X_1 is one factorization through that stage map.  Exactness of
+    both output rows is verified.
     """
     d = len(seq.modules) - 2
     if d < 1:
@@ -392,44 +403,32 @@ def d_pullback(C: Subcat, seq: ExactSeq, f: mc.ModMap) -> DPullback:
     X = {d + 1: f.source}
     c = {d + 1: f}
     h = {}
-    approxes = {}
-    kernels = {}
+    modules, maps = [seq.modules[d + 1]], []
+    tgt = None  # the previous stage's sum X_{k+2} + Y_{k+1}
     for k in range(d, 0, -1):
         ds = mc.direct_sum(A, [X[k + 1], seq.modules[k]])
-        if k == d:
-            phi = mc.map_from_sum(ds, [c[d + 1], seq.maps[d].scale(-1)])
+        if tgt is None:
+            phi = mc.map_from_sum(ds, [c[k + 1], seq.maps[k].scale(-1)])
         else:
-            tgt = mc.direct_sum(A, [X[k + 2], seq.modules[k + 1]])
             blocks = {
                 (0, 0): h[k + 1],
                 (1, 0): c[k + 1],
                 (1, 1): seq.maps[k].scale(-1),
             }
             phi = mc.block_map(ds, tgt, blocks)
-        K, incl = mc.kernel(phi)
-        if C.contains(K):
-            approx = _identity_approximation(K)
-        else:
-            approx = right_min_approximation(C.modules(), K)
-            if not approx.map.is_epi():
-                raise FailedResolutionError("stage approximation is not epi")
-        comp = incl.compose(approx.map)
-        X[k] = approx.source
+        comp = _stage(C, phi)
+        X[k] = comp.source
         h[k] = ds.projections[0].compose(comp)
         c[k] = ds.projections[1].compose(comp)
-        approxes[k] = approx
-        kernels[k] = (K, incl, ds)
+        modules.insert(0, ds.module)
+        maps.insert(0, phi)
+        tgt = ds
     Y0 = seq.modules[0]
-    K1, incl1, ds1 = kernels[1]
-    pair = mc.map_into_sum(ds1, [mc.ModMap.zero(Y0, X[2]), seq.maps[0]])
-    mats = {}
-    for v in A.vertices:
-        sol = solve_matrix(incl1.mats[v], pair.mats[v])
-        if sol is None:
-            raise FailedResolutionError("start pair does not land in the stage kernel")
-        mats[v] = sol
-    t = mc.ModMap(Y0, K1, mats, check=False)
-    s = lift_through_right_approx(approxes[1], t)
+    lift = mc.factor_through([comp], mc.map_into_sum(tgt, [mc.ModMap.zero(Y0, X[2]),
+                                                           seq.maps[0]]))
+    if lift is None:
+        raise FailedResolutionError("start map does not lift through the first stage")
+    s = lift[0]
     lifted = ExactSeq([Y0] + [X[k] for k in range(1, d + 2)],
                       [s] + [h[k] for k in range(1, d + 1)])
     if not lifted.is_exact():
@@ -439,32 +438,10 @@ def d_pullback(C: Subcat, seq: ExactSeq, f: mc.ModMap) -> DPullback:
             raise FailedResolutionError("lifted square does not commute")
     if not seq.maps[0].sub(c[1].compose(s)).is_zero():
         raise FailedResolutionError("start square does not commute")
-    connecting = _connecting_sequence(seq, X, c, h, d)
+    connecting = ExactSeq([X[1]] + modules, [comp] + maps)
     if not connecting.is_exact():
         raise FailedResolutionError("connecting sequence is not exact")
     return DPullback(lifted, connecting, [c[k] for k in range(1, d + 2)])
-
-
-def _connecting_sequence(seq: ExactSeq, X, c, h, d) -> ExactSeq:
-    """0 -> X1 -> X2+Y1 -> ... -> X_{d+1}+Y_d -> Y_{d+1} -> 0."""
-    A = seq.modules[0].algebra
-    mods = [X[1]]
-    sums = {}
-    for k in range(2, d + 2):
-        ds = mc.direct_sum(A, [X[k], seq.modules[k - 1]])
-        sums[k] = ds
-        mods.append(ds.module)
-    mods.append(seq.modules[d + 1])
-    maps = [mc.map_into_sum(sums[2], [h[1], c[1]])]
-    for k in range(2, d + 1):
-        blocks = {
-            (0, 0): h[k],
-            (1, 0): c[k],
-            (1, 1): seq.maps[k - 1].scale(-1),
-        }
-        maps.append(mc.block_map(sums[k], sums[k + 1], blocks))
-    maps.append(mc.map_from_sum(sums[d + 1], [c[d + 1], seq.maps[d].scale(-1)]))
-    return ExactSeq(mods, maps)
 
 
 # -- the gluing lemmas ---------------------------------------------------------------
@@ -535,31 +512,20 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     l_R, r_P, p_N = dp1.lifted.maps
     r_Mp, p_Np = dp1.verticals[0], dp1.verticals[1]
 
-    # column 4: 0 -> L -> S -> P -> N' -> 0 via the mirrored stage kernel
+    # column 4: 0 -> L -> S -> P -> N' -> 0 from the stage over
     # K_S = {(p, m): p_Np p = 0 and p_N p = a1 m}
     A = L.algebra
     dsPM = mc.direct_sum(A, [P, M])
     dsNN = mc.direct_sum(A, [Np, N])
-    phi = mc.block_map(dsPM, dsNN, {(0, 0): p_Np, (1, 0): p_N, (1, 1): a1.scale(-1)})
-    K_S, inclS = mc.kernel(phi)
-    if C.contains(K_S):
-        apS = _identity_approximation(K_S)
-    else:
-        apS = right_min_approximation(C.modules(), K_S)
-        if not apS.map.is_epi():
-            raise FailedResolutionError("S-stage approximation is not epi")
-    S = apS.source
-    compS = inclS.compose(apS.map)
+    compS = _stage(C, mc.block_map(dsPM, dsNN,
+                                   {(0, 0): p_Np, (1, 0): p_N, (1, 1): a1.scale(-1)}))
+    S = compS.source
     s_P = dsPM.projections[0].compose(compS)
     s_M = dsPM.projections[1].compose(compS)
-    pairS = mc.map_into_sum(dsPM, [mc.ModMap.zero(L, P), a0])
-    matsS = {}
-    for v in A.vertices:
-        sol = solve_matrix(inclS.mats[v], pairS.mats[v])
-        if sol is None:
-            raise FailedResolutionError("start pair does not land in the S-stage kernel")
-        matsS[v] = sol
-    l_S = lift_through_right_approx(apS, mc.ModMap(L, K_S, matsS, check=False))
+    lift = mc.factor_through([compS], mc.map_into_sum(dsPM, [mc.ModMap.zero(L, P), a0]))
+    if lift is None:
+        raise FailedResolutionError("L does not lift through the S-stage")
+    l_S = lift[0]
 
     # Q: split off M' from R
     if mc.factor_through([r_Mp], mc.ModMap.identity(Mp)) is None:
@@ -567,7 +533,13 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     Q, q_R = mc.kernel(r_Mp)
     if not C.contains(Q):
         raise NotTwoExactError("split complement Q leaves the subcategory")
-    q_S = _solve_q_map(Q, S, q_R, r_P, s_P, s_M)
+    # once column 4 is exact, (s_P, s_M): S -> P + M is mono (s_M l_S = a0 is),
+    # so this is the only Q -> S map commuting over P and killed by s_M
+    lift = mc.factor_through([compS], mc.map_into_sum(dsPM, [r_P.compose(q_R),
+                                                             mc.ModMap.zero(Q, M)]))
+    if lift is None:
+        raise NotTwoExactError("no Q -> S map compatible with the grid")
+    q_S = lift[0]
 
     row2 = ExactSeq([Q, S, M], [q_S, s_M])
     row3 = dp1.lifted
@@ -611,51 +583,3 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
     return GlueDiagram(P, Q, R, S, maps, [row2, row3, seqB], [col3, col4, seqA],
                        split_R, split_S, no_common, compact)
 
-
-def _solve_q_map(Q, S, q_R, r_P, s_P, s_M, tries: int = 128) -> mc.ModMap:
-    """A map Q -> S commuting over P, killed by s_M, with image all of ker s_M."""
-    import random as _random
-
-    A = Q.algebra
-    field = A.field
-    target_ranks = {v: S.dims[v] - rank(s_M.mats[v]) for v in A.vertices}
-    basis = mc.hom_basis(Q, S)
-    want = r_P.compose(q_R)
-
-    def stacked(f):
-        return mc.hom_to_vector(s_P.compose(f)) + mc.hom_to_vector(s_M.compose(f))
-
-    target_vec = mc.hom_to_vector(want) + tuple(0 for _ in mc.hom_to_vector(s_M.compose(
-        mc.ModMap.zero(Q, S))))
-    cols = [stacked(b) for b in basis]
-    mat = Mat.from_columns(field, cols, rows=len(target_vec)) if cols \
-        else Mat.zeros(field, len(target_vec), 0)
-    particular = solve(mat, target_vec)
-    if particular is None:
-        raise NotTwoExactError("no Q -> S map compatible with the grid")
-    homog = kernel_basis(mat)
-
-    def build(coeffs):
-        out = mc.ModMap.zero(Q, S)
-        for c, b in zip(coeffs, basis):
-            if c:
-                out = out.add(b.scale(c))
-        return out
-
-    def full_image(f):
-        return all(rank(f.mats[v]) == target_ranks[v] for v in A.vertices)
-
-    candidate = build(particular)
-    if full_image(candidate):
-        return candidate
-    rng = _random.Random(0)
-    for _ in range(tries):
-        coeffs = list(particular)
-        for kv in homog:
-            c = rng.randrange(field.p)
-            if c:
-                coeffs = [(x + c * y) % field.p for x, y in zip(coeffs, kv)]
-        candidate = build(tuple(coeffs))
-        if full_image(candidate):
-            return candidate
-    raise NotTwoExactError("could not realize the exact Q -> S component")

@@ -423,21 +423,13 @@ def map_parts(f: ModMap) -> MapParts:
 def submodule_from_columns(M: Module, columns: dict):
     """Smallest description of the submodule spanned by the given columns.
 
-    columns maps vertex -> Mat whose columns lie in M at that vertex; the
-    span must be arrow-stable.  Returns (module, inclusion).
+    columns maps vertex -> Mat whose columns lie in M at that vertex; every
+    caller passes an arrow-stable span, so an unstable one is a defect and
+    raises AssertionError.  Returns (module, inclusion).
     """
     A = M.algebra
-    field = A.field
-    basis = {v: column_space_basis(columns.get(v, Mat.zeros(field, M.dims[v], 0))) for v in A.vertices}
-    action = {}
-    for a in A.arrows:
-        rhs = M.action[a.name].mul(basis[a.source])
-        sol = solve_matrix(basis[a.target], rhs)
-        if sol is None:
-            raise ValueError("columns do not span an arrow-stable subspace")
-        action[a.name] = sol
-    sub = Module(A, {v: basis[v].cols for v in A.vertices}, action, check=False)
-    return sub, ModMap(sub, M, basis, check=False)
+    return _stable_subspace(M, {v: column_space_basis(columns[v]) if v in columns
+                                else Mat.zeros(A.field, M.dims[v], 0) for v in A.vertices})
 
 
 def trace_from(T: Module, M: Module):

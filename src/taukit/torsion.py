@@ -364,20 +364,11 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng, tries):
         T0p, iota = mc.kernel(w)
         if not T.contains(T0p):
             continue
-        # vertical T0' -> T0 through the mono T0 -> X
-        d1_res = d1.compose(iota)
-        mats = {}
-        good = True
-        for v in A.vertices:
-            from .exactlin import solve_matrix
-            sol = solve_matrix(w1.mats[v], d1_res.mats[v])
-            if sol is None:
-                good = False
-                break
-            mats[v] = sol
-        if not good:
+        # vertical T0' -> T0 through the mono T0 -> X, unique when it exists
+        lift = mc.factor_through([w1], d1.compose(iota))
+        if lift is None:
             continue
-        d0 = mc.ModMap(T0p, T0, mats, check=False)
+        d0 = lift[0]
         row = ExactSeq([T0p, T1p, T2p, T3], [iota, w, w3.compose(u)])
         if not row.is_exact():
             continue

@@ -1,8 +1,16 @@
+import ast
+import hashlib
+import inspect
+import json
+
 import pytest
 
-from taukit import arknit, highercat as hc, modcat as mc
-from taukit.exactlin import Mat, solve
+from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
+from taukit.algebra import parse_algebra
+from taukit.exactlin import Mat, rank, solve
 from tests.conftest import lambda3, nakayama_rad2
+from tests.test_acceptance import _split_family, _two_exact_family
+from tests.test_d3 import A4_RAD2, _projective_resolution_sequence
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +347,121 @@ def test_tau2_sends_ct_members_into_ct_or_zero(n, p):
             images[idx.modules[i].dim_vector()] = idx.modules[summands[0]].dim_vector()
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     assert images == {unit[i]: unit[i + 2] for i in range(0, n - 2, 2)}
+
+
+# -- pinned outputs of the d-pullback and gluing constructions ------------------------
+
+
+def _digest(records):
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def _outcome(build):
+    """build()'s JSON record, or the class name of the error it raises."""
+    try:
+        return build()
+    except (hc.FailedResolutionError, hc.NotTwoExactError) as exc:
+        return type(exc).__name__
+
+
+def _glue_case(p):
+    idx = arknit.knit_indecomposables(lambda3(p))
+    vecs = by_vec(idx)
+    C = hc.Subcat.of(idx, [vecs[(1, 1, 0)], vecs[(0, 1, 1)], vecs[(0, 0, 1)], vecs[(1, 0, 0)]])
+    return C, _two_exact_family(idx, C)
+
+
+def _d3_case(p):
+    idx = arknit.knit_indecomposables(parse_algebra(A4_RAD2.replace("field 101", f"field {p}")))
+    vecs = by_vec(idx)
+    C = hc.Subcat.of(idx, [vecs[(1, 1, 0, 0)], vecs[(0, 1, 1, 0)], vecs[(0, 0, 1, 1)],
+                           vecs[(0, 0, 0, 1)], vecs[(1, 0, 0, 0)]])
+    return C, [_projective_resolution_sequence(idx)]
+
+
+def _d_pullback_records(C, family):
+    """Lifted and connecting rows along every Hom-basis map from a member of C
+    into the end term of every sequence."""
+    out = []
+    for seq in family:
+        for X in C.modules():
+            for f in mc.hom_basis(X, seq.modules[-1]):
+                def build(seq=seq, f=f):
+                    dp = hc.d_pullback(C, seq, f)
+                    return [dp.lifted.to_json(), dp.connecting.to_json()]
+                out.append(_outcome(build))
+    return out
+
+
+# sha256 of the JSON records; a refactor of d_pullback, the gluing grid or the
+# pushout lift must leave every byte of their output as it is
+PINNED = {
+    "glue": "546ef0f3233665340bea7060df574a4fe82e0091028f824148072d21e470cc51",
+    "d_pullback": "0cb00395f4e7ad98d49cf43dfba539176df37f5912c39295bf0030c6d3d630bf",
+    "pushout_lift": "8b719b73deac2e1ec2e9e5a6d1fc712d0341d00147aeb1f38298d8e42d663163",
+}
+
+
+@pytest.fixture(scope="module")
+def glued():
+    """field -> (C, the two-exact family, the glued diagram of every ordered pair)."""
+    out = {}
+    for p in (2, 101):
+        C, family = _glue_case(p)
+        out[p] = (C, family, [hc.glue_two_resolutions(C, a, b) for a in family for b in family])
+    return out
+
+
+def test_glued_grid_admits_one_q_map(glued):
+    # (s_P, s_M): S -> P + M is mono, so at most one Q -> S map fits the grid
+    for C, _, diagrams in glued.values():
+        for diag in diagrams:
+            s_P, s_M = diag.maps["s_P"], diag.maps["s_M"]
+            vecs = [mc.hom_to_vector(s_P.compose(f)) + mc.hom_to_vector(s_M.compose(f))
+                    for f in mc.hom_basis(diag.Q, diag.S)]
+            if vecs:
+                assert rank(Mat.from_rows(C.host.algebra.field, vecs, cols=len(vecs[0]))) \
+                    == len(vecs)
+
+
+def test_glue_and_d_pullback_outputs_are_pinned(glued):
+    records, pulled = [], []
+    for p, (C, family, diagrams) in sorted(glued.items()):
+        records += [diag.to_json() for diag in diagrams]
+        pulled += _d_pullback_records(C, family)
+        pulled += _d_pullback_records(*_d3_case(p))
+    assert len(records) == 72 and len(pulled) == 28
+    assert _digest(records) == PINNED["glue"]
+    assert _digest(pulled) == PINNED["d_pullback"]
+
+
+def test_pushout_lift_results_are_pinned():
+    # the criterion-8 run: every 2-exact sequence with both ends in the torsion class
+    C, family = _glue_case(101)
+    idx = C.host
+    records = []
+    for pair in tn.enumerate_2ff_torsion_pairs(C):
+        for seq in family + _split_family(idx, C, pair.T):
+            if not (pair.T.contains(seq.modules[0]) and pair.T.contains(seq.modules[-1])):
+                continue
+            out = tn.pushout_lift_check(pair.T, C, seq)
+            records.append({
+                "ok": out.ok,
+                "row": out.row.to_json() if out.row is not None else None,
+                "verticals": [mc.hom_to_vector(f) for f in out.verticals or []],
+                "obstruction": out.obstruction,
+                "low_confidence": out.low_confidence,
+            })
+    assert len(records) == 146
+    assert _digest(records) == PINNED["pushout_lift"]
+
+
+def test_highercat_imports_no_random():
+    # every lift is an exact factorization; no verdict rests on a seeded search
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(hc))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "random" not in imported

@@ -313,6 +313,16 @@ def test_trace_and_reject(L3, L3mods):
     assert rej.is_zero()
 
 
+def test_submodule_from_unstable_columns_is_a_defect(L3, L3mods):
+    # the top of P1 is not a submodule: the arrow 1 -> 2 moves it into the radical
+    P, _ = L3mods
+    top = {"1": Mat.identity(L3.field, 1)}
+    with pytest.raises(AssertionError):
+        mc.submodule_from_columns(P["1"], top)
+    rad, _ = mc.submodule_from_columns(P["1"], mc.radical_columns(P["1"]))
+    assert rad.dim_vector() == (0, 1, 0)
+
+
 def test_annihilators(L3, L3mods):
     P, S = L3mods
     reg = mc.regular_module(L3).module
