@@ -2,11 +2,16 @@
 
 The knitting route seeds the index with the projectives, injectives,
 simples and the radical/socle layers of those, then closes under the AR
-translate in both directions.  Completeness is certified afterwards by
+translate in both directions.  Each translate tau M and tau^-1 M, and each
+projectivity and injectivity test, is computed once in that loop and kept
+with its module through the sort.  Completeness is certified afterwards by
 mesh additivity: for every non-projective Z with almost split sequence
 0 -> tau Z -> E -> Z -> 0, the middle term recomputed from irreducible-map
-multiplicities must match dimension-wise.  The brute-force enumerator is
-the independent oracle the tests compare against.
+multiplicities must match dimension-wise, and the kept tau^-1 of tau Z must
+be Z again.  The irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the
+rank of the composites through rad^2; each span stops growing once it fills
+rad(X, Y).  The brute-force enumerator is the independent oracle the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import modcat as mc
 from .algebra import Algebra
-from .exactlin import Mat, rank, solve_matrix
+from .exactlin import Mat, rref, solve_matrix
 
 
 class LimitExceededError(Exception):
@@ -47,6 +52,7 @@ class IndecIndex:
     _ext_cache: dict = field(default_factory=dict, repr=False)
     _basis_cache: dict = field(default_factory=dict, repr=False)
     _compose_cache: dict = field(default_factory=dict, repr=False)
+    _summand_cache: dict = field(default_factory=dict, repr=False)
     _proj_flags: list = field(default_factory=list, repr=False)
     _inj_flags: list = field(default_factory=list, repr=False)
 
@@ -109,9 +115,20 @@ class IndecIndex:
         return self._inj_flags[i]
 
     def summand_indices(self, M) -> list | None:
-        """Index (with multiplicity) of each indecomposable summand of M."""
+        """Index (with multiplicity) of each indecomposable summand of M.
+
+        Decomposed once per module content (dims and arrow matrices); each
+        call returns a fresh list.
+        """
         if M.is_zero():
             return []
+        key = (M.dim_vector(), tuple(m.data for m in M.action.values()))
+        if key not in self._summand_cache:
+            self._summand_cache[key] = self._summand_indices(M)
+        out = self._summand_cache[key]
+        return None if out is None else list(out)
+
+    def _summand_indices(self, M) -> list | None:
         out = []
         for X, mult in mc.decompose(M).summands:
             i = self.find_iso(X)
@@ -174,34 +191,36 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         for X, _ in mc.decompose(seed).summands:
             register(X)
 
-    cursor = 0
-    while cursor < len(found):
-        M = found[cursor]
-        cursor += 1
-        if not mc.is_projective(M):
-            register(mc.tau(M))
-        if not mc.is_injective(M):
-            register(mc.tau_inv(M))
+    records = []  # (M, tau M or None, tau^-1 M or None), in the order of found
+    while len(records) < len(found):
+        M = found[len(records)]
+        t = None if mc.is_projective(M) else mc.tau(M)
+        if t is not None:
+            register(t)
+        s = None if mc.is_injective(M) else mc.tau_inv(M)
+        if s is not None:
+            register(s)
+        records.append((M, t, s))
 
-    found.sort(key=lambda m: (m.total_dim, m.dim_vector()))
-    idx = IndecIndex(A, found)
-    idx._proj_flags = [mc.is_projective(m) for m in found]
-    idx._inj_flags = [mc.is_injective(m) for m in found]
-    for i, M in enumerate(found):
-        if not idx._proj_flags[i]:
-            t = idx.find_iso(mc.tau(M))
-            if t is None:
+    records.sort(key=lambda r: (r[0].total_dim, r[0].dim_vector()))
+    idx = IndecIndex(A, [M for M, _, _ in records])
+    idx._proj_flags = [t is None for _, t, _ in records]
+    idx._inj_flags = [s is None for _, _, s in records]
+    for i, (_, t, _) in enumerate(records):
+        if t is not None:
+            k = idx.find_iso(t)
+            if k is None:
                 raise KnitIncompleteError("tau image missing from index")
-            idx.tau_map[i] = t
-    _certify_and_mesh(idx)
+            idx.tau_map[i] = k
+    _certify_and_mesh(idx, [s for _, _, s in records])
     return idx
 
 
-def _rad_basis_vectors(idx: IndecIndex, i: int, j: int):
-    """The radical rad(X_i, X_j) as flat vectors (all of Hom for i != j)."""
+def _rad_basis(idx: IndecIndex, i: int, j: int) -> list:
+    """A basis of the radical rad(X_i, X_j) (all of Hom for i != j)."""
     homs = mc.hom_basis(idx.modules[i], idx.modules[j])
     if i != j:
-        return [mc.hom_to_vector(f) for f in homs], homs
+        return homs
     flat = [mc.flatten_endo(f) for f in homs]
     field_ = idx.algebra.field
     rad_coords = mc.radical_of_endos(field_, flat)
@@ -212,39 +231,46 @@ def _rad_basis_vectors(idx: IndecIndex, i: int, j: int):
             if c:
                 g = g.add(f.scale(c))
         rad_maps.append(g)
-    return [mc.hom_to_vector(g) for g in rad_maps], rad_maps
+    return rad_maps
 
 
 def irreducible_multiplicities(idx: IndecIndex) -> dict:
-    """a(X, Y) = dim rad(X,Y)/rad^2(X,Y) for all ordered pairs in the index."""
+    """a(X, Y) = dim rad(X,Y)/rad^2(X,Y) for all ordered pairs in the index.
+
+    The composites h o g through X_z are added one z at a time, keeping only
+    an echelon basis of their span, and the span stops growing once it fills
+    rad(X, Y).  A span larger than rad(X, Y) means a composite left the
+    radical, which is a defect.
+    """
     n = len(idx.modules)
     field_ = idx.algebra.field
-    rad_maps: dict = {}
-    rad_dims: dict = {}
-    for i in range(n):
-        for j in range(n):
-            vecs, maps_ = _rad_basis_vectors(idx, i, j)
-            rad_maps[(i, j)] = maps_
-            rad_dims[(i, j)] = len(vecs)
+    rad = {(i, j): _rad_basis(idx, i, j) for i in range(n) for j in range(n)}
     out = {}
     for i in range(n):
         for j in range(n):
-            if rad_dims[(i, j)] == 0:
+            dim = len(rad[(i, j)])
+            if dim == 0:
                 continue
-            square = []
+            veclen = len(mc.hom_to_vector(rad[(i, j)][0]))
+            span, sq_rank = [], 0
             for z in range(n):
-                for g in rad_maps[(i, z)]:
-                    for h in rad_maps[(z, j)]:
-                        square.append(mc.hom_to_vector(h.compose(g)))
-            veclen = len(mc.hom_to_vector(rad_maps[(i, j)][0]))
-            sq_rank = rank(Mat.from_rows(field_, square, cols=veclen)) if square else 0
-            a = rad_dims[(i, j)] - sq_rank
-            if a > 0:
-                out[(i, j)] = a
+                square = [mc.hom_to_vector(h.compose(g)) for g in rad[(i, z)] for h in rad[(z, j)]]
+                if not square:
+                    continue
+                echelon = rref(Mat.from_rows(field_, span + square, cols=veclen))
+                sq_rank = echelon.rank
+                if sq_rank >= dim:
+                    break
+                span = list(echelon.matrix.data[:sq_rank])
+            if sq_rank > dim:
+                raise AssertionError(f"composites X_{i} -> X_{j} through rad^2 span more than rad")
+            if sq_rank < dim:
+                out[(i, j)] = dim - sq_rank
     return out
 
 
-def _certify_and_mesh(idx: IndecIndex):
+def _certify_and_mesh(idx: IndecIndex, inverses: list):
+    """Mesh additivity and the tau round trip; inverses[i] is tau^-1 X_i or None."""
     mult = irreducible_multiplicities(idx)
     idx.ar_arrows = sorted((i, j, a) for (i, j), a in mult.items())
     # mesh additivity: dims(tau Z) + dims(Z) = sum of middle-term dims
@@ -261,7 +287,8 @@ def _certify_and_mesh(idx: IndecIndex):
         if lhs != rhs:
             raise KnitIncompleteError(
                 f"mesh at index {z} fails: middle {rhs} vs tau+self {lhs}")
-        if mc.iso_between_indecomposables(mc.tau_inv(idx.modules[t]), M) is None:
+        back = inverses[t]
+        if back is None or mc.iso_between_indecomposables(back, M) is None:
             raise KnitIncompleteError(f"tau round trip fails at index {z}")
 
 

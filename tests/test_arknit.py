@@ -1,7 +1,13 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from taukit import arknit, modcat as mc
-from tests.conftest import kronecker, lambda3
+from taukit.algebra import parse_algebra
+from taukit.cli import emit_report
+from taukit.exactlin import Mat, rank
+from tests.conftest import d4, kronecker, lambda3, nakayama_rad2
 
 
 LAMBDA3_DIMVECS = {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)}
@@ -154,3 +160,153 @@ def test_knit_d4_matches_brute_force_f2():
     assert len(brute) == 12
     for M in brute:
         assert idx.find_iso(M) is not None
+
+
+# -- pinned census bytes, the rad^2 oracle, and work done once -------------------
+
+# E7 with the chain 1 -> ... -> 6 oriented linearly and the branch arrow 7 -> 3
+E7_TEXT = """\
+field {p}
+vertices 1 2 3 4 5 6 7
+arrow a1: 1 -> 2
+arrow a2: 2 -> 3
+arrow a3: 3 -> 4
+arrow a4: 4 -> 5
+arrow a5: 5 -> 6
+arrow b: 7 -> 3
+"""
+
+CENSUS_ALGEBRAS = {
+    "E7-2": lambda: parse_algebra(E7_TEXT.format(p=2)),
+    "D4-2": lambda: d4(p=2),
+    "D4-101": lambda: d4(p=101),
+    "A3": lambda: lambda3(p=101),
+    "A5rad2-2": lambda: nakayama_rad2(5, p=2),
+    "A5rad2-101": lambda: nakayama_rad2(5, p=101),
+    "A7rad2-2": lambda: nakayama_rad2(7, p=2),
+    "A7rad2-101": lambda: nakayama_rad2(7, p=101),
+}
+
+# sha256 of the `ar` and `ar --dot` stdout bytes: a change to knitting must
+# leave every byte of the census, its AR arrows and its translate as it is
+PINNED_CENSUS = {
+    "E7-2": ("cce37e57fb38eeafc472ea2d2efe0207294d8930d2a0de8bde731b569a050a64",
+             "d8591750073901a64ff282f6e69b4efa8cccf3313964565e2a43ad38fe24d9c7"),
+    "D4-2": ("4642b715b0a25e5c3d03d894ed8219ed59e01cd635915bb2b1020efd78f7192f",
+             "d63da3e279a931de71cf70ae638c0c5e397df46617ab4bec5fb3b83b06ff29f7"),
+    "D4-101": ("7a99191690344e926c4ed9a79f1d4287e2e3e561ce5b34b85038bb859261a847",
+               "d63da3e279a931de71cf70ae638c0c5e397df46617ab4bec5fb3b83b06ff29f7"),
+    "A3": ("bbfa73c3f9aa55b7fd119b7cd584df271eadbbc86b5c3cbb6d8ba27e16bc5029",
+           "a6546b79f2be0f117adb431f90d0021789a646269de8e11f1f01e5dc4f81decc"),
+    "A5rad2-2": ("cc420aec0e693ea840c26a4d226ba902fd0cf52a7d173e3e86493926cec01f8f",
+                 "4a2ad050524be9db4542ee2b80e59698481636c4affaea0f7b976557a03a31ba"),
+    "A5rad2-101": ("cc420aec0e693ea840c26a4d226ba902fd0cf52a7d173e3e86493926cec01f8f",
+                   "4a2ad050524be9db4542ee2b80e59698481636c4affaea0f7b976557a03a31ba"),
+    "A7rad2-2": ("772f80eba2aaa1930ba4c6be6151a3afdb35b62a59992993fdae1ab1d83a8c86",
+                 "3e35f6219c273ea508db4cd184ad43abd55e11ec4a26a9ac2214db06720a5380"),
+    "A7rad2-101": ("772f80eba2aaa1930ba4c6be6151a3afdb35b62a59992993fdae1ab1d83a8c86",
+                   "3e35f6219c273ea508db4cd184ad43abd55e11ec4a26a9ac2214db06720a5380"),
+}
+
+
+@pytest.fixture(scope="module")
+def censuses():
+    return {name: arknit.knit_indecomposables(build()) for name, build in CENSUS_ALGEBRAS.items()}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_ALGEBRAS))
+def test_census_bytes_are_pinned(censuses, name):
+    idx = censuses[name]
+    assert (_sha(emit_report(idx.to_json())), _sha(arknit.ar_quiver_dot(idx))) == PINNED_CENSUS[name]
+
+
+def test_e7_census_shape(censuses):
+    idx = censuses["E7-2"]
+    assert len(idx.modules) == 63
+    assert len(idx.ar_arrows) == 102
+    assert {a for _, _, a in idx.ar_arrows} == {1}
+
+
+def _full_span_multiplicities(idx):
+    """a(i, j) from the rank of every composite through rad^2, with no early stop."""
+    n = len(idx.modules)
+    field_ = idx.algebra.field
+    rad = {(i, j): arknit._rad_basis(idx, i, j) for i in range(n) for j in range(n)}
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            if not rad[(i, j)]:
+                continue
+            square = [mc.hom_to_vector(h.compose(g))
+                      for z in range(n) for g in rad[(i, z)] for h in rad[(z, j)]]
+            veclen = len(mc.hom_to_vector(rad[(i, j)][0]))
+            sq_rank = rank(Mat.from_rows(field_, square, cols=veclen)) if square else 0
+            a = len(rad[(i, j)]) - sq_rank
+            if a > 0:
+                out[(i, j)] = a
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_ALGEBRAS))
+def test_irreducible_multiplicities_match_full_span(censuses, name):
+    idx = censuses[name]
+    assert arknit.irreducible_multiplicities(idx) == _full_span_multiplicities(idx)
+
+
+def _record_calls(monkeypatch, names):
+    calls = {}
+    for name in names:
+        log = calls[name] = []
+        fn = getattr(mc, name)
+
+        def recorded(M, *args, _fn=fn, _log=log):
+            _log.append(M)
+            return _fn(M, *args)
+
+        monkeypatch.setattr(mc, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("build", [lambda: lambda3(p=101), lambda: nakayama_rad2(5, p=2)],
+                         ids=["A3", "A5rad2-2"])
+def test_knitting_computes_each_translate_once(monkeypatch, build):
+    A = build()
+    calls = _record_calls(monkeypatch, ["tau", "tau_inv", "is_projective", "is_injective"])
+    idx = arknit.knit_indecomposables(A)
+
+    def once(keep):
+        return Counter({id(X): 1 for i, X in enumerate(idx.modules) if keep(i)})
+
+    assert Counter(map(id, calls["tau"])) == once(lambda i: not idx.is_projective(i))
+    assert Counter(map(id, calls["tau_inv"])) == once(lambda i: not idx.is_injective(i))
+    assert Counter(map(id, calls["is_injective"])) == once(lambda i: True)
+    # is_injective(M) asks is_projective(D M) of a dual, which is no census member
+    members = {id(X) for X in idx.modules}
+    direct = [M for M in calls["is_projective"] if id(M) in members]
+    assert Counter(map(id, direct)) == once(lambda i: True)
+
+
+def test_composite_outside_the_radical_is_a_defect():
+    # k[x]/(x^2) listed twice: the composite P -> P' -> P of two isomorphisms
+    # is the identity, which no radical contains
+    A = parse_algebra("field 2\nvertices 1\narrow x: 1 -> 1\nrelation x*x\n")
+    P = mc.projective(A, "1")
+    with pytest.raises(AssertionError):
+        arknit.irreducible_multiplicities(arknit.IndecIndex(A, [P, P]))
+
+
+def test_summand_indices_decompose_each_content_once(monkeypatch, L3):
+    idx = arknit.knit_indecomposables(L3)
+    calls = _record_calls(monkeypatch, ["decompose"])
+    P1, S3 = mc.projective(L3, "1"), mc.simple(L3, "3")
+    M, M2 = (mc.direct_sum(L3, [P1, S3, S3]).module for _ in range(2))
+    assert M is not M2
+    first = idx.summand_indices(M)
+    first.append(-1)
+    second = idx.summand_indices(M2)
+    assert len(calls["decompose"]) == 1
+    assert second == first[:-1] and len(second) == 3
