@@ -12,6 +12,11 @@ be Z again.  The irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the
 rank of the composites through rad^2; each span stops growing once it fills
 rad(X, Y).  The brute-force enumerator is the independent oracle the tests
 compare against.
+
+Summand multiplicities are read off the certified mesh, with no search:
+Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
+with no tau term for projective Y; a negative count or a dim mismatch is an
+AssertionError.  The one Hom cache holds bases; hom_dim is a basis length.
 """
 
 from __future__ import annotations
@@ -48,33 +53,24 @@ class IndecIndex:
     modules: list
     ar_arrows: list = field(default_factory=list)  # (source, target, multiplicity)
     tau_map: dict = field(default_factory=dict)  # index -> index, non-projectives only
-    _hom_cache: dict = field(default_factory=dict, repr=False)
+    _hom_cache: dict = field(default_factory=dict, repr=False)  # (i, j) -> Hom basis
     _ext_cache: dict = field(default_factory=dict, repr=False)
-    _basis_cache: dict = field(default_factory=dict, repr=False)
     _compose_cache: dict = field(default_factory=dict, repr=False)
-    _summand_cache: dict = field(default_factory=dict, repr=False)
     _proj_flags: list = field(default_factory=list, repr=False)
     _inj_flags: list = field(default_factory=list, repr=False)
 
     def find_iso(self, M) -> int | None:
         """Index of the entry isomorphic to the indecomposable M, if any."""
-        for i, X in enumerate(self.modules):
-            if X.dim_vector() == M.dim_vector() and mc.iso_between_indecomposables(M, X) is not None:
-                return i
-        return None
+        return _iso_index(self.modules, M)
 
     def hom_dim(self, i: int, j: int) -> int:
-        key = (i, j)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = mc.hom_dim(self.modules[i], self.modules[j])
-        return self._hom_cache[key]
+        return len(self.hom_basis(i, j))
 
     def hom_basis(self, i: int, j: int) -> list:
         """The `mc.hom_basis` of Hom(X_i, X_j), computed once."""
-        key = (i, j)
-        if key not in self._basis_cache:
-            self._basis_cache[key] = mc.hom_basis(self.modules[i], self.modules[j])
-        return self._basis_cache[key]
+        if (i, j) not in self._hom_cache:
+            self._hom_cache[(i, j)] = mc.hom_basis(self.modules[i], self.modules[j])
+        return self._hom_cache[(i, j)]
 
     def compose(self, i: int, j: int, k: int) -> list:
         """Structure constants of Hom(X_j, X_k) x Hom(X_i, X_j) -> Hom(X_i, X_k).
@@ -114,28 +110,24 @@ class IndecIndex:
     def is_injective(self, i: int) -> bool:
         return self._inj_flags[i]
 
-    def summand_indices(self, M) -> list | None:
-        """Index (with multiplicity) of each indecomposable summand of M.
+    def summand_indices(self, M) -> list:
+        """Index (with multiplicity) of each indecomposable summand of M, sorted.
 
-        Decomposed once per module content (dims and arrow matrices); each
-        call returns a fresh list.
+        m_Y = h(Y) - sum_X a(X, Y) h(X) + h(tau Y), h(Z) = dim Hom(M, Z): Hom(M, -)
+        on the almost split sequence ending at Y (on rad Y -> Y for projective Y)
+        is exact but for Hom(M, Y)/rad(M, Y), of dimension m_Y.  An m_Y < 0, or
+        summands whose dims do not add up to M's, is an AssertionError.
         """
-        if M.is_zero():
-            return []
-        key = (M.dim_vector(), tuple(m.data for m in M.action.values()))
-        if key not in self._summand_cache:
-            self._summand_cache[key] = self._summand_indices(M)
-        out = self._summand_cache[key]
-        return None if out is None else list(out)
-
-    def _summand_indices(self, M) -> list | None:
-        out = []
-        for X, mult in mc.decompose(M).summands:
-            i = self.find_iso(X)
-            if i is None:
-                return None
-            out.extend([i] * mult)
-        return sorted(out)
+        h = [mc.hom_dim(M, X) for X in self.modules]
+        mult = list(h)
+        for x, y, a in self.ar_arrows:
+            mult[y] -= a * h[x]
+        for y, t in self.tau_map.items():
+            mult[y] += h[t]
+        dims = tuple(sum(m * X.dims[v] for m, X in zip(mult, self.modules)) for v in M.algebra.vertices)
+        if min(mult, default=0) < 0 or dims != M.dim_vector():
+            raise AssertionError(f"AR mesh multiplicities {mult} do not rebuild M")
+        return [y for y, m in enumerate(mult) for _ in range(m)]
 
     def to_json(self) -> dict:
         return {
@@ -144,6 +136,14 @@ class IndecIndex:
             "ar_arrows": [list(a) for a in self.ar_arrows],
             "tau": {str(k): v for k, v in sorted(self.tau_map.items())},
         }
+
+
+def _iso_index(modules, M) -> int | None:
+    """Index of the first of the indecomposables isomorphic to M, if any."""
+    for i, X in enumerate(modules):
+        if X.dim_vector() == M.dim_vector() and mc.iso_between_indecomposables(M, X) is not None:
+            return i
+    return None
 
 
 def _seed_modules(A: Algebra):
@@ -179,9 +179,8 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         if M.total_dim > max_dim:
             raise LimitExceededError(
                 f"module of dimension {M.total_dim} exceeds max_dim={max_dim}", partial=found)
-        for X in found:
-            if X.dim_vector() == M.dim_vector() and mc.iso_between_indecomposables(M, X) is not None:
-                return False
+        if _iso_index(found, M) is not None:
+            return False
         found.append(M)
         if len(found) > max_count:
             raise LimitExceededError(f"more than max_count={max_count} indecomposables", partial=found)
@@ -321,8 +320,7 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
                 continue
             if not mc.is_indecomposable(M):
                 continue
-            if any(X.dim_vector() == M.dim_vector()
-                   and mc.iso_between_indecomposables(M, X) is not None for X in out):
+            if _iso_index(out, M) is not None:
                 continue
             out.append(M)
     out.sort(key=lambda m: (m.total_dim, m.dim_vector()))

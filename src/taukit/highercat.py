@@ -55,17 +55,9 @@ class Subcat:
     def modules(self):
         return [self.host.modules[i] for i in self.member_list()]
 
-    def contains_index(self, i: int) -> bool:
-        return i in self.members
-
     def contains(self, M) -> bool:
         """Whether M lies in add of the members."""
-        if M.is_zero():
-            return True
-        summands = self.host.summand_indices(M)
-        if summands is None:
-            return False
-        return all(i in self.members for i in summands)
+        return all(i in self.members for i in self.host.summand_indices(M))
 
     def key(self):
         return tuple(self.member_list())
@@ -229,7 +221,7 @@ def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
                     left_wit = (i, m, x, "ext(member, X) nonzero")
                 if right_wit is None and idx.ext_dim(i, x, m) != 0:
                     right_wit = (i, x, m, "ext(X, member) nonzero")
-        inside = C.contains_index(x)
+        inside = x in C.members
         if inside and left_wit is not None:
             violations.append(left_wit)
         if inside and right_wit is not None:
@@ -492,16 +484,14 @@ def glue_two_resolutions(C: Subcat, seqA: ExactSeq, seqB: ExactSeq) -> GlueDiagr
         raise ValueError("sequences live over different algebras")
     if len(seqA.modules) != 4 or len(seqB.modules) != 4:
         raise NotTwoExactError("need sequences 0 -> L -> M -> N -> X -> 0")
-    if seqA.modules[-1] is not seqB.modules[-1] and (
-            seqA.modules[-1].dims != seqB.modules[-1].dims
-            or not mc.is_isomorphic(seqA.modules[-1], seqB.modules[-1])):
-        raise NotTwoExactError("sequences must end at the same module")
     for s in (seqA, seqB):
         if not s.is_exact():
             raise NotTwoExactError("input sequence is not 2-exact")
         for m in s.modules:
             if not C.contains(m):
                 raise NotTwoExactError("all terms must lie in the subcategory")
+    if C.host.summand_indices(seqA.modules[-1]) != C.host.summand_indices(seqB.modules[-1]):
+        raise NotTwoExactError("sequences must end at the same module")
     L, M, N, _ = seqA.modules
     Lp, Mp, Np, _ = seqB.modules
     a0, a1, a2 = seqA.maps

@@ -23,6 +23,10 @@ from .exactlin import (
     solve_matrix,
 )
 
+# seed of the random End(M) combinations that decompose tries when splitting M
+DECOMPOSE_SEED = 0
+
+
 class DecompositionError(Exception):
     """A decomposable module resisted every splitting attempt."""
 
@@ -1208,10 +1212,10 @@ def _split_once(M: Module, rng):
     raise DecompositionError("no splitting found for a decomposable module")
 
 
-def decompose(M: Module, seed: int = 0) -> DecompCert:
+def decompose(M: Module) -> DecompCert:
     """Krull-Schmidt decomposition with an explicit isomorphism certificate."""
     A = M.algebra
-    rng = random.Random(seed)
+    rng = random.Random(DECOMPOSE_SEED)
 
     def rec(X: Module):
         """Returns (list of indecomposable modules, iso X -> direct sum of them)."""

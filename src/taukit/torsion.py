@@ -22,6 +22,11 @@ from .exactlin import Mat, kernel_basis, rank
 from .highercat import ExactSeq, Subcat
 
 
+# pushout_lift_check's bounds: copies of each member of T, seeded tries per stage
+LIFT_MAX_MULT = 3
+LIFT_TRIES = 64
+
+
 class TooLargeError(Exception):
     pass
 
@@ -232,11 +237,11 @@ class PushoutLift:
     low_confidence: bool = False
 
 
-def _add_objects(T: Subcat, max_mult: int):
-    """Objects of add T with per-summand multiplicity <= max_mult, by total dim."""
+def _add_objects(T: Subcat):
+    """Objects of add T with per-summand multiplicity <= LIFT_MAX_MULT, by total dim."""
     members = T.modules()
     combos = []
-    for mults in itertools.product(range(max_mult + 1), repeat=len(members)):
+    for mults in itertools.product(range(LIFT_MAX_MULT + 1), repeat=len(members)):
         if sum(mults) == 0:
             continue
         total = sum(m * X.total_dim for m, X in zip(mults, members))
@@ -250,8 +255,7 @@ def _add_objects(T: Subcat, max_mult: int):
         yield mc.direct_sum(A, parts).module
 
 
-def pushout_lift_check(T: Subcat, C: Subcat, seq: ExactSeq,
-                       max_mult: int = 3, tries: int = 64) -> PushoutLift:
+def pushout_lift_check(T: Subcat, C: Subcat, seq: ExactSeq) -> PushoutLift:
     """Search for a lift 0 -> T0' -> T1' -> T2' -> T3 -> 0 over the sequence.
 
     The sequence must be 2-exact in C with both end terms in add T.  Rows of
@@ -274,21 +278,21 @@ def pushout_lift_check(T: Subcat, C: Subcat, seq: ExactSeq,
 
     w1, w2, w3 = seq.maps  # T0 -> X, X -> Y, Y -> T3
 
-    for T2p in _add_objects(T, max_mult):
-        u = _find_u(T2p, Ym, T3, w3, rng, tries)
+    for T2p in _add_objects(T):
+        u = _find_u(T2p, Ym, T3, w3, rng)
         if u is None:
             continue
         v_map = w3.compose(u)
         ker_v = {vx: T2p.dims[vx] - rank(v_map.mats[vx]) for vx in A.vertices}
-        for T1p in _add_objects(T, max_mult):
-            lift = _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng, tries)
+        for T1p in _add_objects(T):
+            lift = _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng)
             if lift is not None:
                 return lift
     return PushoutLift(False, obstruction="bounded search exhausted",
                        low_confidence=True)
 
 
-def _find_u(T2p, Ym, T3, w3, rng, tries):
+def _find_u(T2p, Ym, T3, w3, rng):
     """Some u: T2' -> Y with w3 o u epi, by bounded max-rank search."""
     A = Ym.algebra
     hom_u = mc.hom_basis(T2p, Ym)
@@ -303,7 +307,7 @@ def _find_u(T2p, Ym, T3, w3, rng, tries):
     for b in hom_u:
         if hits(b):
             return b
-    for _ in range(tries):
+    for _ in range(LIFT_TRIES):
         cand = mc.ModMap.zero(T2p, Ym)
         for b in hom_u:
             c = rng.randrange(A.field.p)
@@ -314,7 +318,7 @@ def _find_u(T2p, Ym, T3, w3, rng, tries):
     return None
 
 
-def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng, tries):
+def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng):
     """Find w: T1' -> T2' and d1: T1' -> X completing the lift, or None."""
     T0, Xm, Ym, T3 = seq.modules
     w1, w2, w3 = seq.maps
@@ -348,9 +352,9 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng, tries):
                 d = d.add(b.scale(c))
         return w, d
 
-    candidates = list(sols)[:tries]
+    candidates = list(sols)[:LIFT_TRIES]
     rng_combo = []
-    for _ in range(tries):
+    for _ in range(LIFT_TRIES):
         coeffs = [0] * (len(basis_w) + len(basis_d))
         for kv in sols:
             c = rng.randrange(field.p)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from taukit import arknit, modcat as mc
 from taukit.algebra import parse_algebra
 from taukit.cli import emit_report
-from taukit.exactlin import Mat, rank
+from taukit.exactlin import Mat, rank, solve_matrix
 from tests.conftest import d4, kronecker, lambda3, nakayama_rad2
 
 
@@ -308,5 +309,81 @@ def test_summand_indices_decompose_each_content_once(monkeypatch, L3):
     first = idx.summand_indices(M)
     first.append(-1)
     second = idx.summand_indices(M2)
-    assert len(calls["decompose"]) == 1
+    assert len(calls["decompose"]) == 0
     assert second == first[:-1] and len(second) == 3
+
+
+# -- summand multiplicities from the AR mesh --------------------------------------
+
+CYCLE3_RAD2 = """\
+field 3
+vertices 1 2 3
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+arrow c: 3 -> 1
+relation b*a
+relation c*b
+relation a*c
+"""
+
+DUAL_NUMBERS = "field 2\nvertices 1\narrow x: 1 -> 1\nrelation x*x\n"
+
+SUMMAND_ALGEBRAS = {
+    "A3-2": lambda: lambda3(p=2),
+    "A3-101": lambda: lambda3(p=101),
+    "A5rad2-2": lambda: nakayama_rad2(5, p=2),
+    "A5rad2-101": lambda: nakayama_rad2(5, p=101),
+    "D4-2": lambda: d4(p=2),
+    "cycle3rad2-3": lambda: parse_algebra(CYCLE3_RAD2),
+    "dual-numbers-2": lambda: parse_algebra(DUAL_NUMBERS),
+}
+
+
+def _invertible(field_, n, rng):
+    while True:
+        g = Mat.from_rows(field_, [[rng.randrange(field_.p) for _ in range(n)]
+                                   for _ in range(n)], cols=n)
+        if rank(g) == n:
+            return g
+
+
+def _scrambled_sum(idx, rng):
+    """A sum of up to 4 census members, conjugated at every vertex by an
+    invertible matrix, so no summand sits on its own coordinates."""
+    A = idx.algebra
+    parts = [rng.choice(idx.modules) for _ in range(rng.randint(1, 4))]
+    M = mc.direct_sum(A, parts).module
+    g = {v: _invertible(A.field, M.dims[v], rng) for v in A.vertices}
+    g_inv = {v: solve_matrix(g[v], Mat.identity(A.field, M.dims[v])) for v in A.vertices}
+    action = {a.name: g[a.target].mul(M.action[a.name]).mul(g_inv[a.source]) for a in A.arrows}
+    return mc.Module(A, M.dims, action)
+
+
+def _decompose_oracle(idx, M):
+    return sorted(idx.find_iso(X) for X, mult in mc.decompose(M).summands for _ in range(mult))
+
+
+@pytest.mark.parametrize("name", sorted(SUMMAND_ALGEBRAS))
+def test_summand_indices_match_decompose_oracle(name):
+    idx = arknit.knit_indecomposables(SUMMAND_ALGEBRAS[name]())
+    rng = random.Random(name)
+    for _ in range(24):
+        M = _scrambled_sum(idx, rng)
+        assert idx.summand_indices(M) == _decompose_oracle(idx, M)
+
+
+def test_summand_indices_reject_a_broken_mesh(censuses):
+    idx = censuses["A3"]
+    for k, (x, _, _) in enumerate(idx.ar_arrows):
+        broken = arknit.IndecIndex(idx.algebra, idx.modules,
+                                   idx.ar_arrows[:k] + idx.ar_arrows[k + 1:], dict(idx.tau_map))
+        with pytest.raises(AssertionError):
+            broken.summand_indices(idx.modules[x])
+
+
+def test_hom_dim_then_hom_basis_compute_once(monkeypatch, L3):
+    idx = arknit.knit_indecomposables(L3)
+    calls = _record_calls(monkeypatch, ["hom_basis"])
+    i, j = 0, len(idx.modules) - 1
+    assert idx.hom_dim(i, j) == len(idx.hom_basis(i, j))
+    assert len(calls["hom_basis"]) == 1

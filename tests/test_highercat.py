@@ -456,6 +456,26 @@ def test_pushout_lift_results_are_pinned():
     assert _digest(records) == PINNED["pushout_lift"]
 
 
+def test_membership_resolutions_and_gluing_decompose_nothing(monkeypatch):
+    # once the census is knitted, every summand count is read off its AR mesh
+    C, family = _glue_case(101)
+
+    def refuse(M):
+        raise AssertionError("decompose reached")
+
+    monkeypatch.setattr(mc, "decompose", refuse)
+    for seq in family:
+        assert all(C.contains(m) for m in seq.modules)
+    for M in C.host.modules:
+        for side in ("right", "left"):
+            assert hc.c_resolution(C, M, side, 2).is_exact()
+    assert len(_d_pullback_records(C, family)) == 12
+    for seqA in family:
+        for seqB in family:
+            diag = hc.glue_two_resolutions(C, seqA, seqB)
+            assert diag.split_R and diag.split_S
+
+
 def test_highercat_imports_no_random():
     # every lift is an exact factorization; no verdict rests on a seeded search
     imported = set()
