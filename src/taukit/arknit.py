@@ -55,6 +55,8 @@ class IndecIndex:
     tau_map: dict = field(default_factory=dict)  # index -> index, non-projectives only
     _hom_cache: dict = field(default_factory=dict, repr=False)  # (i, j) -> Hom basis
     _ext_cache: dict = field(default_factory=dict, repr=False)
+    _resolutions: dict = field(default_factory=dict, repr=False)  # (i, length) -> resolution of X_i
+    _ext_masks: dict = field(default_factory=dict, repr=False)  # k -> (rows, columns)
     _compose_cache: dict = field(default_factory=dict, repr=False)
     _proj_flags: list = field(default_factory=list, repr=False)
     _inj_flags: list = field(default_factory=list, repr=False)
@@ -101,8 +103,22 @@ class IndecIndex:
     def ext_dim(self, k: int, i: int, j: int) -> int:
         key = (k, i, j)
         if key not in self._ext_cache:
-            self._ext_cache[key] = mc.ext_dim(k, self.modules[i], self.modules[j])
+            if k <= 0:
+                self._ext_cache[key] = mc.ext_dim(k, self.modules[i], self.modules[j])
+            else:
+                if (i, k + 1) not in self._resolutions:
+                    self._resolutions[(i, k + 1)] = mc.projective_resolution(self.modules[i], k + 1)
+                res = self._resolutions[(i, k + 1)]
+                self._ext_cache[key] = mc.resolution_ext_dim(res, k, self.modules[j])
         return self._ext_cache[key]
+
+    def ext_masks(self, k: int) -> tuple:
+        """Bitmask rows[x] of the m with Ext^k(X_x, X_m) != 0, and columns[m] of those x."""
+        if k not in self._ext_masks:
+            ids = range(len(self.modules))
+            rows = [sum(1 << m for m in ids if self.ext_dim(k, x, m)) for x in ids]
+            self._ext_masks[k] = (rows, [sum(1 << x for x in ids if rows[x] >> m & 1) for m in ids])
+        return self._ext_masks[k]
 
     def is_projective(self, i: int) -> bool:
         return self._proj_flags[i]

@@ -21,6 +21,7 @@ including knitting's).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -161,8 +162,6 @@ def cmd_ctfind(args) -> int:
     n = len(idx.modules)
     if n > args.subset_budget:
         raise arknit.LimitExceededError(f"{n} indecomposables exceed the subset budget")
-    import itertools
-
     found = []
     for r in range(n + 1):
         for S in itertools.combinations(range(n), r):
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_ar)
 
-    p = sub.add_parser("ctfind", help="scan for d-cluster-tilting subcategories")
+    p = sub.add_parser("ctfind", help="test each subset for d-cluster-tilting on Ext tables")
     p.add_argument("--d", type=int, default=2)
     p.set_defaults(func=cmd_ctfind)
 

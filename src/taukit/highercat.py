@@ -207,29 +207,36 @@ class CTReport:
 
 
 def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
-    """Both Ext-orthogonality equalities, scanned over the whole host index."""
+    """Both Ext-orthogonality equalities, read off the census Ext bitmasks.
+
+    For each host index x, the members m with Ext^i(m, x) != 0 or Ext^i(x, m)
+    != 0 for some 0 < i < d are one AND with the member mask.  A witness is the
+    lowest such member at its lowest such degree.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     idx = C.host
+    mask = sum(1 << m for m in C.members)
+    degrees = [idx.ext_masks(i) for i in range(1, d)]
     violations = []
     for x in range(len(idx.modules)):
-        left_wit = None   # witness that x fails the left orthogonal
-        right_wit = None
-        for m in C.member_list():
-            for i in range(1, d):
-                if left_wit is None and idx.ext_dim(i, m, x) != 0:
-                    left_wit = (i, m, x, "ext(member, X) nonzero")
-                if right_wit is None and idx.ext_dim(i, x, m) != 0:
-                    right_wit = (i, x, m, "ext(X, member) nonzero")
-        inside = x in C.members
-        if inside and left_wit is not None:
-            violations.append(left_wit)
-        if inside and right_wit is not None:
-            violations.append(right_wit)
-        if not inside and left_wit is None:
-            violations.append((0, x, x, "left orthogonal module missing from C"))
-        if not inside and right_wit is None:
-            violations.append((0, x, x, "right orthogonal module missing from C"))
+        left = right = 0
+        for rows, cols in degrees:
+            left, right = left | cols[x] & mask, right | rows[x] & mask
+        if not mask >> x & 1:
+            if not left:
+                violations.append((0, x, x, "left orthogonal module missing from C"))
+            if not right:
+                violations.append((0, x, x, "right orthogonal module missing from C"))
+            continue
+        if left:
+            m = (left & -left).bit_length() - 1
+            i = next(i for i, (_, cols) in enumerate(degrees, 1) if cols[x] >> m & 1)
+            violations.append((i, m, x, "ext(member, X) nonzero"))
+        if right:
+            m = (right & -right).bit_length() - 1
+            i = next(i for i, (rows, _) in enumerate(degrees, 1) if rows[x] >> m & 1)
+            violations.append((i, x, m, "ext(X, member) nonzero"))
     return CTReport(not violations, violations)
 
 

@@ -814,14 +814,18 @@ def ext_dim(i: int, M: Module, N: Module) -> int:
         raise ValueError("i must be >= 0")
     if i == 0:
         return hom_dim(M, N)
-    res = projective_resolution(M, i + 1)
+    return resolution_ext_dim(projective_resolution(M, i + 1), i, N)
+
+
+def resolution_ext_dim(res: Resolution, i: int, N: Module) -> int:
+    """dim Ext^i(M, N) for i >= 1, read off a resolution of M of length at least i + 1."""
     if i >= len(res.verts):
         return 0
     dim_hom_i = sum(N.dims[v] for v in res.verts[i])
-    d_in = _hom_complex_diff(M.algebra, N, res.verts[i], res.verts[i - 1], res.diffs[i - 1])
+    d_in = _hom_complex_diff(N.algebra, N, res.verts[i], res.verts[i - 1], res.diffs[i - 1])
     rank_in = rank(d_in)
     if i < len(res.diffs):
-        d_out = _hom_complex_diff(M.algebra, N, res.verts[i + 1], res.verts[i], res.diffs[i])
+        d_out = _hom_complex_diff(N.algebra, N, res.verts[i + 1], res.verts[i], res.diffs[i])
         rank_out = rank(d_out)
     else:
         rank_out = 0

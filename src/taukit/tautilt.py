@@ -178,9 +178,8 @@ def fac_cap_C(T, C: Subcat) -> Subcat:
 
 def _ext_projective_members(Tclass: Subcat) -> tuple:
     """Sorted indices of the members X of the class with Ext^2(X, class) = 0."""
-    idx = Tclass.host
-    members = Tclass.member_list()
-    return tuple(i for i in members if all(idx.ext_dim(2, i, j) == 0 for j in members))
+    mask = sum(1 << j for j in Tclass.members)
+    return tuple(i for i in Tclass.member_list() if not Tclass.host.ext_masks(2)[0][i] & mask)
 
 
 def ext_projective_generator(Tclass: Subcat):

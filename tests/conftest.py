@@ -35,12 +35,17 @@ arrow b: 1 -> 2
 """
 
 
-def nakayama_rad2(n, p=101):
-    """A_n / rad^2: the linear quiver 1 -> ... -> n with all length-2 paths zero."""
+def nakayama_rad2_text(n, p=101):
+    """The spec of A_n / rad^2: the linear quiver 1 -> ... -> n with all length-2 paths zero."""
     lines = [f"field {p}", "vertices " + " ".join(str(i) for i in range(1, n + 1))]
     lines += [f"arrow a{i}: {i} -> {i + 1}" for i in range(1, n)]
     lines += [f"relation a{i + 1}*a{i}" for i in range(1, n - 1)]
-    return parse_algebra("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def nakayama_rad2(n, p=101):
+    """A_n / rad^2: the linear quiver 1 -> ... -> n with all length-2 paths zero."""
+    return parse_algebra(nakayama_rad2_text(n, p))
 
 
 def lambda3(p=101):

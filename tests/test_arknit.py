@@ -387,3 +387,27 @@ def test_hom_dim_then_hom_basis_compute_once(monkeypatch, L3):
     i, j = 0, len(idx.modules) - 1
     assert idx.hom_dim(i, j) == len(idx.hom_basis(i, j))
     assert len(calls["hom_basis"]) == 1
+
+
+# -- Ext on the census: one resolution per member and length, bitmask tables ------
+
+EXT_ALGEBRAS = {
+    "A3": lambda: lambda3(p=101),
+    "A4rad2": lambda: nakayama_rad2(4, p=101),
+    "A5rad2": lambda: nakayama_rad2(5, p=101),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXT_ALGEBRAS))
+def test_census_ext_table_matches_modcat(name):
+    idx = arknit.knit_indecomposables(EXT_ALGEBRAS[name]())
+    n = len(idx.modules)
+    for k in range(4):
+        for i in range(n):
+            for j in range(n):
+                assert idx.ext_dim(k, i, j) == mc.ext_dim(k, idx.modules[i], idx.modules[j])
+    for k in range(1, 4):
+        rows, cols = idx.ext_masks(k)
+        for i in range(n):
+            for j in range(n):
+                assert (rows[i] >> j & 1, cols[j] >> i & 1) == (bool(idx.ext_dim(k, i, j)),) * 2

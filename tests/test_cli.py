@@ -1,11 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from taukit import arknit, modcat as mc
 from taukit.cli import main
-from tests.conftest import KRONECKER_TEXT, LAMBDA3_TEXT, LOOP_TEXT, SS3_TEXT
+from tests.conftest import KRONECKER_TEXT, LAMBDA3_TEXT, LOOP_TEXT, SS3_TEXT, nakayama_rad2_text
 
 CSTAR = "1-1-0,0-1-1,0-0-1,1-0-0"
 
@@ -95,6 +98,73 @@ def test_ctfind_lambda3(lambda3_file, capsys):
     data = json.loads(out)
     # exactly one 2-cluster-tilting subcategory exists
     assert data["subcategories"] == [["0-0-1", "1-0-0", "0-1-1", "1-1-0"]]
+
+
+# the one 2-CT subcategory of A7/rad^2: the odd simples and the length-2 modules
+A7R2_CT = ["0-0-0-0-0-0-1", "0-0-0-0-1-0-0", "0-0-1-0-0-0-0", "1-0-0-0-0-0-0",
+           "0-0-0-0-0-1-1", "0-0-0-0-1-1-0", "0-0-0-1-1-0-0", "0-0-1-1-0-0-0",
+           "0-1-1-0-0-0-0", "1-1-0-0-0-0-0"]
+
+
+@pytest.fixture()
+def a7r2_file(tmp_path):
+    path = tmp_path / "a7r2.alg"
+    path.write_text(nakayama_rad2_text(7))
+    return str(path)
+
+
+def test_ctfind_a7r2(a7r2_file, capsys):
+    code, out = run_cli(capsys, a7r2_file, "ctfind", "--d", "2")
+    assert code == 0
+    assert json.loads(out) == {"d": 2, "subcategories": [A7R2_CT]}
+
+
+def test_ctfind_builds_one_resolution_per_member_and_length(a7r2_file, capsys, monkeypatch):
+    built = Counter()
+    resolve = mc.projective_resolution
+
+    def counted(M, length):
+        built[(id(M), length)] += 1
+        return resolve(M, length)
+
+    monkeypatch.setattr(mc, "projective_resolution", counted)
+    code, _ = run_cli(capsys, a7r2_file, "ctfind", "--d", "2")
+    assert code == 0
+    # 13 indecomposables, each resolved once to length 2 for Ext^1
+    assert len(built) == 13 and set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("argv", [("ctfind", "--d", "0"),
+                                  ("ctcheck", "--gens", "1-0-0", "--d", "0")])
+def test_d_below_one_is_a_usage_error(lambda3_file, capsys, monkeypatch, argv):
+    def refuse(self, k):
+        raise AssertionError("Ext table built before the d check")
+
+    monkeypatch.setattr(arknit.IndecIndex, "ext_masks", refuse)
+    code, out = run_cli(capsys, lambda3_file, *argv)
+    assert code == 4
+    assert json.loads(out) == {"error": "ValueError", "detail": "d must be >= 1"}
+
+
+A3_TEXT = """\
+field 101
+vertices 1 2 3
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+"""
+
+
+def test_ctcheck_witnesses_are_pinned(tmp_path, capsys):
+    # all six indecomposables of hereditary A3: mod A is not 2-CT, and the
+    # sha256 of the report pins every witness and its order
+    path = tmp_path / "a3.alg"
+    path.write_text(A3_TEXT)
+    code, out = run_cli(capsys, str(path), "ctcheck", "--d", "2",
+                        "--gens", "1-0-0,0-1-0,0-0-1,1-1-0,0-1-1,1-1-1")
+    assert code == 0
+    assert json.loads(out)["is_cluster_tilting"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "583dea45468b389898e0c174862f281e3450ce98d544e2e63ff38bba8251a8d2")
 
 
 def test_torsion_enum(lambda3_file, capsys):

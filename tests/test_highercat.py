@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import itertools
 import json
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
 from taukit.algebra import parse_algebra
 from taukit.exactlin import Mat, rank, solve
-from tests.conftest import lambda3, nakayama_rad2
+from tests.conftest import lambda3, nakayama_rad2, ss3
 from tests.test_acceptance import _split_family, _two_exact_family
 from tests.test_d3 import A4_RAD2, _projective_resolution_sequence
 
@@ -485,3 +486,61 @@ def test_highercat_imports_no_random():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert "random" not in imported
+
+
+# -- the d-CT test on the census Ext bitmasks, against the nested-loop scan ------
+
+
+def _scan_is_d_cluster_tilting(C, d):
+    """The d-CT test scanned over host index, member and degree: the oracle."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    idx = C.host
+    violations = []
+    for x in range(len(idx.modules)):
+        left_wit = None   # witness that x fails the left orthogonal
+        right_wit = None
+        for m in C.member_list():
+            for i in range(1, d):
+                if left_wit is None and idx.ext_dim(i, m, x) != 0:
+                    left_wit = (i, m, x, "ext(member, X) nonzero")
+                if right_wit is None and idx.ext_dim(i, x, m) != 0:
+                    right_wit = (i, x, m, "ext(X, member) nonzero")
+        inside = x in C.members
+        if inside and left_wit is not None:
+            violations.append(left_wit)
+        if inside and right_wit is not None:
+            violations.append(right_wit)
+        if not inside and left_wit is None:
+            violations.append((0, x, x, "left orthogonal module missing from C"))
+        if not inside and right_wit is None:
+            violations.append((0, x, x, "right orthogonal module missing from C"))
+    return hc.CTReport(not violations, violations)
+
+
+# (algebra, d, number of d-CT subcategories): mod A is the one 1-CT
+# subcategory, and A5/rad^2 has global dimension 4 and no 3-CT one
+CT_SCAN_CASES = {
+    "A3-d1": (lambda3, 1, 1),
+    "A3-d2": (lambda3, 2, 1),
+    "A4rad2-d3": (lambda: parse_algebra(A4_RAD2), 3, 1),
+    "SS3-d2": (ss3, 2, 1),
+    "A5rad2-2-d2": (lambda: nakayama_rad2(5, p=2), 2, 1),
+    "A5rad2-101-d2": (lambda: nakayama_rad2(5, p=101), 2, 1),
+    "A5rad2-101-d3": (lambda: nakayama_rad2(5, p=101), 3, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CT_SCAN_CASES))
+def test_bitmask_ct_check_matches_the_scan_on_every_subset(case):
+    build, d, count = CT_SCAN_CASES[case]
+    idx = arknit.knit_indecomposables(build())
+    n = len(idx.modules)
+    found = 0
+    for r in range(n + 1):
+        for S in itertools.combinations(range(n), r):
+            C = hc.Subcat.of(idx, S)
+            rep = hc.is_d_cluster_tilting(C, d)
+            assert rep == _scan_is_d_cluster_tilting(C, d), S
+            found += rep.ok
+    assert found == count
