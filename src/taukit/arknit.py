@@ -17,6 +17,9 @@ Summand multiplicities are read off the certified mesh, with no search:
 Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
 AssertionError.  The one Hom cache holds bases; hom_dim is a basis length.
+Maps between sums of members are rows of Hom-basis coordinates: `precompose`
+reads g -> g o F off the compose table and `map_at` gives one vertex's matrix.
+`tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import modcat as mc
-from .algebra import Algebra
+from .algebra import Algebra, quotient_by_idempotent
 from .exactlin import Mat, rref, solve_matrix
 
 
@@ -58,6 +61,9 @@ class IndecIndex:
     _resolutions: dict = field(default_factory=dict, repr=False)  # (i, length) -> resolution of X_i
     _ext_masks: dict = field(default_factory=dict, repr=False)  # k -> (rows, columns)
     _compose_cache: dict = field(default_factory=dict, repr=False)
+    _radicals: dict = field(default_factory=dict, repr=False)  # i -> rad End(X_i) coordinates
+    _quotient_projectives: dict = field(default_factory=dict, repr=False)  # e -> indices
+    _tau2: dict = field(default_factory=dict, repr=False)  # (e, j) -> (tau_2 X_j over A/<e>, row)
     _proj_flags: list = field(default_factory=list, repr=False)
     _inj_flags: list = field(default_factory=list, repr=False)
 
@@ -99,6 +105,88 @@ class IndecIndex:
             raise AssertionError(f"a composite X_{i} -> X_{k} left the span of its Hom basis")
         cols = coords.columns()
         return [cols[a * len(first):(a + 1) * len(first)] for a in range(len(second))]
+
+    def radical(self, i: int, j: int) -> list:
+        """Coordinates over hom_basis(i, j) of a basis of rad(X_i, X_j), all of Hom for i != j."""
+        if i != j:
+            n = self.hom_dim(i, j)
+            return [tuple(int(a == b) for b in range(n)) for a in range(n)]
+        if i not in self._radicals:
+            flat = [mc.flatten_endo(f) for f in self.hom_basis(i, i)]
+            rad = mc.radical_of_endos(self.algebra.field, flat)
+            if len(flat) - len(rad) != 1:
+                raise AssertionError(f"End(X_{i}) modulo its radical is not the ground field")
+            self._radicals[i] = rad
+        return self._radicals[i]
+
+    def precompose(self, F, src, mid, k) -> Mat:
+        """The matrix of g -> g o F, Hom(+mid, X_k) -> Hom(+src, X_k), for F: +src -> +mid.
+
+        A map from a sum of census members into X_k is a row: its coordinates
+        in the hom_basis of each summand and k, in turn.  F is one such row per
+        summand of mid.  The entries are read off the compose table.
+        """
+        row_at, col_at = self._offsets(src, k), self._offsets(mid, k)
+        out = [[0] * col_at[-1] for _ in range(row_at[-1])]
+        for b, m in enumerate(mid):
+            f_at = self._offsets(src, m)
+            for a, s in enumerate(src):
+                f = F[b][f_at[a]:f_at[a + 1]]
+                table = self.compose(s, m, k) if any(f) else ()
+                for c, products in enumerate(table):
+                    for y, coords in zip(f, products):
+                        for t, z in enumerate(coords if y else ()):
+                            out[row_at[a] + t][col_at[b] + c] += y * z
+        return Mat.from_rows(self.algebra.field, out, cols=col_at[-1])
+
+    def _offsets(self, summands, k) -> list:
+        """Where the block of each summand starts in a row into X_k, and the row length."""
+        out = [0]
+        for s in summands:
+            out.append(out[-1] + self.hom_dim(s, k))
+        return out
+
+    def map_at(self, F, src, tgt, v) -> Mat:
+        """The matrix at vertex v of F: +src -> +tgt, one `precompose` row per tgt summand."""
+        rows = []
+        for b, t in enumerate(tgt):
+            for r in range(self.modules[t].dims[v]):
+                row, at = [], 0
+                for s in src:
+                    entries = [0] * self.modules[s].dims[v]
+                    for coef, f in zip(F[b][at:], self.hom_basis(s, t)):
+                        for q, x in enumerate(f.mats[v].data[r] if coef else ()):
+                            entries[q] += coef * x
+                    at += self.hom_dim(s, t)
+                    row += entries
+                rows.append(row)
+        return Mat.from_rows(self.algebra.field, rows, cols=sum(self.modules[s].dims[v] for s in src))
+
+    def quotient_projectives(self, e: frozenset) -> tuple:
+        """Census indices of the indecomposable projectives of A/<e>, read as A-modules."""
+        if e not in self._quotient_projectives:
+            Aq = quotient_by_idempotent(self.algebra, e) if e else self.algebra
+            found = [self.find_iso(mc.induce_module(mc.projective(Aq, v), self.algebra))
+                     for v in Aq.vertices]
+            if None in found:
+                raise AssertionError(f"a projective of A/<{sorted(e)}> is missing from the census")
+            self._quotient_projectives[e] = tuple(found)
+        return self._quotient_projectives[e]
+
+    def tau2_row(self, e: frozenset, j: int) -> tuple:
+        """tau_2 X_j over A/<e> as an A-module, and the bitmask of the i with Hom(X_i, it) != 0.
+
+        X_j must vanish on e.  Hom between modules that e kills is the same over
+        A and over A/<e>, so the row is read over A, only at the X_i that vanish
+        on e.  Computed once per (e, j).
+        """
+        if (e, j) not in self._tau2:
+            Aq = quotient_by_idempotent(self.algebra, e) if e else self.algebra
+            t = mc.induce_module(mc.tau_d(mc.restrict_module(self.modules[j], Aq), 2), self.algebra)
+            row = sum(1 << i for i, Y in enumerate(self.modules)
+                      if not any(Y.dims[v] for v in e) and mc.hom_dim(Y, t))
+            self._tau2[(e, j)] = (t, row)
+        return self._tau2[(e, j)]
 
     def ext_dim(self, k: int, i: int, j: int) -> int:
         key = (k, i, j)

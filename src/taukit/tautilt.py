@@ -1,7 +1,10 @@
 """tau_2-tilting recognition and the correspondence with 2-ff torsion pairs.
 
-Support is handled by the maximal vertex idempotent e killing the module T;
-T is transported to the quotient A/<e>.  Two named readings of "support
+Support is handled by the maximal vertex idempotent e killing the module T.
+An A/<e>-module is an A-module that e kills, with the same Hom spaces, so T
+and A/<e> stay on the census of A: tau_2 is additive, so rigidity is read off
+one tau_2 row per (e, summand), and the add-T coresolution of A/<e> is rank
+work on Hom-basis blocks (`_coresolution`).  Two named readings of "support
 tau_2-tilting" are available (`DEFINITIONS`), as higher analogues of the
 support tau-tilting pairs of Adachi-Iyama-Reiten, *tau-tilting theory*
 (Compos. Math. 2014):
@@ -29,28 +32,18 @@ from . import highercat as hc
 from . import modcat as mc
 from . import torsion as tn
 from .algebra import Algebra
-from .exactlin import Mat, rref
+from .exactlin import Mat, kernel_basis, rank, rref
 from .highercat import ExactSeq, Subcat
 from .torsion import TooLargeError
 
 DEFINITIONS = ("ambient", "quotient")
 
 
-def _summands(T, A: Algebra) -> list:
-    """The indecomposable summands of T, one per iso class.
-
-    A Module T is decomposed.  Any other T is a sequence of pairwise
-    non-isomorphic indecomposables (census members, say) and is returned as
-    given, with no check that it is one.
-    """
+def _members(T, idx) -> tuple:
+    """Sorted census indices of T's summands, one per iso class; T is a Module or indices."""
     if isinstance(T, mc.Module):
-        if T.algebra != A:
-            raise ValueError("module is not over the given algebra")
-        return [X for X, _ in mc.decompose(T).summands] if not T.is_zero() else []
-    summands = list(T)
-    if any(X.algebra != A for X in summands):
-        raise ValueError("module is not over the given algebra")
-    return summands
+        return tuple(sorted(set(idx.summand_indices(T))))
+    return tuple(sorted(T))
 
 
 def add_coresolution(M, T, maxlen: int, mono_start: bool = True) -> ExactSeq | None:
@@ -61,10 +54,17 @@ def add_coresolution(M, T, maxlen: int, mono_start: bool = True) -> ExactSeq | N
     or the chain runs past maxlen.  With mono_start=False the first map
     M -> T_0 may fail to be injective, giving the exact sequence
     M -> T_0 -> ... -> T_k -> 0 that starts with a left approximation.
-    T is a module, or the list of its indecomposable summands, pairwise
-    non-isomorphic, which is then used without being decomposed.
+    T is a module, which is decomposed, or the list of its indecomposable
+    summands, pairwise non-isomorphic, which is used as given.  This is the
+    module-level construction behind `is_2_tilting`; the support tau_2-tilting
+    test runs the same recursion on census tables (`_coresolution`).
     """
-    members = _summands(T, M.algebra)
+    if isinstance(T, mc.Module):
+        members = [X for X, _ in mc.decompose(T).summands] if not T.is_zero() else []
+    else:
+        members = list(T)
+    if any(X.algebra != M.algebra for X in members):
+        raise ValueError("module is not over the given algebra")
     if M.is_zero():
         return ExactSeq([M], [])
     modules = [M]
@@ -89,13 +89,63 @@ def add_coresolution(M, T, maxlen: int, mono_start: bool = True) -> ExactSeq | N
     return None
 
 
+def _coresolution(idx, source, members, maxlen: int, mono_start: bool) -> list | None:
+    """`add_coresolution` of +source by +members, all census indices, on tables.
+
+    Returns the terms T_0, T_1, ... as sorted census indices with
+    multiplicity, or None.  A map between sums is one `precompose` row per
+    target summand.  With F: T_{k-1} -> T_k the step before and Q its
+    cokernel, Hom(Q, X_i) is K_i, the maps T_k -> X_i that kill F, and the
+    minimal left add-T approximation Q -> T_{k+1} takes, for each member i, a
+    basis of K_i modulo sum_j rad(X_j, X_i) o K_j.  It is injective when
+    rank F + rank G = dim T_k at every vertex, and Q = 0 when G is onto.
+    A nonzero G o F at some vertex is an AssertionError.
+    """
+    vertices, field = idx.algebra.vertices, idx.algebra.field
+    terms: list = []
+    cur, prev, F, F_at = list(source), None, None, None
+    for _ in range(maxlen + 1 if cur else 0):
+        K = {i: _killing(idx, F, prev, cur, i) for i in members}
+        nxt, G = [], []
+        for i in (i for i in members if K[i]):
+            rad = [idx.precompose([kappa], cur, [j], i).apply(r)
+                   for j in members for kappa in K[j] for r in idx.radical(j, i)]
+            rows = sum(idx.hom_dim(c, i) for c in cur)
+            pivots = rref(Mat.from_columns(field, rad + K[i], rows=rows)).pivots
+            G += [K[i][c - len(rad)] for c in pivots if c >= len(rad)]
+            nxt += [i] * (len(G) - len(nxt))
+        G_at = {v: idx.map_at(G, cur, nxt, v) for v in vertices}
+        ranks = {v: rank(G_at[v]) for v in vertices}
+        dims = {v: sum(idx.modules[c].dims[v] for c in cur) for v in vertices}
+        if F is None:
+            exact = not mono_start or ranks == dims
+        else:
+            if any(not G_at[v].mul(F_at[v]).is_zero() for v in vertices):
+                raise AssertionError("coresolution failed its own exactness check")
+            exact = all(rank(F_at[v]) + ranks[v] == dims[v] for v in vertices)
+        if not exact:
+            return None
+        terms.append(nxt)
+        if all(ranks[v] == sum(idx.modules[c].dims[v] for c in nxt) for v in vertices):
+            return terms
+        prev, F, F_at, cur = cur, G, G_at, nxt
+    return None if cur else terms
+
+
+def _killing(idx, F, prev, cur, i) -> list:
+    """A basis of the rows g: +cur -> X_i with g o F = 0, all of Hom when F is None."""
+    if F is None:
+        n = sum(idx.hom_dim(c, i) for c in cur)
+        return [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    return kernel_basis(idx.precompose(F, prev, cur, i))
+
+
 @dataclass
 class SupportTau2Cert:
-    module: object                 # the basic module over the original algebra
+    members: tuple                 # sorted census indices of the summands of the basic module
     support_complement: frozenset  # vertices e with e.T = 0
-    quotient: Algebra
-    quotient_module: object
-    coresolution: ExactSeq
+    source: tuple                  # census indices of the projectives of A/<e>, as A-modules
+    coresolution: list             # T0, T1, ... as sorted census indices with multiplicity
 
 
 @dataclass
@@ -103,43 +153,39 @@ class NotSupportTau2:
     reason: str
 
 
-def is_support_tau2_tilting(T, A: Algebra, definition: str = "ambient"):
+def is_support_tau2_tilting(T, idx, definition: str = "ambient"):
     """SupportTau2Cert for a support tau_2-tilting module, NotSupportTau2 otherwise.
 
-    T is a module over A, or the list of its indecomposable summands,
-    pairwise non-isomorphic (a tuple of census members, say); a list is used
-    as given and never decomposed, and the certificate's module is its direct
-    sum.  `definition` names the reading (see the module docstring):
-    "ambient" adds tau_2-rigidity over A to the checks over A/<e> and lets the
-    sequence A/<e> -> T0 -> T1 -> T2 -> 0 start with a non-injective left
-    add(T)-approximation; "quotient" checks rigidity over A/<e> only and asks
-    for an injective start.
+    T is a module, placed on the census `idx` with `summand_indices`, or its
+    summands as census indices.  No module is built: tau_2 rigidity is one
+    AND per summand with an `IndecIndex.tau2_row`, and A/<e> -> T0 -> T1 ->
+    T2 -> 0 is `_coresolution` from the projectives of A/<e>.  "ambient" asks
+    for tau_2-rigidity over A, read first, and over A/<e>, and lets the
+    sequence start with a non-injective left add(T)-approximation;
+    "quotient" checks rigidity over A/<e> only and asks for an injective start.
     """
     if definition not in DEFINITIONS:
         raise ValueError(f"unknown definition {definition!r}; expected one of {DEFINITIONS}")
     ambient = definition == "ambient"
-    summands = _summands(T, A)
-    basic = mc.direct_sum(A, summands).module if summands else mc.zero_module(A)
-    e = frozenset(mc.annihilator_vertices([basic])) if A.vertices else frozenset()
-    Aq = algebra_mod.quotient_by_idempotent(A, e)
-    Tq = mc.restrict_module(basic, Aq)
-    for v in Aq.vertices:
-        if Tq.dims[v] == 0:
-            raise AssertionError("support complement was not maximal")
-    tau2 = mc.tau_d(Tq, 2)
-    if mc.hom_dim(Tq, tau2) != 0:
-        return NotSupportTau2("Hom(T, tau2 T) nonzero over the support quotient")
-    # with e empty the quotient is A, so the check above already ran over A
-    if ambient and e and mc.hom_dim(basic, mc.tau_d(basic, 2)) != 0:
+    members = _members(T, idx)
+    e = frozenset(v for v in idx.algebra.vertices
+                  if all(idx.modules[i].dims[v] == 0 for i in members))
+    mask = sum(1 << i for i in members)
+
+    def rigid(kill):
+        return not any(idx.tau2_row(kill, j)[1] & mask for j in members)
+
+    if ambient and not rigid(frozenset()):
         return NotSupportTau2("not tau2-rigid over A: Hom_A(T, tau2 T) nonzero")
-    reg = mc.regular_module(Aq).module
-    # restriction to A/<e> keeps the summands indecomposable and non-isomorphic
-    cores = add_coresolution(reg, [mc.restrict_module(X, Aq) for X in summands], 2,
-                             mono_start=not ambient)
-    if cores is None:
+    # with e empty the quotient is A, so an ambient check has already run over it
+    if (e or not ambient) and not rigid(e):
+        return NotSupportTau2("Hom(T, tau2 T) nonzero over the support quotient")
+    source = idx.quotient_projectives(e)
+    terms = _coresolution(idx, source, members, 2, mono_start=not ambient)
+    if terms is None:
         start = "A/<e>" if ambient else "0 -> A/<e>"
         return NotSupportTau2(f"no add-T coresolution {start} -> T0 -> T1 -> T2 -> 0")
-    return SupportTau2Cert(basic, e, Aq, Tq, cores)
+    return SupportTau2Cert(members, e, source, terms)
 
 
 def is_2_tilting(T, A: Algebra):
@@ -166,14 +212,22 @@ def is_2_tilting(T, A: Algebra):
 
 
 def fac_cap_C(T, C: Subcat) -> Subcat:
-    """The subcategory of members of C lying in Fac T."""
+    """The subcategory of members of C lying in Fac T.
+
+    T is a module or census indices (see `is_support_tau2_tilting`).  X_k lies
+    in Fac T exactly when the maps X_i -> X_k, i in T, together are onto: at
+    each vertex v the hom_basis(i, k) matrices span (X_k)_v.
+    """
+    idx = C.host
+    members = _members(T, idx)
+    field = idx.algebra.field
     keep = []
-    for i in C.member_list():
-        X = C.host.modules[i]
-        tr, _ = mc.trace_from(T, X)
-        if tr.dims == X.dims:
-            keep.append(i)
-    return Subcat.of(C.host, keep)
+    for k in C.member_list():
+        X = idx.modules[k]
+        if all(rank(Mat.hstack(field, [f.mats[v] for i in members for f in idx.hom_basis(i, k)],
+                               rows=X.dims[v])) == X.dims[v] for v in idx.algebra.vertices):
+            keep.append(k)
+    return Subcat.of(idx, keep)
 
 
 def _ext_projective_members(Tclass: Subcat) -> tuple:
@@ -265,17 +319,22 @@ def support_tau2_tilting_modules(A: Algebra, C: Subcat, max_members: int = 20,
     """All support tau_2-tilting modules among basic sums of members of C.
 
     Returns sorted (member tuple, SupportTau2Cert) pairs, under the named
-    `definition` (see `is_support_tau2_tilting`).  Each candidate is checked
-    as its list of members, so no sum is built and decomposed.
+    `definition` (see `is_support_tau2_tilting`), which is called once per
+    subset of C.  tau_2 of each member over A must be 0 or a member
+    (Iyama 2007), else AssertionError.
     """
     n = len(C.members)
     if n > max_members:
         raise TooLargeError(f"{n} members exceeds the subset budget {max_members}")
     idx = C.host
+    for j in C.member_list():
+        t, _ = idx.tau2_row(frozenset(), j)
+        if not t.is_zero() and idx.find_iso(t) not in C.members:
+            raise AssertionError(f"tau_2 of member {j} is neither 0 nor a member of C")
     tilting = []
     for r in range(n + 1):
         for S in itertools.combinations(C.member_list(), r):
-            res = is_support_tau2_tilting([idx.modules[i] for i in S], A, definition)
+            res = is_support_tau2_tilting(S, idx, definition)
             if isinstance(res, SupportTau2Cert):
                 tilting.append((S, res))
     tilting.sort(key=lambda t: t[0])
@@ -296,9 +355,8 @@ def verify_theorem1(A: Algebra, C: Subcat, max_members: int = 20,
     pair_by_T = {p.T.key(): p for p in pairs}
     mismatches = []
     phi = {}
-    for key, cert in tilting:
-        T = cert.module
-        fac = fac_cap_C(T, C)
+    for key, _ in tilting:
+        fac = fac_cap_C(key, C)
         phi[key] = fac.key()
         if fac.key() not in pair_by_T:
             mismatches.append(("phi misses a torsion class", key, fac.key()))

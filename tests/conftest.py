@@ -48,6 +48,38 @@ def nakayama_rad2(n, p=101):
     return parse_algebra(nakayama_rad2_text(n, p))
 
 
+def auslander_linear_text(n, p=101):
+    """The spec of the Auslander algebra of kA_n, 1 -> ... -> n: the AR quiver of kA_n with mesh relations.
+
+    Vertex (i, j), 1 <= i <= j <= n, is the interval module, numbered in
+    lexicographic order; arrows go right (i, j) -> (i, j + 1) and down
+    (i, j) -> (i + 1, j).  Each mesh gives the relation down*right = right*down,
+    or down*right = 0 at (i, i), where there is no (i + 1, i).
+    """
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    number = {c: k + 1 for k, c in enumerate(cells)}
+    names = iter("abcdefghijklmnopqrstuvwxyz")
+    right, down, arrows = {}, {}, []
+    for i, j in cells:
+        for table, target in ((right, (i, j + 1)), (down, (i + 1, j))):
+            if target in number:
+                table[(i, j)] = next(names)
+                arrows.append(f"arrow {table[(i, j)]}: {number[(i, j)]} -> {number[target]}")
+    relations = []
+    for i, j in cells:
+        if (i, j) in right and (i + 1, j + 1) in number:
+            path = f"{down[(i, j + 1)]}*{right[(i, j)]}"
+            relations.append(f"relation {path} + -1*{right[(i + 1, j)]}*{down[(i, j)]}"
+                             if (i, j) in down else f"relation {path}")
+    lines = [f"field {p}", "vertices " + " ".join(map(str, number.values()))]
+    return "\n".join(lines + arrows + relations) + "\n"
+
+
+def auslander_linear(n, p=101):
+    """The Auslander algebra of kA_n, linearly oriented (see `auslander_linear_text`)."""
+    return parse_algebra(auslander_linear_text(n, p))
+
+
 def lambda3(p=101):
     return parse_algebra(LAMBDA3_TEXT.format(p=p))
 

@@ -299,7 +299,7 @@ def test_criterion_9_quotient_tilting(L101, idx101, cstar101):
     for key, cert in report.tilting:
         if cert.support_complement:
             continue
-        T = cert.module
+        T = mc.direct_sum(L101, [idx101.modules[i] for i in key]).module
         if not mc.annihilator_is_zero(T):
             continue
         ok, _ = tt.is_2_tilting(T, L101)
@@ -314,9 +314,11 @@ def test_criterion_9_quotient_tilting(L101, idx101, cstar101):
         rhs = mc.hom_dim(coreg, mc.tau_d(M, 2)) == 0
         assert lhs == rhs, M.dim_vector()
     # faithful-case lemma: faithful with Hom(T, tau2 T) = 0 implies proj.dim <= 2
-    for key, cert in report.tilting:
-        T = cert.module
-        if T.is_zero() or not mc.annihilator_is_zero(T):
+    for key, _ in report.tilting:
+        if not key:
+            continue
+        T = mc.direct_sum(L101, [idx101.modules[i] for i in key]).module
+        if not mc.annihilator_is_zero(T):
             continue
         if mc.hom_dim(T, mc.tau_d(T, 2)) == 0:
             pd = mc.proj_dim(T)

@@ -9,7 +9,7 @@ import pytest
 from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
 from taukit.algebra import parse_algebra
 from taukit.exactlin import Mat, rank, solve
-from tests.conftest import lambda3, nakayama_rad2, ss3
+from tests.conftest import auslander_linear, lambda3, nakayama_rad2, ss3
 from tests.test_acceptance import _split_family, _two_exact_family
 from tests.test_d3 import A4_RAD2, _projective_resolution_sequence
 
@@ -348,6 +348,33 @@ def test_tau2_sends_ct_members_into_ct_or_zero(n, p):
             images[idx.modules[i].dim_vector()] = idx.modules[summands[0]].dim_vector()
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     assert images == {unit[i]: unit[i + 2] for i in range(0, n - 2, 2)}
+
+
+def auslander_ct(idx):
+    """The 2-CT subcategory of a higher Auslander algebra: add of tau_2^-k of the projectives."""
+    members = {i for i in range(len(idx.modules)) if idx.is_projective(i)}
+    todo = sorted(members)
+    while todo:
+        new = set(idx.summand_indices(mc.tau_d_inv(idx.modules[todo.pop()], 2))) - members
+        members |= new
+        todo += sorted(new)
+    return hc.Subcat.of(idx, members)
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_tau2_sends_auslander_ct_members_into_ct_or_zero(p):
+    # tau_2 maps the non-projective members of C onto the non-injective ones (Iyama 2007)
+    idx = arknit.knit_indecomposables(auslander_linear(3, p))
+    C = auslander_ct(idx)
+    assert hc.is_d_cluster_tilting(C, 2).ok and len(C.members) == 10
+    images = {}
+    for i in C.member_list():
+        summands = idx.summand_indices(mc.tau_d(idx.modules[i], 2))
+        assert len(summands) <= 1 and set(summands) <= C.members, i
+        if summands:
+            images[i] = summands[0]
+    assert set(images) == {i for i in C.members if not idx.is_projective(i)}
+    assert sorted(images.values()) == sorted(i for i in C.members if not idx.is_injective(i))
 
 
 # -- pinned outputs of the d-pullback and gluing constructions ------------------------

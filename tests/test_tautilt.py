@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import pytest
 
 from taukit import arknit, highercat as hc, modcat as mc, tautilt as tt
-from taukit.algebra import quotient_by_idempotent
-from tests.conftest import nakayama_rad2
+from taukit.algebra import parse_algebra, quotient_by_idempotent
+from tests.conftest import auslander_linear, nakayama_rad2
+from tests.test_highercat import _nakayama_rad2_ct, auslander_ct
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +22,10 @@ def by_vec(idx):
 def Cstar(L3idx):
     vecs = by_vec(L3idx)
     return hc.Subcat.of(L3idx, [vecs[(1, 1, 0)], vecs[(0, 1, 1)], vecs[(0, 0, 1)], vecs[(1, 0, 0)]])
+
+
+def total_dims(idx, indices):
+    return tuple(map(sum, zip(*(idx.modules[i].dim_vector() for i in indices))))
 
 
 def mods(L3idx, *dimvecs):
@@ -57,7 +63,7 @@ def test_add_coresolution_respects_maxlen(L3idx, L3):
 
 def test_regular_module_is_tau2_tilting(L3idx, L3):
     reg = mc.regular_module(L3).module
-    res = tt.is_support_tau2_tilting(reg, L3)
+    res = tt.is_support_tau2_tilting(reg, L3idx)
     assert isinstance(res, tt.SupportTau2Cert)
     assert res.support_complement == frozenset()
 
@@ -65,26 +71,26 @@ def test_regular_module_is_tau2_tilting(L3idx, L3):
 def test_fixture_module_is_tau2_tilting(L3idx, L3):
     P1, P2, S1 = mods(L3idx, (1, 1, 0), (0, 1, 1), (1, 0, 0))
     T = mc.direct_sum(L3, [P1, P2, S1]).module
-    res = tt.is_support_tau2_tilting(T, L3)
+    res = tt.is_support_tau2_tilting(T, L3idx)
     assert isinstance(res, tt.SupportTau2Cert)
     assert res.support_complement == frozenset()
-    dims = [m.dim_vector() for m in res.coresolution.modules]
+    dims = [total_dims(L3idx, term) for term in [res.source] + res.coresolution]
     assert dims[0] == (1, 2, 2)  # the regular module
     assert len(dims) <= 5
 
 
 def test_s3_is_support_tau2_tilting(L3idx, L3):
     (S3,) = mods(L3idx, (0, 0, 1))
-    res = tt.is_support_tau2_tilting(S3, L3)
+    res = tt.is_support_tau2_tilting(S3, L3idx)
     assert isinstance(res, tt.SupportTau2Cert)
     assert res.support_complement == {"1", "2"}
-    assert res.quotient.dim == 1
+    assert res.source == (by_vec(L3idx)[(0, 0, 1)],)  # the one-dimensional quotient, as S3
 
 
 def test_s2_is_support_tau2_tilting_with_support_2(L3idx, L3):
     # over the quotient at its support, S2 becomes the regular module of K
     (S2,) = mods(L3idx, (0, 1, 0))
-    res = tt.is_support_tau2_tilting(S2, L3)
+    res = tt.is_support_tau2_tilting(S2, L3idx)
     assert isinstance(res, tt.SupportTau2Cert)
     assert res.support_complement == {"1", "3"}
 
@@ -93,7 +99,7 @@ def test_tau2_condition_rejects(L3idx, L3):
     # P1 + S3 + S1 has tau2(T) = S3 and Hom(S3, S3) != 0
     P1, S3, S1 = mods(L3idx, (1, 1, 0), (0, 0, 1), (1, 0, 0))
     T = mc.direct_sum(L3, [P1, S3, S1]).module
-    res = tt.is_support_tau2_tilting(T, L3)
+    res = tt.is_support_tau2_tilting(T, L3idx)
     assert isinstance(res, tt.NotSupportTau2)
     assert "tau2" in res.reason
 
@@ -102,7 +108,7 @@ def test_coresolution_condition_rejects(L3idx, L3):
     # P1 + P2 is faithful with tau2 = 0 but A has no add-coresolution
     P1, P2 = mods(L3idx, (1, 1, 0), (0, 1, 1))
     T = mc.direct_sum(L3, [P1, P2]).module
-    res = tt.is_support_tau2_tilting(T, L3)
+    res = tt.is_support_tau2_tilting(T, L3idx)
     assert isinstance(res, tt.NotSupportTau2)
     assert "coresolution" in res.reason
 
@@ -161,7 +167,7 @@ def test_quotient_tilting_lemma_on_fixture(L3idx, L3):
     reg = mc.regular_module(L3).module
     T = mc.direct_sum(L3, [P1, P2, S1]).module
     for module in (reg, T):
-        res = tt.is_support_tau2_tilting(module, L3)
+        res = tt.is_support_tau2_tilting(module, L3idx)
         assert isinstance(res, tt.SupportTau2Cert)
         if res.support_complement:
             continue
@@ -221,10 +227,10 @@ def test_s3_s1_is_not_tau2_rigid_over_a(L3idx, L3):
     S3, S1 = mods(L3idx, (0, 0, 1), (1, 0, 0))
     assert mc.tau_d(S1, 2).dim_vector() == (0, 0, 1)
     T = mc.direct_sum(L3, [S3, S1]).module
-    res = tt.is_support_tau2_tilting(T, L3)
+    res = tt.is_support_tau2_tilting(T, L3idx)
     assert isinstance(res, tt.NotSupportTau2)
     assert "rigid over A" in res.reason
-    assert isinstance(tt.is_support_tau2_tilting(T, L3, definition="quotient"),
+    assert isinstance(tt.is_support_tau2_tilting(T, L3idx, definition="quotient"),
                       tt.SupportTau2Cert)
 
 
@@ -237,35 +243,39 @@ def test_sincere_unfaithful_generator_on_a5_rad2():
     vecs = by_vec(idx)
     dims = [(1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 1)]
     T = mc.direct_sum(A, [idx.modules[vecs[dv]] for dv in dims]).module
-    res = tt.is_support_tau2_tilting(T, A)
+    res = tt.is_support_tau2_tilting(T, idx)
     assert isinstance(res, tt.SupportTau2Cert)
     assert res.support_complement == frozenset()
-    assert not res.coresolution.maps[0].is_mono()
-    assert res.coresolution.is_exact(mono_start=False)
-    quotient = tt.is_support_tau2_tilting(T, A, definition="quotient")
+    # the module-level construction shows the first map and agrees term by term
+    seq = tt.add_coresolution(mc.regular_module(A).module, [idx.modules[i] for i in res.members],
+                              2, mono_start=False)
+    assert not seq.maps[0].is_mono()
+    assert seq.is_exact(mono_start=False)
+    assert [idx.summand_indices(M) for M in seq.modules[1:]] == res.coresolution
+    quotient = tt.is_support_tau2_tilting(T, idx, definition="quotient")
     assert isinstance(quotient, tt.NotSupportTau2)
     assert "coresolution" in quotient.reason
 
 
-def test_unknown_definition_is_rejected(L3):
+def test_unknown_definition_is_rejected(L3idx, L3):
     reg = mc.regular_module(L3).module
     with pytest.raises(ValueError):
-        tt.is_support_tau2_tilting(reg, L3, definition="faithful")
+        tt.is_support_tau2_tilting(reg, L3idx, definition="faithful")
 
 
 @pytest.mark.parametrize("definition", tt.DEFINITIONS)
 def test_member_list_matches_direct_sum(L3idx, L3, Cstar, definition):
-    # a list of census members is checked as given, with the same verdict as its sum
+    # census indices are checked as given, with the same verdict as their sum
     members = Cstar.member_list()
     for r in range(len(members) + 1):
         for S in itertools.combinations(members, r):
             summands = [L3idx.modules[i] for i in S]
             as_sum = mc.direct_sum(L3, summands).module if S else mc.zero_module(L3)
-            listed = tt.is_support_tau2_tilting(summands, L3, definition)
-            summed = tt.is_support_tau2_tilting(as_sum, L3, definition)
+            listed = tt.is_support_tau2_tilting(S, L3idx, definition)
+            summed = tt.is_support_tau2_tilting(as_sum, L3idx, definition)
             assert type(listed) is type(summed), S
             if isinstance(summed, tt.SupportTau2Cert):
-                assert listed.support_complement == summed.support_complement
+                assert listed == summed
             else:
                 assert listed.reason == summed.reason
 
@@ -311,3 +321,198 @@ def test_proj_dim_hom_da_equivalence_other_fixtures(SS3, A2):
             lhs = pd is not None and pd <= 2
             rhs = mc.hom_dim(coreg, mc.tau_d(M, 2)) == 0
             assert lhs == rhs
+
+
+# -- the census-table decision against the module-level constructions ------------------
+
+CYCLE2_RAD3 = """\
+field 3
+vertices 1 2
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+relation a*b*a
+relation b*a*b
+"""
+
+TRUNCATED_X3 = "field 3\nvertices 1\narrow x: 1 -> 1\nrelation x*x*x\n"
+
+
+def _support_complement(idx, S):
+    return frozenset(v for v in idx.algebra.vertices
+                     if all(idx.modules[i].dims[v] == 0 for i in S))
+
+
+def _oracle_terms(idx, S, mono_start):
+    """The module-level add-T coresolution of A/<e>, run over A/<e>, as census indices."""
+    A = idx.algebra
+    e = _support_complement(idx, S)
+    Aq = quotient_by_idempotent(A, e) if e else A
+    summands = [mc.restrict_module(idx.modules[i], Aq) for i in S]
+    seq = tt.add_coresolution(mc.regular_module(Aq).module, summands, 2, mono_start=mono_start)
+    if seq is None:
+        return None
+    return [idx.summand_indices(mc.induce_module(M, A)) for M in seq.modules[1:]]
+
+
+def _table_terms(idx, S, mono_start):
+    source = idx.quotient_projectives(_support_complement(idx, S))
+    return tt._coresolution(idx, source, S, 2, mono_start)
+
+
+def _case(name):
+    """(census, the member tuples to check) for each oracle case."""
+    if name == "A3":
+        idx = arknit.knit_indecomposables(nakayama_rad2(3))
+        members = _nakayama_rad2_ct(idx, 3).member_list()
+    elif name.startswith("A5rad2"):
+        idx = arknit.knit_indecomposables(nakayama_rad2(5, int(name.split("-")[1])))
+        members = _nakayama_rad2_ct(idx, 5).member_list()
+    else:  # End(P_v) has a radical here, so the j = i term of the top matters
+        idx = arknit.knit_indecomposables(parse_algebra(CYCLE2_RAD3 if name == "cycle2rad3"
+                                                        else TRUNCATED_X3))
+        members = list(range(len(idx.modules)))
+    subsets = [S for r in range(len(members) + 1) for S in itertools.combinations(members, r)]
+    return idx, subsets
+
+
+@pytest.mark.parametrize("mono_start", [True, False])
+@pytest.mark.parametrize("name", ["A3", "A5rad2-2", "A5rad2-101", "cycle2rad3", "x3"])
+def test_table_coresolution_matches_module_oracle(name, mono_start):
+    idx, subsets = _case(name)
+    accepted = 0
+    for S in subsets:
+        expected = _oracle_terms(idx, S, mono_start)
+        assert _table_terms(idx, S, mono_start) == expected, S
+        accepted += expected is not None
+    assert accepted
+
+
+def test_table_coresolution_matches_oracle_on_a7_rigid_cliques():
+    idx = arknit.knit_indecomposables(nakayama_rad2(7))
+    members = _nakayama_rad2_ct(idx, 7).member_list()
+    tau2 = {j: mc.tau_d(idx.modules[j], 2) for j in members}
+    clash = {(i, j) for i in members for j in members if mc.hom_dim(idx.modules[i], tau2[j])}
+    rigid = [S for r in range(len(members) + 1) for S in itertools.combinations(members, r)
+             if not any((i, j) in clash for i in S for j in S)]
+    assert len(rigid) == 352
+    for S in rigid:
+        assert _table_terms(idx, S, False) == _oracle_terms(idx, S, False), S
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_tau2_rows_match_module_rigidity_on_a5(p):
+    A = nakayama_rad2(5, p)
+    idx = arknit.knit_indecomposables(A)
+    members = _nakayama_rad2_ct(idx, 5).member_list()
+    for r in range(1, len(members) + 1):
+        for S in itertools.combinations(members, r):
+            T = mc.direct_sum(A, [idx.modules[i] for i in S]).module
+            e = _support_complement(idx, S)
+            Tq = mc.restrict_module(T, quotient_by_idempotent(A, e)) if e else T
+            mask = sum(1 << i for i in S)
+            for module, kill in ((T, frozenset()), (Tq, e)):
+                rows_rigid = not any(idx.tau2_row(kill, j)[1] & mask for j in S)
+                assert rows_rigid == (mc.hom_dim(module, mc.tau_d(module, 2)) == 0), (S, kill)
+
+
+def _trace_fac_cap_C(T, C):
+    """fac_cap_C as it was: X in Fac T exactly when the trace of T in X is X."""
+    return {i for i in C.members if mc.trace_from(T, C.host.modules[i])[0].dims == C.host.modules[i].dims}
+
+
+def test_fac_cap_c_matches_trace_on_a5():
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    C = _nakayama_rad2_ct(idx, 5)
+    for r in range(len(C.members) + 1):
+        for S in itertools.combinations(C.member_list(), r):
+            T = mc.direct_sum(A, [idx.modules[i] for i in S]).module if S else mc.zero_module(A)
+            assert tt.fac_cap_C(S, C).members == _trace_fac_cap_C(T, C), S
+            assert tt.fac_cap_C(T, C).members == _trace_fac_cap_C(T, C), S
+
+
+def test_verify_theorem1_builds_no_module_per_candidate(monkeypatch):
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    C = _nakayama_rad2_ct(idx, 5)
+    inside, seen = [], []
+
+    def only_for_tau2_rows(fn):
+        # the tau_2 rows restrict X_j to A/<e>, and the transpose in tau_d takes a cokernel
+        def wrapped(*args, **kwargs):
+            if not inside:
+                raise AssertionError(f"{fn.__name__} reached outside the tau_2 rows")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("module-level construction on the verify path")
+
+    tau2_row, tau_d = arknit.IndecIndex.tau2_row, mc.tau_d
+
+    def in_tau2_row(self, e, j):
+        inside.append(True)
+        try:
+            return tau2_row(self, e, j)
+        finally:
+            inside.pop()
+
+    def counted(M, d):
+        seen.append((M.algebra.vertices, json.dumps(M.to_json(), sort_keys=True)))
+        return tau_d(M, d)
+
+    monkeypatch.setattr(arknit.IndecIndex, "tau2_row", in_tau2_row)
+    monkeypatch.setattr(mc, "tau_d", counted)
+    for name in ("cokernel", "restrict_module"):
+        monkeypatch.setattr(mc, name, only_for_tau2_rows(getattr(mc, name)))
+    for owner, name in ((mc, "decompose"), (hc, "left_min_approximation"),
+                        (tt, "add_coresolution")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert tt.verify_theorem1(A, C).counts() == (24, 24)
+    assert tt.verify_theorem1(A, C, definition="quotient").counts() == (31, 24)
+    # at most once per (support complement, member); the module-level scan made 128 calls
+    assert len(seen) == len(set(seen)) < 128
+
+
+@pytest.fixture(scope="module", params=[2, 101])
+def auslander3(request):
+    A = auslander_linear(3, request.param)
+    idx = arknit.knit_indecomposables(A)
+    return A, auslander_ct(idx)
+
+
+@pytest.mark.parametrize("definition, counts, ok", [("ambient", (40, 40), True),
+                                                    ("quotient", (59, 40), False)])
+def test_verify_theorem1_on_auslander_algebra_of_a3(auslander3, definition, counts, ok):
+    A, C = auslander3
+    report = tt.verify_theorem1(A, C, definition=definition)
+    assert report.counts() == counts and report.ok is ok
+
+
+def _rigid_cliques_with_support_rank(idx, C):
+    """The S in C with Hom(X_i, tau_2 X_j) = 0 over A for i, j in S and |S| = |supp S|."""
+    tau2 = {j: mc.tau_d(idx.modules[j], 2) for j in C.members}
+    out = []
+    for r in range(len(C.members) + 1):
+        for S in itertools.combinations(C.member_list(), r):
+            support = len(idx.algebra.vertices) - len(_support_complement(idx, S))
+            if len(S) == support and not any(mc.hom_dim(idx.modules[i], tau2[j])
+                                              for i in S for j in S):
+                out.append(S)
+    return out
+
+
+@pytest.mark.parametrize("family", ["A3rad2", "A5rad2", "auslander3"])
+def test_ambient_modules_are_the_rigid_cliques_of_full_support_rank(family):
+    # a cross-check recorded as a test, not a rule: the coresolution stays the decision
+    if family == "auslander3":
+        A = auslander_linear(3)
+        idx = arknit.knit_indecomposables(A)
+        C = auslander_ct(idx)
+    else:
+        n = int(family[1])
+        A = nakayama_rad2(n)
+        idx = arknit.knit_indecomposables(A)
+        C = _nakayama_rad2_ct(idx, n)
+    keys = [key for key, _ in tt.support_tau2_tilting_modules(A, C)]
+    assert keys == sorted(_rigid_cliques_with_support_rank(idx, C))
