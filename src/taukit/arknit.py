@@ -2,13 +2,15 @@
 
 The knitting route seeds the index with the projectives, injectives,
 simples and the radical/socle layers of those, then closes under the AR
-translate in both directions.  Each translate tau M and tau^-1 M, and each
-projectivity and injectivity test, is computed once in that loop and kept
-with its module through the sort.  Completeness is certified afterwards by
-mesh additivity: for every non-projective Z with almost split sequence
-0 -> tau Z -> E -> Z -> 0, the middle term recomputed from irreducible-map
-multiplicities must match dimension-wise, and the kept tau^-1 of tau Z must
-be Z again.  The irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the
+translate in both directions.  The loop takes one minimal presentation of
+each M and one of D M: tau M = D Tr M and tau^-1 M = Tr D M are their
+transposes, M is projective (injective) when the one of M (D M) has no P1
+term, and M's presentation stays with it through the sort as the top
+generators that census Hom is solved on.  Completeness is certified
+afterwards by mesh additivity: for every non-projective Z with almost split
+sequence 0 -> tau Z -> E -> Z -> 0, the middle term recomputed from
+irreducible-map multiplicities must match dimension-wise, and the kept
+tau^-1 of tau Z must be Z again.  The irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the
 rank of the composites through rad^2; each span stops growing once it fills
 rad(X, Y).  The brute-force enumerator is the independent oracle the tests
 compare against.
@@ -16,7 +18,8 @@ compare against.
 Summand multiplicities are read off the certified mesh, with no search:
 Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
-AssertionError.  The one Hom cache holds bases; hom_dim is a basis length.
+AssertionError.  The one Hom cache holds bases, solved on the source's top
+generators and knitting fills it; hom_dim is a basis length.
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
 reads g -> g o F off the compose table and `map_at` gives one vertex's matrix.
 `tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import modcat as mc
 from .algebra import Algebra, quotient_by_idempotent
-from .exactlin import Mat, rref, solve_matrix
+from .exactlin import Mat, free_variable_basis, kernel_basis, rref, solve_matrix
 
 
 class LimitExceededError(Exception):
@@ -66,6 +69,8 @@ class IndecIndex:
     _tau2: dict = field(default_factory=dict, repr=False)  # (e, j) -> (tau_2 X_j over A/<e>, row)
     _proj_flags: list = field(default_factory=list, repr=False)
     _inj_flags: list = field(default_factory=list, repr=False)
+    _generators: dict = field(default_factory=dict, repr=False)  # i -> _Generators of X_i
+    _actions: dict = field(default_factory=dict, repr=False)  # (j, v, word) -> path action on X_j
 
     def find_iso(self, M) -> int | None:
         """Index of the entry isomorphic to the indecomposable M, if any."""
@@ -75,10 +80,65 @@ class IndecIndex:
         return len(self.hom_basis(i, j))
 
     def hom_basis(self, i: int, j: int) -> list:
-        """The `mc.hom_basis` of Hom(X_i, X_j), computed once."""
+        """The `mc.hom_basis` of Hom(X_i, X_j), computed once from X_i's top generators.
+
+        0 -> Hom(X_i, N) -> Hom(P0, N) -> Hom(P1, N) is exact for the minimal
+        presentation P1 -> P0 -> X_i: a map is the images x_k in N_{v_k} of
+        the generators, subject to the relations P1 names, evaluated in N
+        through its cached path actions.  Each solution x sends path * g_k to
+        path * x_k, read through a section of the cover at each vertex; the
+        basis is then put in the free-variable form of `mc.hom_basis`.
+        """
         if (i, j) not in self._hom_cache:
-            self._hom_cache[(i, j)] = mc.hom_basis(self.modules[i], self.modules[j])
+            self._hom_cache[(i, j)] = self._generator_hom_basis(i, j)
         return self._hom_cache[(i, j)]
+
+    def _generator_hom_basis(self, i: int, j: int) -> list:
+        gens, X, N = self._generator_data(i), self.modules[i], self.modules[j]
+        A, p = self.algebra, self.algebra.field.p
+        at = [0]
+        for v in gens.verts0:
+            at.append(at[-1] + N.dims[v])
+        if not at[-1]:
+            return []
+        rows = [[0] * at[-1] for v in gens.verts1 for _ in range(N.dims[v])]
+        row_at = 0
+        for r, u in enumerate(gens.verts1):
+            for k, terms in gens.relations[r]:
+                for c, word in terms:
+                    for t, entries in enumerate(self._path_action(j, gens.verts0[k], word).data):
+                        out = rows[row_at + t]
+                        for q, y in enumerate(entries, at[k]):
+                            out[q] += c * y
+            row_at += N.dims[u]
+        vectors = []
+        for x in kernel_basis(Mat.from_rows(A.field, rows, cols=at[-1])):
+            flat = []
+            for w in A.vertices:
+                if not X.dims[w] * N.dims[w]:
+                    continue
+                images = [(self._path_action(j, gens.verts0[k], word).apply(x[at[k]:at[k + 1]]), row)
+                          for k, word, row in gens.sections[w]]
+                for r in range(N.dims[w]):
+                    f_r = [0] * X.dims[w]
+                    for image, row in images:
+                        for c, y in enumerate(row if image[r] else ()):
+                            f_r[c] += image[r] * y
+                    flat.extend(y % p for y in f_r)
+            vectors.append(flat)
+        length = sum(X.dims[w] * N.dims[w] for w in A.vertices)
+        return [mc.vector_to_hom(X, N, vec) for vec in free_variable_basis(A.field, vectors, length)]
+
+    def _generator_data(self, i: int) -> "_Generators":
+        if i not in self._generators:
+            self._generators[i] = _Generators.of(mc.minimal_presentation(self.modules[i]))
+        return self._generators[i]
+
+    def _path_action(self, j: int, v, word) -> Mat:
+        key = (j, v, word)
+        if key not in self._actions:
+            self._actions[key] = mc.path_action(self.modules[j], v, word)
+        return self._actions[key]
 
     def compose(self, i: int, j: int, k: int) -> list:
         """Structure constants of Hom(X_j, X_k) x Hom(X_i, X_j) -> Hom(X_i, X_k).
@@ -242,6 +302,35 @@ class IndecIndex:
         }
 
 
+@dataclass
+class _Generators:
+    """The top generators of a module X, from its minimal presentation P1 -> P0 ->> X.
+
+    Generator k lives at verts0[k].  relations[r] lists, for the r-th summand
+    P(verts1[r]) of P1, the (k, terms) of its image in P0.  sections[w] is a
+    right inverse of the cover at vertex w, as its nonzero rows (k, path, row)
+    over the basis path * g_k of (P0)_w.
+    """
+
+    verts0: list
+    verts1: list
+    relations: list
+    sections: dict
+
+    @classmethod
+    def of(cls, pres) -> "_Generators":
+        A, cover = pres.cover.target.algebra, pres.cover
+        relations = [[(k, terms) for (k, r), terms in sorted(pres.elements.items()) if r == row]
+                     for row in range(len(pres.verts1))]
+        sections = {}
+        for w in A.vertices:
+            labels = [(k, pth.arrows) for k, v in enumerate(pres.verts0)
+                      for pth in A.paths_from(v) if pth.target == w]
+            right = solve_matrix(cover.mats[w], Mat.identity(A.field, cover.target.dims[w]))
+            sections[w] = [(k, word, row) for (k, word), row in zip(labels, right.data) if any(row)]
+        return cls(list(pres.verts0), list(pres.verts1), relations, sections)
+
+
 def _iso_index(modules, M) -> int | None:
     """Index of the first of the indecomposables isomorphic to M, if any."""
     for i, X in enumerate(modules):
@@ -294,34 +383,40 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         for X, _ in mc.decompose(seed).summands:
             register(X)
 
-    records = []  # (M, tau M or None, tau^-1 M or None), in the order of found
+    # (M, tau M or None, tau^-1 M or None, presentation of M), in the order of found;
+    # M is projective when its presentation has no P1, injective when D M's has none
+    records = []
     while len(records) < len(found):
         M = found[len(records)]
-        t = None if mc.is_projective(M) else mc.tau(M)
+        pres = mc.minimal_presentation(M)
+        t = mc.dual(mc.transpose(M, pres)) if pres.verts1 else None
         if t is not None:
             register(t)
-        s = None if mc.is_injective(M) else mc.tau_inv(M)
+        DM = mc.dual(M)
+        dual_pres = mc.minimal_presentation(DM)
+        s = mc.transpose(DM, dual_pres) if dual_pres.verts1 else None
         if s is not None:
             register(s)
-        records.append((M, t, s))
+        records.append((M, t, s, pres))
 
     records.sort(key=lambda r: (r[0].total_dim, r[0].dim_vector()))
-    idx = IndecIndex(A, [M for M, _, _ in records])
-    idx._proj_flags = [t is None for _, t, _ in records]
-    idx._inj_flags = [s is None for _, _, s in records]
-    for i, (_, t, _) in enumerate(records):
+    idx = IndecIndex(A, [M for M, _, _, _ in records])
+    idx._proj_flags = [t is None for _, t, _, _ in records]
+    idx._inj_flags = [s is None for _, _, s, _ in records]
+    idx._generators = {i: _Generators.of(pres) for i, (_, _, _, pres) in enumerate(records)}
+    for i, (_, t, _, _) in enumerate(records):
         if t is not None:
             k = idx.find_iso(t)
             if k is None:
                 raise KnitIncompleteError("tau image missing from index")
             idx.tau_map[i] = k
-    _certify_and_mesh(idx, [s for _, _, s in records])
+    _certify_and_mesh(idx, [s for _, _, s, _ in records])
     return idx
 
 
 def _rad_basis(idx: IndecIndex, i: int, j: int) -> list:
     """A basis of the radical rad(X_i, X_j) (all of Hom for i != j)."""
-    homs = mc.hom_basis(idx.modules[i], idx.modules[j])
+    homs = idx.hom_basis(i, j)
     if i != j:
         return homs
     flat = [mc.flatten_endo(f) for f in homs]

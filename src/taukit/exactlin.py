@@ -223,29 +223,31 @@ class RrefResult:
 def rref(m: Mat) -> RrefResult:
     """Reduced row-echelon form with leftmost-pivot, first-nonzero-row pivoting."""
     p = m.field.p
-    work = [list(r) for r in m.data]
+    work = [[x % p for x in row] for row in m.data]
     pivots = []
     r = 0
     for c in range(m.cols):
-        pr = None
-        for i in range(r, m.rows):
-            if work[i][c] % p != 0:
-                pr = i
+        for pr in range(r, m.rows):
+            if work[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         work[r], work[pr] = work[pr], work[r]
-        inv = m.field.inv(work[r][c])
-        work[r] = [(x * inv) % p for x in work[r]]
+        # every row is zero left of c in the columns still to clear
+        row = work[r]
+        if row[c] != 1:
+            inv = m.field.inv(row[c])
+            row[c:] = [(x * inv) % p for x in row[c:]]
+        tail = row[c:]
         for i in range(m.rows):
-            if i != r and work[i][c] % p != 0:
-                f = work[i][c] % p
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
+            f = work[i][c]
+            if f and i != r:
+                work[i][c:] = [(x - f * y) % p for x, y in zip(work[i][c:], tail)]
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    out = Mat(m.field, m.rows, m.cols, tuple(tuple(x % p for x in row) for row in work))
+    out = Mat(m.field, m.rows, m.cols, tuple(map(tuple, work)))
     return RrefResult(out, len(pivots), tuple(pivots))
 
 
@@ -274,6 +276,19 @@ def kernel_basis(m: Mat) -> list:
             v[c] = (-res.matrix.entry(r, f)) % p
         basis.append(tuple(v))
     return basis
+
+
+def free_variable_basis(field: PrimeField, vectors, length: int) -> list:
+    """The basis of span(vectors) that `kernel_basis` gives any matrix with that null space.
+
+    Its vector for free column f has a 1 at f, a 0 at every other free column
+    and zeros after f.  So it is the reduced echelon form of the independent
+    vectors with the column order reversed, sorted by last nonzero column.
+    """
+    if not vectors:
+        return []
+    res = rref(Mat.from_rows(field, [v[::-1] for v in vectors], cols=length))
+    return [row[::-1] for row in reversed(res.matrix.data[:res.rank])]
 
 
 def solve(m: Mat, b) -> tuple | None:

@@ -308,15 +308,7 @@ def hom_basis(M: Module, N: Module):
                                                            - Na.entry(i, l)) % A.field.p
                 rows.append(row)
     mat = Mat.from_rows(A.field, rows, cols=total) if rows else Mat.zeros(A.field, 0, total)
-    basis = []
-    for vec in kernel_basis(mat):
-        mats = {}
-        for v in A.vertices:
-            d_n, d_m = N.dims[v], M.dims[v]
-            block = vec[offsets[v]:offsets[v] + d_n * d_m]
-            mats[v] = Mat.from_rows(A.field, [block[i * d_m:(i + 1) * d_m] for i in range(d_n)], cols=d_m)
-        basis.append(ModMap(M, N, mats, check=False))
-    return basis
+    return [vector_to_hom(M, N, vec) for vec in kernel_basis(mat)]
 
 
 def hom_dim(M: Module, N: Module) -> int:
@@ -329,6 +321,17 @@ def hom_to_vector(f: ModMap) -> tuple:
         for row in f.mats[v].data:
             out.extend(row)
     return tuple(out)
+
+
+def vector_to_hom(M: Module, N: Module, vec) -> ModMap:
+    """The map M -> N whose `hom_to_vector` is vec, a tuple with entries in [0, p)."""
+    A = M.algebra
+    mats, at = {}, 0
+    for v in A.vertices:
+        d_n, d_m = N.dims[v], M.dims[v]
+        mats[v] = Mat(A.field, d_n, d_m, tuple(vec[at + i * d_m:at + (i + 1) * d_m] for i in range(d_n)))
+        at += d_n * d_m
+    return ModMap(M, N, mats, check=False)
 
 
 def factor_through(maps, g: ModMap) -> list | None:
@@ -594,10 +597,6 @@ def is_projective(M: Module) -> bool:
     return kernel(projective_cover(M))[0].is_zero()
 
 
-def is_injective(M: Module) -> bool:
-    return is_projective(dual(M))
-
-
 def syzygy(M: Module, k: int = 1) -> Module:
     """The k-th syzygy: iterated kernels of minimal projective covers."""
     if k < 0:
@@ -624,12 +623,14 @@ class Presentation:
 
     verts0/verts1 list the projective summand vertices; elements[(j, i)] is
     the combination of paths verts0[j] -> verts1[i] defining the component
-    P(verts1[i]) -> P(verts0[j]) by right multiplication.
+    P(verts1[i]) -> P(verts0[j]) by right multiplication.  cover is P0 ->> M.
+    M is projective exactly when verts1 is empty.
     """
 
     verts0: list
     verts1: list
     elements: dict
+    cover: ModMap
 
 
 def _cover_summand_vertices(cover: ModMap) -> list:
@@ -651,7 +652,7 @@ def minimal_presentation(M: Module) -> Presentation:
     verts1 = _cover_summand_vertices(cover1)
     g = incl.compose(cover1)  # P1 -> P0
     elements = _element_form(A, verts1, verts0, g)
-    return Presentation(verts0, verts1, elements)
+    return Presentation(verts0, verts1, elements, cover0)
 
 
 def _element_form(A: Algebra, src_verts, tgt_verts, g: ModMap) -> dict:
@@ -695,11 +696,11 @@ def _element_form(A: Algebra, src_verts, tgt_verts, g: ModMap) -> dict:
     return elements
 
 
-def transpose(M: Module) -> Module:
-    """Tr M over the opposite algebra, from a minimal projective presentation."""
-    A = M.algebra
-    Aop = opposite(A)
-    pres = minimal_presentation(M)
+def transpose(M: Module, pres: Presentation | None = None) -> Module:
+    """Tr M over the opposite algebra, from M's minimal projective presentation pres."""
+    Aop = opposite(M.algebra)
+    if pres is None:
+        pres = minimal_presentation(M)
     src = direct_sum(Aop, [projective(Aop, v) for v in pres.verts0])
     tgt = direct_sum(Aop, [projective(Aop, v) for v in pres.verts1])
     blocks = {}

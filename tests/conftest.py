@@ -48,6 +48,18 @@ def nakayama_rad2(n, p=101):
     return parse_algebra(nakayama_rad2_text(n, p))
 
 
+def e7_linear_text(p=101):
+    """The spec of E7 with the chain 1 -> ... -> 6 oriented linearly and the branch arrow 7 -> 3."""
+    lines = [f"field {p}", "vertices " + " ".join(str(i) for i in range(1, 8))]
+    lines += [f"arrow a{i}: {i} -> {i + 1}" for i in range(1, 6)] + ["arrow b: 7 -> 3"]
+    return "\n".join(lines) + "\n"
+
+
+def e7_linear(p=101):
+    """E7 with the chain 1 -> ... -> 6 oriented linearly and the branch arrow 7 -> 3."""
+    return parse_algebra(e7_linear_text(p))
+
+
 def auslander_linear_text(n, p=101):
     """The spec of the Auslander algebra of kA_n, 1 -> ... -> n: the AR quiver of kA_n with mesh relations.
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -8,7 +9,8 @@ from taukit import arknit, modcat as mc
 from taukit.algebra import parse_algebra
 from taukit.cli import emit_report
 from taukit.exactlin import Mat, rank, solve_matrix
-from tests.conftest import d4, kronecker, lambda3, nakayama_rad2
+from tests.conftest import auslander_linear, d4, e7_linear, kronecker, lambda3, nakayama_rad2
+from tests.test_tautilt import CYCLE2_RAD3, TRUNCATED_X3
 
 
 LAMBDA3_DIMVECS = {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)}
@@ -166,19 +168,8 @@ def test_knit_d4_matches_brute_force_f2():
 # -- pinned census bytes, the rad^2 oracle, and work done once -------------------
 
 # E7 with the chain 1 -> ... -> 6 oriented linearly and the branch arrow 7 -> 3
-E7_TEXT = """\
-field {p}
-vertices 1 2 3 4 5 6 7
-arrow a1: 1 -> 2
-arrow a2: 2 -> 3
-arrow a3: 3 -> 4
-arrow a4: 4 -> 5
-arrow a5: 5 -> 6
-arrow b: 7 -> 3
-"""
-
 CENSUS_ALGEBRAS = {
-    "E7-2": lambda: parse_algebra(E7_TEXT.format(p=2)),
+    "E7-2": lambda: e7_linear(p=2),
     "D4-2": lambda: d4(p=2),
     "D4-101": lambda: d4(p=101),
     "A3": lambda: lambda3(p=101),
@@ -276,19 +267,27 @@ def _record_calls(monkeypatch, names):
                          ids=["A3", "A5rad2-2"])
 def test_knitting_computes_each_translate_once(monkeypatch, build):
     A = build()
-    calls = _record_calls(monkeypatch, ["tau", "tau_inv", "is_projective", "is_injective"])
+    calls = _record_calls(monkeypatch, ["minimal_presentation", "transpose", "tau", "tau_inv"])
     idx = arknit.knit_indecomposables(A)
+    position = {id(X): i for i, X in enumerate(idx.modules)}
+    # D M is built in the loop, so it is known by its contents: D D M has M's matrices
+    by_content = {json.dumps(X.to_json(), sort_keys=True): i for i, X in enumerate(idx.modules)}
+
+    def members(name, dual):
+        return Counter(by_content.get(json.dumps(mc.dual(M).to_json(), sort_keys=True)) if dual
+                       else position[id(M)] for M in calls[name] if (id(M) in position) != dual)
 
     def once(keep):
-        return Counter({id(X): 1 for i, X in enumerate(idx.modules) if keep(i)})
+        return Counter(i for i in range(len(idx.modules)) if keep(i))
 
-    assert Counter(map(id, calls["tau"])) == once(lambda i: not idx.is_projective(i))
-    assert Counter(map(id, calls["tau_inv"])) == once(lambda i: not idx.is_injective(i))
-    assert Counter(map(id, calls["is_injective"])) == once(lambda i: True)
-    # is_injective(M) asks is_projective(D M) of a dual, which is no census member
-    members = {id(X) for X in idx.modules}
-    direct = [M for M in calls["is_projective"] if id(M) in members]
-    assert Counter(map(id, direct)) == once(lambda i: True)
+    # one presentation of M and one of D M per member; tau M = D Tr M and tau^-1 M = Tr D M
+    # each come from one transpose of that presentation, and no other translate is taken
+    assert members("minimal_presentation", dual=False) == once(lambda i: True)
+    assert members("minimal_presentation", dual=True) == once(lambda i: True)
+    assert members("transpose", dual=False) == once(lambda i: not idx.is_projective(i))
+    assert members("transpose", dual=True) == once(lambda i: not idx.is_injective(i))
+    assert len(calls["minimal_presentation"]) == 2 * len(idx.modules)
+    assert calls["tau"] == calls["tau_inv"] == []
 
 
 def test_composite_outside_the_radical_is_a_defect():
@@ -381,12 +380,66 @@ def test_summand_indices_reject_a_broken_mesh(censuses):
             broken.summand_indices(idx.modules[x])
 
 
+HOM_ALGEBRAS = {
+    "A3-2": lambda: lambda3(p=2),
+    "A3-101": lambda: lambda3(p=101),
+    "A5rad2-2": lambda: nakayama_rad2(5, p=2),
+    "A5rad2-101": lambda: nakayama_rad2(5, p=101),
+    "E7-2": lambda: e7_linear(p=2),
+    "D4-101": lambda: d4(p=101),
+    # End of a member has a radical on these two
+    "x3-3": lambda: parse_algebra(TRUNCATED_X3),
+    "cycle2rad3-3": lambda: parse_algebra(CYCLE2_RAD3),
+    "cycle3rad2-3": lambda: parse_algebra(CYCLE3_RAD2),
+    "auslander3-2": lambda: auslander_linear(3, p=2),
+}
+
+
+def _same_maps(first, second):
+    return [f.mats for f in first] == [f.mats for f in second]
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_census_hom_basis_matches_module_hom_basis(name):
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    for i, X in enumerate(idx.modules):
+        for j, Y in enumerate(idx.modules):
+            assert _same_maps(idx.hom_basis(i, j), mc.hom_basis(X, Y)), (i, j)
+
+
+@pytest.mark.parametrize("name", ["A5rad2-101", "auslander3-2", "x3-3"])
+def test_unknitted_index_hom_basis_matches_module_hom_basis(monkeypatch, name):
+    # scrambled sums, a projective twice and the zero module: nothing here was knitted
+    A = HOM_ALGEBRAS[name]()
+    census, rng = arknit.knit_indecomposables(A), random.Random(name)
+    P = mc.projective(A, A.vertices[0])
+    mods = [_scrambled_sum(census, rng) for _ in range(5)] + [P, P, mc.zero_module(A)]
+    idx = arknit.IndecIndex(A, mods)
+    calls = _record_calls(monkeypatch, ["minimal_presentation"])
+    for i, X in enumerate(mods):
+        for j, Y in enumerate(mods):
+            assert _same_maps(idx.hom_basis(i, j), mc.hom_basis(X, Y)), (i, j)
+    # the generators of each member are found once, from its presentation
+    assert len(calls["minimal_presentation"]) == len(mods)
+
+
 def test_hom_dim_then_hom_basis_compute_once(monkeypatch, L3):
+    solved = []
+    solve = arknit.IndecIndex._generator_hom_basis
+
+    def recorded(self, i, j):
+        solved.append((i, j))
+        return solve(self, i, j)
+
+    monkeypatch.setattr(arknit.IndecIndex, "_generator_hom_basis", recorded)
     idx = arknit.knit_indecomposables(L3)
+    knitted = list(solved)
     calls = _record_calls(monkeypatch, ["hom_basis"])
     i, j = 0, len(idx.modules) - 1
     assert idx.hom_dim(i, j) == len(idx.hom_basis(i, j))
-    assert len(calls["hom_basis"]) == 1
+    # knitting solved the pair on X_i's generators and filled the one Hom cache
+    assert len(calls["hom_basis"]) == 0
+    assert knitted.count((i, j)) == 1 and solved == knitted
 
 
 # -- Ext on the census: one resolution per member and length, bitmask tables ------

@@ -474,6 +474,23 @@ def test_verify_theorem1_builds_no_module_per_candidate(monkeypatch):
     assert len(seen) == len(set(seen)) < 128
 
 
+def test_verify_theorem1_reads_census_hom_off_the_census(monkeypatch):
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    C = _nakayama_rad2_ct(idx, 5)
+    members, hom_basis, pairs = {id(X) for X in idx.modules}, mc.hom_basis, []
+
+    def recorded(M, N):
+        pairs.append((id(M) in members, id(N) in members))
+        return hom_basis(M, N)
+
+    monkeypatch.setattr(mc, "hom_basis", recorded)
+    assert tt.verify_theorem1(A, C).counts() == (24, 24)
+    assert tt.verify_theorem1(A, C, definition="quotient").counts() == (31, 24)
+    # module-level Hom still runs on modules outside the census, never between two members
+    assert pairs and (True, True) not in pairs
+
+
 @pytest.fixture(scope="module", params=[2, 101])
 def auslander3(request):
     A = auslander_linear(3, request.param)
