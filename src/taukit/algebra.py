@@ -19,7 +19,7 @@ ideal is admissible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactlin import Mat, PrimeField, rref
 
@@ -42,40 +42,27 @@ class UnsupportedQuotientError(Exception):
     """Two-sided ideal quotient outside the supported (monomial) class."""
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(namedtuple("Arrow", "name source target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "terms source target")):
     """A K-combination of parallel paths; each term is (coeff, arrows).
 
     The arrows tuple is in application order (first arrow applied first).
     """
 
-    terms: tuple
-    source: str
-    target: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuiverSpec:
-    p: int
-    vertices: tuple
-    arrows: tuple
-    relations: tuple
+class QuiverSpec(namedtuple("QuiverSpec", "p vertices arrows relations")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "source target arrows")):
     """A residue path: source and target vertices plus arrows in application order."""
 
-    source: str
-    target: str
-    arrows: tuple
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -286,18 +273,33 @@ class Algebra:
         return [pth for pth in self.basis if pth.source == v]
 
     def check_consistency(self):
-        """Exhaustive associativity and unit checks on the basis (build-time gate)."""
-        p = self.field.p
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
+        """Grading, associativity and unit checks on the basis (build-time gate).
+
+        Every stored product basis[i] * basis[j] must belong to a composable
+        pair and lie in its vertex block: each term has the source of j and
+        the target of i.  On such a table both sides of (i * j) * k = i * (j * k)
+        vanish unless k, j, i compose, so associativity is checked on the
+        composable triples alone, which decides exactly what the check on all
+        dim^3 triples decides.
+        """
+        basis = self.basis
+        for (i, j), vec in self._mult.items():
+            if basis[j].target != basis[i].source or any(
+                    basis[k].source != basis[j].source or basis[k].target != basis[i].target
+                    for _, k in vec):
+                raise AssertionError(f"product ({i},{j}) leaves its vertex block")
+        ending: dict = {v: [] for v in self.vertices}
+        for k, pth in enumerate(basis):
+            ending[pth.target].append(k)
+        for i, pth in enumerate(basis):
+            for j in ending[pth.source]:
+                for k in ending[basis[j].source]:
                     left = self.mult_vec(self.mult_basis(i, j), ((1, k),))
                     right = self.mult_vec(((1, i),), self.mult_basis(j, k))
                     if left != right:
                         raise AssertionError(f"multiplication not associative at ({i},{j},{k})")
         unit = tuple((1, self.idempotents[v]) for v in self.vertices)
-        for i in range(n):
+        for i in range(self.dim):
             if self.mult_vec(unit, ((1, i),)) != ((1, i),):
                 raise AssertionError("unit fails on the left")
             if self.mult_vec(((1, i),), unit) != ((1, i),):

@@ -6,14 +6,18 @@ translate in both directions.  The loop takes one minimal presentation of
 each M and one of D M: tau M = D Tr M and tau^-1 M = Tr D M are their
 transposes, M is projective (injective) when the one of M (D M) has no P1
 term, and M's presentation stays with it through the sort as the top
-generators that census Hom is solved on.  Completeness is certified
-afterwards by mesh additivity: for every non-projective Z with almost split
-sequence 0 -> tau Z -> E -> Z -> 0, the middle term recomputed from
-irreducible-map multiplicities must match dimension-wise, and the kept
-tau^-1 of tau Z must be Z again.  The irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the
-rank of the composites through rad^2; each span stops growing once it fills
-rad(X, Y).  The brute-force enumerator is the independent oracle the tests
-compare against.
+generators that census Hom is solved on.  Each translate is placed by the
+one iso scan that registers it, and its index is carried through the sort.
+Completeness is certified afterwards by mesh additivity: for every
+non-projective Z with almost split sequence 0 -> tau Z -> E -> Z -> 0, the
+middle term recomputed from irreducible-map multiplicities must match
+dimension-wise, and the kept tau^-1 of tau Z must be Z again.  The
+irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the rank of the
+composites through rad^2; each span stops growing once it fills rad(X, Y).
+The brute-force enumerator is the independent oracle the tests compare
+against.  It rejects a candidate on its raw entries, before building a
+module, when a relation fails or when its support falls apart into pieces
+that no nonzero arrow joins (then it is the sum of those pieces).
 
 Summand multiplicities are read off the certified mesh, with no search:
 Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
@@ -28,7 +32,6 @@ reads g -> g o F off the compose table and `map_at` gives one vertex's matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import modcat as mc
 from .algebra import Algebra, quotient_by_idempotent
@@ -51,26 +54,27 @@ class KnitIncompleteError(Exception):
     """The knitted index failed its completeness certificate."""
 
 
-@dataclass
 class IndecIndex:
     """All indecomposables up to iso, with AR arrows and the translate map."""
 
-    algebra: Algebra
-    modules: list
-    ar_arrows: list = field(default_factory=list)  # (source, target, multiplicity)
-    tau_map: dict = field(default_factory=dict)  # index -> index, non-projectives only
-    _hom_cache: dict = field(default_factory=dict, repr=False)  # (i, j) -> Hom basis
-    _ext_cache: dict = field(default_factory=dict, repr=False)
-    _resolutions: dict = field(default_factory=dict, repr=False)  # (i, length) -> resolution of X_i
-    _ext_masks: dict = field(default_factory=dict, repr=False)  # k -> (rows, columns)
-    _compose_cache: dict = field(default_factory=dict, repr=False)
-    _radicals: dict = field(default_factory=dict, repr=False)  # i -> rad End(X_i) coordinates
-    _quotient_projectives: dict = field(default_factory=dict, repr=False)  # e -> indices
-    _tau2: dict = field(default_factory=dict, repr=False)  # (e, j) -> (tau_2 X_j over A/<e>, row)
-    _proj_flags: list = field(default_factory=list, repr=False)
-    _inj_flags: list = field(default_factory=list, repr=False)
-    _generators: dict = field(default_factory=dict, repr=False)  # i -> _Generators of X_i
-    _actions: dict = field(default_factory=dict, repr=False)  # (j, v, word) -> path action on X_j
+    def __init__(self, algebra: Algebra, modules: list, ar_arrows: list | None = None,
+                 tau_map: dict | None = None):
+        self.algebra = algebra
+        self.modules = modules
+        self.ar_arrows = [] if ar_arrows is None else ar_arrows  # (source, target, multiplicity)
+        self.tau_map = {} if tau_map is None else tau_map  # index -> index, non-projectives only
+        self._hom_cache = {}  # (i, j) -> Hom basis
+        self._ext_cache = {}
+        self._resolutions = {}  # (i, length) -> resolution of X_i
+        self._ext_masks = {}  # k -> (rows, columns)
+        self._compose_cache = {}
+        self._radicals = {}  # i -> rad End(X_i) coordinates
+        self._quotient_projectives = {}  # e -> indices
+        self._tau2 = {}  # (e, j) -> (tau_2 X_j over A/<e>, row)
+        self._proj_flags = []
+        self._inj_flags = []
+        self._generators = {}  # i -> _Generators of X_i
+        self._actions = {}  # (j, v, word) -> path action on X_j
 
     def find_iso(self, M) -> int | None:
         """Index of the entry isomorphic to the indecomposable M, if any."""
@@ -302,7 +306,6 @@ class IndecIndex:
         }
 
 
-@dataclass
 class _Generators:
     """The top generators of a module X, from its minimal presentation P1 -> P0 ->> X.
 
@@ -312,10 +315,11 @@ class _Generators:
     over the basis path * g_k of (P0)_w.
     """
 
-    verts0: list
-    verts1: list
-    relations: list
-    sections: dict
+    def __init__(self, verts0: list, verts1: list, relations: list, sections: dict):
+        self.verts0 = verts0
+        self.verts1 = verts1
+        self.relations = relations
+        self.sections = sections
 
     @classmethod
     def of(cls, pres) -> "_Generators":
@@ -366,51 +370,52 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         raise ValueError("limits must be positive")
     found: list = []
 
-    def register(M) -> bool:
+    def register(M) -> int | None:
+        """The index in found of the member isomorphic to M, placing M if it is new."""
         if M.is_zero():
-            return False
+            return None
         if M.total_dim > max_dim:
             raise LimitExceededError(
                 f"module of dimension {M.total_dim} exceeds max_dim={max_dim}", partial=found)
-        if _iso_index(found, M) is not None:
-            return False
+        k = _iso_index(found, M)
+        if k is not None:
+            return k
         found.append(M)
         if len(found) > max_count:
             raise LimitExceededError(f"more than max_count={max_count} indecomposables", partial=found)
-        return True
+        return len(found) - 1
 
     for seed in _seed_modules(A):
         for X, _ in mc.decompose(seed).summands:
             register(X)
 
-    # (M, tau M or None, tau^-1 M or None, presentation of M), in the order of found;
-    # M is projective when its presentation has no P1, injective when D M's has none
+    # for each M in found: its presentation, whether it is injective (D M's presentation
+    # has no P1), and the indices in found of tau M and tau^-1 M, None when not taken
     records = []
     while len(records) < len(found):
         M = found[len(records)]
         pres = mc.minimal_presentation(M)
-        t = mc.dual(mc.transpose(M, pres)) if pres.verts1 else None
-        if t is not None:
-            register(t)
         DM = mc.dual(M)
         dual_pres = mc.minimal_presentation(DM)
-        s = mc.transpose(DM, dual_pres) if dual_pres.verts1 else None
-        if s is not None:
-            register(s)
-        records.append((M, t, s, pres))
+        records.append((pres, not dual_pres.verts1,
+                        register(mc.dual(mc.transpose(M, pres))) if pres.verts1 else None,
+                        register(mc.transpose(DM, dual_pres)) if dual_pres.verts1 else None))
 
-    records.sort(key=lambda r: (r[0].total_dim, r[0].dim_vector()))
-    idx = IndecIndex(A, [M for M, _, _, _ in records])
-    idx._proj_flags = [t is None for _, t, _, _ in records]
-    idx._inj_flags = [s is None for _, _, s, _ in records]
-    idx._generators = {i: _Generators.of(pres) for i, (_, _, _, pres) in enumerate(records)}
-    for i, (_, t, _, _) in enumerate(records):
-        if t is not None:
-            k = idx.find_iso(t)
-            if k is None:
+    order = sorted(range(len(found)), key=lambda i: (found[i].total_dim, found[i].dim_vector()))
+    place = {i: z for z, i in enumerate(order)}
+    idx = IndecIndex(A, [found[i] for i in order])
+    inverses = []
+    for z, i in enumerate(order):
+        pres, injective, t, s = records[i]
+        idx._proj_flags.append(not pres.verts1)
+        idx._inj_flags.append(injective)
+        idx._generators[z] = _Generators.of(pres)
+        if pres.verts1:
+            if t is None:
                 raise KnitIncompleteError("tau image missing from index")
-            idx.tau_map[i] = k
-    _certify_and_mesh(idx, [s for _, _, s, _ in records])
+            idx.tau_map[z] = place[t]
+        inverses.append(place.get(s))
+    _certify_and_mesh(idx, inverses)
     return idx
 
 
@@ -468,7 +473,7 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
 
 
 def _certify_and_mesh(idx: IndecIndex, inverses: list):
-    """Mesh additivity and the tau round trip; inverses[i] is tau^-1 X_i or None."""
+    """Mesh additivity and the tau round trip; inverses[i] is the index of tau^-1 X_i or None."""
     mult = irreducible_multiplicities(idx)
     idx.ar_arrows = sorted((i, j, a) for (i, j), a in mult.items())
     # mesh additivity: dims(tau Z) + dims(Z) = sum of middle-term dims
@@ -485,8 +490,7 @@ def _certify_and_mesh(idx: IndecIndex, inverses: list):
         if lhs != rhs:
             raise KnitIncompleteError(
                 f"mesh at index {z} fails: middle {rhs} vs tau+self {lhs}")
-        back = inverses[t]
-        if back is None or mc.iso_between_indecomposables(back, M) is None:
+        if inverses[t] != z:
             raise KnitIncompleteError(f"tau round trip fails at index {z}")
 
 
@@ -502,21 +506,26 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
         total_work += p ** entries
     if total_work > budget:
         raise BudgetExceededError(f"enumeration needs {total_work} module candidates")
+    names = [a.name for a in A.arrows]
     out: list = []
     for dims in vectors:
         if sum(dims) == 0:
             continue
         dim_map = dict(zip(A.vertices, dims))
-        shapes = [(a.name, dim_map[a.target], dim_map[a.source]) for a in A.arrows]
-        entry_counts = [r * c for _, r, c in shapes]
-        for assignment in itertools.product(*(itertools.product(range(p), repeat=e) for e in entry_counts)):
-            action = {}
-            for (name, r, c), flat in zip(shapes, assignment):
-                action[name] = Mat.from_rows(A.field, [flat[i * c:(i + 1) * c] for i in range(r)], cols=c)
-            try:
-                M = mc.Module(A, dim_map, action, check=True)
-            except ValueError:
+        support = [v for v in A.vertices if dim_map[v]]
+        shapes = [(dim_map[a.target], dim_map[a.source]) for a in A.arrows]
+        # every matrix of each arrow, as row tuples
+        choices = [[tuple(flat[i * c:(i + 1) * c] for i in range(r))
+                    for flat in itertools.product(range(p), repeat=r * c)] for r, c in shapes]
+        for assignment in itertools.product(*choices):
+            rows = dict(zip(names, assignment))
+            if not mc.relations_hold(A, dim_map, rows):
                 continue
+            if not _connected(support, [a for a, m in zip(A.arrows, assignment) if any(map(any, m))]):
+                continue
+            action = {a.name: Mat.from_rows(A.field, m, cols=c)
+                      for a, m, (_, c) in zip(A.arrows, assignment, shapes)}
+            M = mc.Module(A, dim_map, action, check=True)
             if not mc.is_indecomposable(M):
                 continue
             if _iso_index(out, M) is not None:
@@ -524,6 +533,19 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
             out.append(M)
     out.sort(key=lambda m: (m.total_dim, m.dim_vector()))
     return out
+
+
+def _connected(vertices: list, arrows: list) -> bool:
+    """Whether the arrows join the vertices into one piece (True for no vertices)."""
+    reach = set(vertices[:1])
+    grew = True
+    while grew:
+        grew = False
+        for a in arrows:
+            if (a.source in reach) != (a.target in reach):
+                reach.update((a.source, a.target))
+                grew = True
+    return len(reach) == len(vertices)
 
 
 def ar_quiver_dot(idx: IndecIndex) -> str:

@@ -8,7 +8,7 @@ nonzero row) so every basis produced downstream is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _is_prime(p: int) -> bool:
@@ -213,11 +213,8 @@ class Mat:
         return self.rows == self.cols and rref(self).rank == self.rows
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: Mat
-    rank: int
-    pivots: tuple
+class RrefResult(namedtuple("RrefResult", "matrix rank pivots")):
+    __slots__ = ()
 
 
 def rref(m: Mat) -> RrefResult:

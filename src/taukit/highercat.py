@@ -18,8 +18,7 @@ construction runs the right one on the duals and dualizes the result back.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import modcat as mc
 from .arknit import IndecIndex
@@ -34,12 +33,10 @@ class NotTwoExactError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Subcat:
+class Subcat(namedtuple("Subcat", "host members")):
     """add of a set of indecomposables (by index) inside a host category."""
 
-    host: IndecIndex
-    members: frozenset
+    __slots__ = ()
 
     @classmethod
     def of(cls, host: IndecIndex, indices) -> "Subcat":
@@ -66,16 +63,14 @@ class Subcat:
         return [list(self.host.modules[i].dim_vector()) for i in self.member_list()]
 
 
-@dataclass
 class ExactSeq:
     """A chain M_0 -> M_1 -> ... -> M_k with consecutive composites zero."""
 
-    modules: list
-    maps: list
-
-    def __post_init__(self):
-        if len(self.maps) != len(self.modules) - 1:
+    def __init__(self, modules: list, maps: list):
+        if len(maps) != len(modules) - 1:
             raise ValueError("need one map fewer than modules")
+        self.modules = modules
+        self.maps = maps
 
     def is_complex(self) -> bool:
         for f, g in zip(self.maps, self.maps[1:]):
@@ -116,12 +111,12 @@ def dual_seq(seq: ExactSeq) -> ExactSeq:
 # -- approximations -------------------------------------------------------------
 
 
-@dataclass
 class Approximation:
     """An approximation kept with its per-copy components."""
 
-    map: mc.ModMap
-    components: list
+    def __init__(self, map: mc.ModMap, components: list):
+        self.map = map
+        self.components = components
 
     @property
     def source(self):
@@ -200,10 +195,13 @@ def left_min_approximation(M, members) -> Approximation:
 # -- d-cluster-tilting ------------------------------------------------------------
 
 
-@dataclass
 class CTReport:
-    ok: bool
-    violations: list  # (degree, candidate index, member index, side)
+    def __init__(self, ok: bool, violations: list):
+        self.ok = ok
+        self.violations = violations  # (degree, candidate index, member index, side)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CTReport) and (self.ok, self.violations) == (other.ok, other.violations)
 
 
 def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
@@ -337,12 +335,12 @@ def _check_c_exactness(seq: ExactSeq, members):
 # -- pullbacks and the d-pullback construction --------------------------------------
 
 
-@dataclass
 class Pullback:
-    module: object
-    proj_left: mc.ModMap
-    proj_right: mc.ModMap
-    inclusion: mc.ModMap  # into left source + right source
+    def __init__(self, module, proj_left: mc.ModMap, proj_right: mc.ModMap, inclusion: mc.ModMap):
+        self.module = module
+        self.proj_left = proj_left
+        self.proj_right = proj_right
+        self.inclusion = inclusion  # into left source + right source
 
 
 def pullback(g: mc.ModMap, h: mc.ModMap) -> Pullback:
@@ -371,11 +369,11 @@ def _stage(C: Subcat, phi: mc.ModMap) -> mc.ModMap:
     return incl.compose(approx.map)
 
 
-@dataclass
 class DPullback:
-    lifted: ExactSeq      # 0 -> Y0 -> X1 -> ... -> X_{d+1} -> 0
-    connecting: ExactSeq  # 0 -> X1 -> X2+Y1 -> ... -> Y_{d+1} -> 0
-    verticals: list       # X_k -> Y_k for k = 1..d+1
+    def __init__(self, lifted: ExactSeq, connecting: ExactSeq, verticals: list):
+        self.lifted = lifted          # 0 -> Y0 -> X1 -> ... -> X_{d+1} -> 0
+        self.connecting = connecting  # 0 -> X1 -> X2+Y1 -> ... -> Y_{d+1} -> 0
+        self.verticals = verticals    # X_k -> Y_k for k = 1..d+1
 
 
 def d_pullback(C: Subcat, seq: ExactSeq, f: mc.ModMap) -> DPullback:
@@ -446,19 +444,20 @@ def d_pullback(C: Subcat, seq: ExactSeq, f: mc.ModMap) -> DPullback:
 # -- the gluing lemmas ---------------------------------------------------------------
 
 
-@dataclass
 class GlueDiagram:
-    P: object
-    Q: object
-    R: object
-    S: object
-    maps: dict
-    rows: list
-    columns: list
-    split_R: bool
-    split_S: bool
-    no_common_summand: bool
-    compact: dict | None
+    def __init__(self, P, Q, R, S, maps: dict, rows: list, columns: list, split_R: bool,
+                 split_S: bool, no_common_summand: bool, compact: dict | None):
+        self.P = P
+        self.Q = Q
+        self.R = R
+        self.S = S
+        self.maps = maps
+        self.rows = rows
+        self.columns = columns
+        self.split_R = split_R
+        self.split_S = split_S
+        self.no_common_summand = no_common_summand
+        self.compact = compact
 
     def to_json(self) -> dict:
         out = {

@@ -9,7 +9,6 @@ convention; functions return fresh values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import Algebra, opposite
 from .exactlin import (
@@ -58,13 +57,8 @@ class Module:
             m = self.action[a.name]
             if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
                 raise ValueError(f"matrix shape mismatch for arrow {a.name}")
-        for rel in A.spec.relations:
-            d_t, d_s = self.dims[rel.target], self.dims[rel.source]
-            acc = Mat.zeros(A.field, d_t, d_s)
-            for coeff, word in rel.terms:
-                acc = acc.add(path_action(self, rel.source, word).scale(coeff))
-            if not acc.is_zero():
-                raise ValueError("module does not satisfy the algebra relations")
+        if not relations_hold(A, self.dims, {name: m.data for name, m in self.action.items()}):
+            raise ValueError("module does not satisfy the algebra relations")
 
     def dim_vector(self) -> tuple:
         return tuple(self.dims[v] for v in self.algebra.vertices)
@@ -170,6 +164,35 @@ class ModMap:
         return cls(M, N, {}, check=False)
 
 
+def relations_hold(A: Algebra, dims: dict, rows: dict) -> bool:
+    """Whether arrow matrices, given as row tuples by arrow name, satisfy A's relations.
+
+    `Module.validate` runs it on `Mat.data`, and the brute-force enumerator
+    on the raw entries of a candidate before it builds any module.
+    """
+    p = A.field.p
+    for rel in A.spec.relations:
+        d_s = dims[rel.source]
+        acc = [[0] * d_s for _ in range(dims[rel.target])]
+        for coeff, word in rel.terms:
+            cur = rows[word[0]]
+            for name in word[1:]:
+                nxt = []
+                for row in rows[name]:
+                    out = [0] * d_s
+                    for a, prev in zip(row, cur):
+                        for c, y in enumerate(prev if a else ()):
+                            out[c] += a * y
+                    nxt.append(out)
+                cur = nxt
+            for out, row in zip(acc, cur):
+                for c, y in enumerate(row):
+                    out[c] += coeff * y
+        if any(y % p for out in acc for y in out):
+            return False
+    return True
+
+
 def zero_module(A: Algebra) -> Module:
     return Module(A, {}, {}, check=False)
 
@@ -202,11 +225,11 @@ def element_action(M: Module, terms, source, target) -> Mat:
     return acc
 
 
-@dataclass
 class DirectSum:
-    module: Module
-    inclusions: list
-    projections: list
+    def __init__(self, module: Module, inclusions: list, projections: list):
+        self.module = module
+        self.inclusions = inclusions
+        self.projections = projections
 
 
 def direct_sum(A: Algebra, modules) -> DirectSum:
@@ -365,15 +388,16 @@ def factor_through(maps, g: ModMap) -> list | None:
 # -- kernels, images, cokernels ----------------------------------------------
 
 
-@dataclass
 class MapParts:
-    kernel: Module
-    kernel_inclusion: ModMap
-    image: Module
-    image_epi: ModMap
-    image_mono: ModMap
-    cokernel: Module
-    cokernel_projection: ModMap
+    def __init__(self, kernel: Module, kernel_inclusion: ModMap, image: Module, image_epi: ModMap,
+                 image_mono: ModMap, cokernel: Module, cokernel_projection: ModMap):
+        self.kernel = kernel
+        self.kernel_inclusion = kernel_inclusion
+        self.image = image
+        self.image_epi = image_epi
+        self.image_mono = image_mono
+        self.cokernel = cokernel
+        self.cokernel_projection = cokernel_projection
 
 
 def _stable_subspace(big: Module, basis: dict):
@@ -617,7 +641,6 @@ def cosyzygy(M: Module, k: int = 1) -> Module:
 # -- presentations, transpose, translates -------------------------------------
 
 
-@dataclass
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> M -> 0 in element form.
 
@@ -627,10 +650,11 @@ class Presentation:
     M is projective exactly when verts1 is empty.
     """
 
-    verts0: list
-    verts1: list
-    elements: dict
-    cover: ModMap
+    def __init__(self, verts0: list, verts1: list, elements: dict, cover: ModMap):
+        self.verts0 = verts0
+        self.verts1 = verts1
+        self.elements = elements
+        self.cover = cover
 
 
 def _cover_summand_vertices(cover: ModMap) -> list:
@@ -764,12 +788,12 @@ def tau_d_inv(M: Module, d: int) -> Module:
 # -- Ext and homological dimensions -------------------------------------------
 
 
-@dataclass
 class Resolution:
     """A minimal projective resolution in element form, possibly shorter than asked."""
 
-    verts: list  # verts[k] lists the summand vertices of P_k
-    diffs: list  # diffs[k] is the element form of P_k -> P_{k-1}, for k >= 1
+    def __init__(self, verts: list, diffs: list):
+        self.verts = verts  # verts[k] lists the summand vertices of P_k
+        self.diffs = diffs  # diffs[k] is the element form of P_k -> P_{k-1}, for k >= 1
 
 
 def projective_resolution(M: Module, length: int) -> Resolution:
@@ -1134,13 +1158,13 @@ def _coords_in_span(field, flat_basis, target: Mat):
     return sol
 
 
-@dataclass
 class DecompCert:
     """Indecomposable summands with multiplicities and an explicit iso to the sum."""
 
-    summands: tuple  # of (Module, multiplicity)
-    iso_to_sum: ModMap
-    sum: Module
+    def __init__(self, summands: tuple, iso_to_sum: ModMap, sum: Module):
+        self.summands = summands  # of (Module, multiplicity)
+        self.iso_to_sum = iso_to_sum
+        self.sum = sum
 
 
 def _fitting_split(M: Module, f: ModMap):

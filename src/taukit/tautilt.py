@@ -25,7 +25,6 @@ support tau-tilting pairs of Adachi-Iyama-Reiten, *tau-tilting theory*
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import algebra as algebra_mod
 from . import highercat as hc
@@ -140,17 +139,27 @@ def _killing(idx, F, prev, cur, i) -> list:
     return kernel_basis(idx.precompose(F, prev, cur, i))
 
 
-@dataclass
 class SupportTau2Cert:
-    members: tuple                 # sorted census indices of the summands of the basic module
-    support_complement: frozenset  # vertices e with e.T = 0
-    source: tuple                  # census indices of the projectives of A/<e>, as A-modules
-    coresolution: list             # T0, T1, ... as sorted census indices with multiplicity
+    """members: sorted census indices of the summands of the basic module T;
+    support_complement: the vertices e with e.T = 0; source: census indices
+    of the projectives of A/<e>, as A-modules; coresolution: T0, T1, ... as
+    sorted census indices with multiplicity."""
+
+    def __init__(self, members: tuple, support_complement: frozenset, source: tuple, coresolution: list):
+        self.members = members
+        self.support_complement = support_complement
+        self.source = source
+        self.coresolution = coresolution
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SupportTau2Cert) and (
+            (self.members, self.support_complement, self.source, self.coresolution)
+            == (other.members, other.support_complement, other.source, other.coresolution))
 
 
-@dataclass
 class NotSupportTau2:
-    reason: str
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 def is_support_tau2_tilting(T, idx, definition: str = "ambient"):
@@ -277,13 +286,13 @@ def annihilator_quotient(A: Algebra, modules) -> Algebra:
     return algebra_mod.quotient_by_monomial_ideal(A, paths)
 
 
-@dataclass
 class CorrespondenceReport:
-    tilting: list          # (member tuple, SupportTau2Cert)
-    pairs: list            # TorsPair2FF
-    phi: dict              # member tuple -> torsion-class key
-    psi: dict              # torsion-class key -> member tuple
-    mismatches: list = field(default_factory=list)
+    def __init__(self, tilting: list, pairs: list, phi: dict, psi: dict, mismatches: list | None = None):
+        self.tilting = tilting  # (member tuple, SupportTau2Cert)
+        self.pairs = pairs      # TorsPair2FF
+        self.phi = phi          # member tuple -> torsion-class key
+        self.psi = psi          # torsion-class key -> member tuple
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:

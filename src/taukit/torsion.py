@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import highercat as hc
 from . import modcat as mc
@@ -35,7 +34,6 @@ class SequenceFailedError(Exception):
     """A canonical sequence failed for a supposedly verified pair."""
 
 
-@dataclass
 class FinitenessCert:
     """The probing sequence of one member M of C, as multiplicities over C.
 
@@ -43,10 +41,11 @@ class FinitenessCert:
     X2 -> X1 -> M ("contra"), or in X^1 and X^2 of M -> X^1 -> X^2 ("co").
     """
 
-    side: str
-    member: int
-    x1: list
-    x2: list
+    def __init__(self, side: str, member: int, x1: list, x2: list):
+        self.side = side
+        self.member = member
+        self.x1 = x1
+        self.x2 = x2
 
     def chain(self, C: Subcat) -> list:
         """The dim vectors of the sequence, in the order of its terms."""
@@ -152,11 +151,11 @@ def _kernel_maps_factor(table, field, copies, kernels, C0, F) -> bool:
     return rank(Mat.from_rows(field, spans, cols=F.cols)) == kernel_dim
 
 
-@dataclass
 class TorsPair2FF:
-    C: Subcat
-    T: Subcat
-    F: Subcat
+    def __init__(self, C: Subcat, T: Subcat, F: Subcat):
+        self.C = C
+        self.T = T
+        self.F = F
 
     def key(self):
         return (self.T.key(), self.F.key())
@@ -228,13 +227,14 @@ def canonical_sequence(pair: TorsPair2FF, M) -> ExactSeq:
     return ExactSeq([t_ap.source, M, f_ap.target], [t_ap.map, f_ap.map])
 
 
-@dataclass
 class PushoutLift:
-    ok: bool
-    row: ExactSeq | None = None
-    verticals: list | None = None
-    obstruction: str | None = None
-    low_confidence: bool = False
+    def __init__(self, ok: bool, row: ExactSeq | None = None, verticals: list | None = None,
+                 obstruction: str | None = None, low_confidence: bool = False):
+        self.ok = ok
+        self.row = row
+        self.verticals = verticals
+        self.obstruction = obstruction
+        self.low_confidence = low_confidence
 
 
 def _add_objects(T: Subcat):

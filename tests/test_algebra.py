@@ -1,6 +1,13 @@
+import glob
+import itertools
+import os
+import random
+from collections import Counter
+
 import pytest
 
 from taukit.algebra import (
+    Algebra,
     NotAdmissibleError,
     SpecError,
     build_algebra,
@@ -10,7 +17,20 @@ from taukit.algebra import (
     quotient_by_idempotent,
     serialize_spec,
 )
-from tests.conftest import KRONECKER_TEXT, LAMBDA3_TEXT, LOOP_TEXT
+from tests.conftest import (
+    KRONECKER_TEXT,
+    LAMBDA3_TEXT,
+    LOOP_TEXT,
+    a2,
+    auslander_linear,
+    d4,
+    e7_linear,
+    kronecker,
+    lambda3,
+    nakayama_rad2,
+    ss3,
+)
+from tests.test_arknit import CYCLE3_RAD2
 
 
 def test_parse_lambda3():
@@ -158,3 +178,96 @@ def test_dim_is_sum_of_projective_dims(L3):
 def test_quotient_is_built_once(L3):
     assert quotient_by_idempotent(L3, {"1"}) is quotient_by_idempotent(L3, ["1"])
     assert quotient_by_idempotent(L3, {"1"}) is not quotient_by_idempotent(L3, {"2"})
+
+
+# -- the build-time gate on the multiplication table -------------------------------
+
+def _reference_gate(alg):
+    """The gate as one loop over all dim^3 basis triples, then the unit."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = alg.mult_vec(alg.mult_basis(i, j), ((1, k),))
+                right = alg.mult_vec(((1, i),), alg.mult_basis(j, k))
+                if left != right:
+                    raise AssertionError(f"multiplication not associative at ({i},{j},{k})")
+    unit = tuple((1, alg.idempotents[v]) for v in alg.vertices)
+    for i in range(n):
+        if alg.mult_vec(unit, ((1, i),)) != ((1, i),) or alg.mult_vec(((1, i),), unit) != ((1, i),):
+            raise AssertionError("unit fails")
+
+
+def _raises(gate, alg) -> bool:
+    try:
+        gate(alg)
+    except AssertionError:
+        return True
+    return False
+
+
+GATE_ALGEBRAS = {
+    "A3": lambda: lambda3(p=101),
+    "A5rad2": lambda: nakayama_rad2(5, p=101),
+    "auslander3": lambda: auslander_linear(3, p=2),
+    "cycle3rad2": lambda: parse_algebra(CYCLE3_RAD2),
+}
+
+
+def _corruptions(alg, rng, count=12):
+    """Seeded edits of the stored products, each as (kind, edited table)."""
+    p, mult = alg.field.p, alg._mult
+    for _ in range(count):
+        i, j = key = rng.choice(sorted(mult))
+        vec = list(mult[key])
+        t = rng.randrange(len(vec))
+        block = [k for k, pth in enumerate(alg.basis)
+                 if pth.source == alg.basis[j].source and pth.target == alg.basis[i].target]
+        off = [k for k in range(alg.dim) if k not in block]
+        # a term moved to another vertex block, and a product stored for a pair that does not compose
+        if off:
+            yield "off-block", {**mult, key: tuple(sorted(vec[:t] + [(1, rng.choice(off))] + vec[t + 1:]))}
+        a, b = rng.choice([(a, b) for a in range(alg.dim) for b in range(alg.dim)
+                           if alg.basis[b].target != alg.basis[a].source])
+        yield "off-block", {**mult, (a, b): ((1, rng.randrange(alg.dim)),)}
+        # a composable product changed: one term dropped, or given another coefficient or path
+        term = (rng.randrange(1, p), rng.choice(block))
+        changed = vec[:t] + ([] if term == vec[t] or rng.random() < 0.3 else [term]) + vec[t + 1:]
+        yield "changed", {**mult, key: tuple(sorted(changed))}
+        # e_v * x broken, for v the target of x
+        x = rng.randrange(alg.dim)
+        e = alg.idempotents[alg.basis[x].target]
+        yield "unit", {**mult, (e, x): ((2, x),) if p > 2 else ()}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_ALGEBRAS))
+def test_gate_rejects_what_the_dim3_loop_rejects(name):
+    alg = GATE_ALGEBRAS[name]()
+    good = alg._mult
+    raised = Counter()
+    for kind, table in _corruptions(alg, random.Random(name)):
+        alg._mult = {key: vec for key, vec in table.items() if vec}
+        new = _raises(Algebra.check_consistency, alg)
+        # off the vertex blocks the gate rejects outright; on them it decides as the loop does
+        assert new if kind == "off-block" else new == _raises(_reference_gate, alg), kind
+        raised[kind] += new
+    alg._mult = good
+    alg.check_consistency()
+    assert raised["off-block"] and raised["changed"] and raised["unit"] == 12
+
+
+def test_both_gates_pass_on_every_algebra_its_opposite_and_quotients():
+    algebras = [lambda3(), lambda3(p=2), ss3(), a2(), kronecker(), d4(), e7_linear(p=2), nakayama_rad2(5),
+                nakayama_rad2(7, p=2), auslander_linear(3, p=2), parse_algebra(CYCLE3_RAD2),
+                parse_algebra(LOOP_TEXT.format(p=5).rstrip() + "\nrelation x*x\n")]
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "fixtures", "*.alg"))):
+        with open(path) as fh:
+            algebras.append(parse_algebra(fh.read()))
+    algebras += [opposite(alg) for alg in algebras]
+    A5 = nakayama_rad2(5)
+    algebras += [quotient_by_idempotent(A5, e)
+                 for r in range(len(A5.vertices) + 1) for e in itertools.combinations(A5.vertices, r)]
+    assert len(algebras) == 2 * 15 + 32
+    for alg in algebras:
+        alg.check_consistency()
+        _reference_gate(alg)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -165,6 +166,46 @@ def test_knit_d4_matches_brute_force_f2():
         assert idx.find_iso(M) is not None
 
 
+def _brute_force_reference(A, max_dims):
+    """The enumerator as one loop: every assignment becomes a checked Module."""
+    p = A.field.p
+    out = []
+    for dims in itertools.product(*(range(max_dims.get(v, 0) + 1) for v in A.vertices)):
+        if sum(dims) == 0:
+            continue
+        dim_map = dict(zip(A.vertices, dims))
+        shapes = [(a.name, dim_map[a.target], dim_map[a.source]) for a in A.arrows]
+        for assignment in itertools.product(*(itertools.product(range(p), repeat=r * c) for _, r, c in shapes)):
+            action = {name: Mat.from_rows(A.field, [flat[i * c:(i + 1) * c] for i in range(r)], cols=c)
+                      for (name, r, c), flat in zip(shapes, assignment)}
+            try:
+                M = mc.Module(A, dim_map, action, check=True)
+            except ValueError:
+                continue
+            if mc.is_indecomposable(M) and arknit._iso_index(out, M) is None:
+                out.append(M)
+    out.sort(key=lambda m: (m.total_dim, m.dim_vector()))
+    return out
+
+
+ORACLE_CASES = {
+    "A3-2": (lambda: lambda3(p=2), 1),
+    "A3-101": (lambda: lambda3(p=101), 1),
+    "D4-2": (lambda: d4(p=2), {"1": 1, "2": 1, "3": 1, "4": 2}),
+    "auslander3-2": (lambda: auslander_linear(3, p=2), 1),
+    "cycle3rad2-3": (lambda: parse_algebra(CYCLE3_RAD2), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_brute_force_matches_the_plain_loop(name):
+    build, bound = ORACLE_CASES[name]
+    A = build()
+    bounds = bound if isinstance(bound, dict) else {v: bound for v in A.vertices}
+    fast = arknit.brute_force_indecomposables(A, bounds)
+    assert [M.to_json() for M in fast] == [M.to_json() for M in _brute_force_reference(A, bounds)]
+
+
 # -- pinned census bytes, the rad^2 oracle, and work done once -------------------
 
 # E7 with the chain 1 -> ... -> 6 oriented linearly and the branch arrow 7 -> 3
@@ -288,6 +329,23 @@ def test_knitting_computes_each_translate_once(monkeypatch, build):
     assert members("transpose", dual=True) == once(lambda i: not idx.is_injective(i))
     assert len(calls["minimal_presentation"]) == 2 * len(idx.modules)
     assert calls["tau"] == calls["tau_inv"] == []
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_knitting_compares_no_pair_twice(monkeypatch, p):
+    # each tau and tau^-1 image is placed by the iso scan that registers it:
+    # no later scan of the census, or round-trip check, compares it again
+    calls = []
+    iso = mc.iso_between_indecomposables
+
+    def recorded(M, N):
+        calls.append((M, N))
+        return iso(M, N)
+
+    monkeypatch.setattr(mc, "iso_between_indecomposables", recorded)
+    arknit.knit_indecomposables(nakayama_rad2(5, p=p))
+    pairs = Counter((id(M), id(N)) for M, N in calls)
+    assert calls and max(pairs.values()) == 1
 
 
 def test_composite_outside_the_radical_is_a_defect():

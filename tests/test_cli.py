@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -275,6 +276,18 @@ def test_module_entry_point(lambda3_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 5
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # every command pays for its imports; -S keeps site .pth files from preloading any
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, taukit.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_ar_json_dump(lambda3_file, capsys):
