@@ -13,7 +13,8 @@ non-projective Z with almost split sequence 0 -> tau Z -> E -> Z -> 0, the
 middle term recomputed from irreducible-map multiplicities must match
 dimension-wise, and the kept tau^-1 of tau Z must be Z again.  The
 irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the rank of the
-composites through rad^2; each span stops growing once it fills rad(X, Y).
+composites through rad^2, read as the images of X's top generators, with
+rad End(X) from `IndecIndex.radical`; each span stops growing once it fills rad(X, Y).
 The brute-force enumerator is the independent oracle the tests compare
 against.  It rejects a candidate on its raw entries, before building a
 module, when a relation fails or when its support falls apart into pieces
@@ -67,6 +68,7 @@ class IndecIndex:
         self._ext_cache = {}
         self._resolutions = {}  # (i, length) -> resolution of X_i
         self._ext_masks = {}  # k -> (rows, columns)
+        self._ext_masks_below = {}  # d -> (rows, columns) over 0 < k < d
         self._compose_cache = {}
         self._radicals = {}  # i -> rad End(X_i) coordinates
         self._quotient_projectives = {}  # e -> indices
@@ -135,7 +137,7 @@ class IndecIndex:
 
     def _generator_data(self, i: int) -> "_Generators":
         if i not in self._generators:
-            self._generators[i] = _Generators.of(mc.minimal_presentation(self.modules[i]))
+            self._generators[i] = _Generators.of(self.algebra, mc.minimal_presentation(self.modules[i]))
         return self._generators[i]
 
     def _path_action(self, j: int, v, word) -> Mat:
@@ -272,6 +274,15 @@ class IndecIndex:
             self._ext_masks[k] = (rows, [sum(1 << x for x in ids if rows[x] >> m & 1) for m in ids])
         return self._ext_masks[k]
 
+    def ext_masks_below(self, d: int) -> tuple:
+        """The OR over 0 < k < d of the `ext_masks` rows, and of their columns, kept per d."""
+        if d not in self._ext_masks_below:
+            below = ([0] * len(self.modules),) * 2
+            for k in range(1, d):
+                below = tuple([a | b for a, b in zip(*pair)] for pair in zip(below, self.ext_masks(k)))
+            self._ext_masks_below[d] = below
+        return self._ext_masks_below[d]
+
     def is_projective(self, i: int) -> bool:
         return self._proj_flags[i]
 
@@ -309,30 +320,30 @@ class IndecIndex:
 class _Generators:
     """The top generators of a module X, from its minimal presentation P1 -> P0 ->> X.
 
-    Generator k lives at verts0[k].  relations[r] lists, for the r-th summand
-    P(verts1[r]) of P1, the (k, terms) of its image in P0.  sections[w] is a
-    right inverse of the cover at vertex w, as its nonzero rows (k, path, row)
-    over the basis path * g_k of (P0)_w.
+    Generator k is tops[k] = (v, j), basis vector j of X at v = verts0[k].  relations[r]
+    lists, for the r-th summand P(verts1[r]) of P1, the (k, terms) of its image in P0.
+    sections[w] is a right inverse of the cover at vertex w, as its nonzero rows
+    (k, path, row) over the basis path * g_k of (P0)_w.
     """
 
-    def __init__(self, verts0: list, verts1: list, relations: list, sections: dict):
-        self.verts0 = verts0
+    def __init__(self, tops: list, verts1: list, relations: list, sections: dict):
+        self.tops = tops
+        self.verts0 = [v for v, _ in tops]
         self.verts1 = verts1
         self.relations = relations
         self.sections = sections
 
     @classmethod
-    def of(cls, pres) -> "_Generators":
-        A, cover = pres.cover.target.algebra, pres.cover
+    def of(cls, A: Algebra, pres) -> "_Generators":
         relations = [[(k, terms) for (k, r), terms in sorted(pres.elements.items()) if r == row]
                      for row in range(len(pres.verts1))]
         sections = {}
         for w in A.vertices:
             labels = [(k, pth.arrows) for k, v in enumerate(pres.verts0)
                       for pth in A.paths_from(v) if pth.target == w]
-            right = solve_matrix(cover.mats[w], Mat.identity(A.field, cover.target.dims[w]))
+            right = solve_matrix(pres.cover[w], Mat.identity(A.field, pres.cover[w].rows))
             sections[w] = [(k, word, row) for (k, word), row in zip(labels, right.data) if any(row)]
-        return cls(list(pres.verts0), list(pres.verts1), relations, sections)
+        return cls(list(zip(pres.verts0, pres.generators)), list(pres.verts1), relations, sections)
 
 
 def _iso_index(modules, M) -> int | None:
@@ -409,7 +420,7 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         pres, injective, t, s = records[i]
         idx._proj_flags.append(not pres.verts1)
         idx._inj_flags.append(injective)
-        idx._generators[z] = _Generators.of(pres)
+        idx._generators[z] = _Generators.of(A, pres)
         if pres.verts1:
             if t is None:
                 raise KnitIncompleteError("tau image missing from index")
@@ -419,47 +430,33 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
     return idx
 
 
-def _rad_basis(idx: IndecIndex, i: int, j: int) -> list:
-    """A basis of the radical rad(X_i, X_j) (all of Hom for i != j)."""
-    homs = idx.hom_basis(i, j)
-    if i != j:
-        return homs
-    flat = [mc.flatten_endo(f) for f in homs]
-    field_ = idx.algebra.field
-    rad_coords = mc.radical_of_endos(field_, flat)
-    rad_maps = []
-    for coords in rad_coords:
-        g = mc.ModMap.zero(idx.modules[i], idx.modules[j])
-        for c, f in zip(coords, homs):
-            if c:
-                g = g.add(f.scale(c))
-        rad_maps.append(g)
-    return rad_maps
-
-
 def irreducible_multiplicities(idx: IndecIndex) -> dict:
     """a(X, Y) = dim rad(X,Y)/rad^2(X,Y) for all ordered pairs in the index.
 
-    The composites h o g through X_z are added one z at a time, keeping only
-    an echelon basis of their span, and the span stops growing once it fills
+    A map out of X_i is read as the images of X_i's top generators g_k: g(g_k)
+    is taken once per g in rad(X_i, X_z), and h o g sends g_k to h's matrix at
+    v_k applied to it.  The composites through X_z are added one z at a time,
+    keeping an echelon basis of their span, which stops growing once it fills
     rad(X, Y).  A span larger than rad(X, Y) means a composite left the
     radical, which is a defect.
     """
     n = len(idx.modules)
     field_ = idx.algebra.field
-    rad = {(i, j): _rad_basis(idx, i, j) for i in range(n) for j in range(n)}
+    rad = {(i, j): _radical_maps(idx, i, j) for i in range(n) for j in range(n)}
     out = {}
     for i in range(n):
+        tops = idx._generator_data(i).tops
+        images = [[[tuple(row[j] for row in g[v].data) for v, j in tops] for g in rad[(i, z)]]
+                  for z in range(n)]
         for j in range(n):
             dim = len(rad[(i, j)])
             if dim == 0:
                 continue
-            veclen = len(mc.hom_to_vector(rad[(i, j)][0]))
+            veclen = sum(idx.modules[j].dims[v] for v, _ in tops)
             span, sq_rank = [], 0
-            for z in range(n):
-                square = [mc.hom_to_vector(h.compose(g)) for g in rad[(i, z)] for h in rad[(z, j)]]
-                if not square:
-                    continue
+            for z in [z for z in range(n) if images[z] and rad[(z, j)]]:
+                square = [[y for (v, _), x in zip(tops, gz) for y in h[v].apply(x)]
+                          for gz in images[z] for h in rad[(z, j)]]
                 echelon = rref(Mat.from_rows(field_, span + square, cols=veclen))
                 sq_rank = echelon.rank
                 if sq_rank >= dim:
@@ -470,6 +467,17 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
             if sq_rank < dim:
                 out[(i, j)] = dim - sq_rank
     return out
+
+
+def _radical_maps(idx: IndecIndex, i: int, j: int) -> list:
+    """The matrices at each vertex of the basis of rad(X_i, X_j) that `idx.radical` gives."""
+    homs = idx.hom_basis(i, j)
+    if i != j:
+        return [f.mats for f in homs]
+    flat, p = [mc.hom_to_vector(f) for f in homs], idx.algebra.field.p
+    return [mc.vector_to_hom(idx.modules[i], idx.modules[j],
+                             tuple(sum(c * x for c, x in zip(coords, col)) % p for col in zip(*flat))).mats
+            for coords in idx.radical(i, j)]
 
 
 def _certify_and_mesh(idx: IndecIndex, inverses: list):

@@ -328,12 +328,25 @@ def column_space_basis(m: Mat) -> Mat:
 def complement_basis(basis: Mat) -> Mat:
     """Standard basis vectors completing the (full-column-rank) basis to all of F_p^n."""
     n = basis.rows
-    aug = Mat.hstack(basis.field, [basis, Mat.identity(basis.field, n)], rows=n)
-    piv = _echelon(aug).pivots
-    extra = [c - basis.cols for c in piv if c >= basis.cols]
-    cols = []
-    for j in extra:
-        v = [0] * n
-        v[j] = 1
-        cols.append(tuple(v))
-    return Mat.from_columns(basis.field, cols, rows=n)
+    return Mat.from_columns(basis.field, [tuple(int(r == c) for r in range(n))
+                                          for c in quotient_coordinates(basis)[0]], rows=n)
+
+
+def quotient_coordinates(m: Mat):
+    """(complement, reduce): the c with e_c outside U + span(e_0 .. e_{c-1}), U the column
+    space of m, and y's coordinates on those e_c modulo U.  The c left out are the last
+    nonzero entries of vectors of U: the pivots of its echelon form, coordinates reversed."""
+    n, p = m.rows, m.field.p
+    res = _echelon(Mat.from_rows(m.field, [col[::-1] for col in m.columns()], cols=n))
+    ends = {n - 1 - c for c in res.pivots}
+    complement = [c for c in range(n) if c not in ends]
+    rows = list(zip(res.pivots, res.matrix.data))
+
+    def reduce(y) -> tuple:
+        y = y[::-1]
+        for c, row in rows:
+            if y[c]:
+                y = [(a - y[c] * b) % p for a, b in zip(y, row)]
+        return tuple(y[n - 1 - c] for c in complement)
+
+    return complement, reduce

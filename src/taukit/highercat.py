@@ -196,9 +196,15 @@ def left_min_approximation(M, members) -> Approximation:
 
 
 class CTReport:
-    def __init__(self, ok: bool, violations: list):
+    def __init__(self, ok: bool, violations):
         self.ok = ok
-        self.violations = violations  # (degree, candidate index, member index, side)
+        self._violations = violations  # (degree, candidate, member, side), or a function listing them
+
+    @property
+    def violations(self) -> list:
+        if callable(self._violations):
+            self._violations = self._violations()
+        return self._violations
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CTReport) and (self.ok, self.violations) == (other.ok, other.violations)
@@ -208,19 +214,25 @@ def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
     """Both Ext-orthogonality equalities, read off the census Ext bitmasks.
 
     For each host index x, the members m with Ext^i(m, x) != 0 or Ext^i(x, m)
-    != 0 for some 0 < i < d are one AND with the member mask.  A witness is the
-    lowest such member at its lowest such degree.
+    != 0 for some 0 < i < d are one AND with the member mask and the OR of the
+    degrees, kept per d.  The verdict stops at the first failing x; violations
+    are listed only when read.  A witness is the lowest such member at its lowest such degree.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     idx = C.host
     mask = sum(1 << m for m in C.members)
-    degrees = [idx.ext_masks(i) for i in range(1, d)]
+    rows, cols = idx.ext_masks_below(d)
+    ok = all(not (rows[x] | cols[x]) & mask if mask >> x & 1 else rows[x] & mask and cols[x] & mask
+             for x in range(len(idx.modules)))
+    return CTReport(True, []) if ok else CTReport(False, lambda: _ct_violations(idx, mask, d))
+
+
+def _ct_violations(idx, mask: int, d: int) -> list:
+    degrees, (right_of, left_of) = [idx.ext_masks(i) for i in range(1, d)], idx.ext_masks_below(d)
     violations = []
     for x in range(len(idx.modules)):
-        left = right = 0
-        for rows, cols in degrees:
-            left, right = left | cols[x] & mask, right | rows[x] & mask
+        left, right = left_of[x] & mask, right_of[x] & mask
         if not mask >> x & 1:
             if not left:
                 violations.append((0, x, x, "left orthogonal module missing from C"))
@@ -235,7 +247,7 @@ def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
             m = (right & -right).bit_length() - 1
             i = next(i for i, (rows, _) in enumerate(degrees, 1) if rows[x] >> m & 1)
             violations.append((i, x, m, "ext(X, member) nonzero"))
-    return CTReport(not violations, violations)
+    return violations
 
 
 # -- C-resolutions ------------------------------------------------------------------

@@ -4,18 +4,23 @@ Modules are representations: one matrix per arrow over the base prime
 field.  Everything downstream (Hom, Ext, approximations, translates) is
 exact linear algebra on these matrices.  All objects are immutable by
 convention; functions return fresh values.
+
+Minimal presentations, resolutions, syzygies and projective dimensions come
+from one loop on top generators (`_resolve`) that builds no module for any
+term, and `transpose` takes its cokernel on matrices built from that element form.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from .algebra import Algebra, opposite
 from .exactlin import (
     Mat,
     column_space_basis,
-    complement_basis,
     kernel_basis,
+    quotient_coordinates,
     rank,
     rref,
     solve,
@@ -425,20 +430,26 @@ def kernel(f: ModMap):
 def cokernel(f: ModMap):
     """Pointwise cokernel of f with its induced arrow action: (Q, projection target -> Q)."""
     A = f.source.algebra
-    field = A.field
     N = f.target
-    cbas, proj = {}, {}
-    for v in A.vertices:
-        ibas = column_space_basis(f.mats[v])
-        comp = complement_basis(ibas)
-        cbas[v] = comp
-        full = Mat.hstack(field, [ibas, comp], rows=N.dims[v])
-        inv = solve_matrix(full, Mat.identity(field, N.dims[v]))
-        proj[v] = Mat.from_rows(field, [inv.data[i] for i in range(ibas.cols, N.dims[v])],
-                                cols=N.dims[v]) if N.dims[v] else Mat.zeros(field, 0, 0)
-    action = {a.name: proj[a.target].mul(N.action[a.name]).mul(cbas[a.source]) for a in A.arrows}
-    Q = Module(A, {v: cbas[v].cols for v in A.vertices}, action, check=False)
+    complement, reduce, action = _cokernel(A, N.action, f.mats)
+    Q = Module(A, {v: len(complement[v]) for v in A.vertices}, action, check=False)
+    proj = {v: Mat.from_columns(A.field, map(reduce[v], Mat.identity(A.field, N.dims[v]).data),
+                                rows=len(complement[v])) for v in A.vertices}
     return Q, ModMap(N, Q, proj, check=False)
+
+
+def _cokernel(A: Algebra, action: dict, image: dict):
+    """The cokernel of the spans image[v] in a representation: at each v, the standard basis
+    vectors complement[v] that complete the image, reduce[v] reading coordinates on them,
+    and the induced action."""
+    complement, reduce = {}, {}
+    for v in A.vertices:
+        complement[v], reduce[v] = quotient_coordinates(image[v])
+    quotient = {}
+    for a in A.arrows:
+        cols = [reduce[a.target](action[a.name].col(c)) for c in complement[a.source]]
+        quotient[a.name] = Mat.from_columns(A.field, cols, rows=len(complement[a.target]))
+    return complement, reduce, quotient
 
 
 def map_parts(f: ModMap) -> MapParts:
@@ -576,32 +587,11 @@ def socle_columns(M: Module) -> dict:
 
 
 def projective_cover(M: Module) -> ModMap:
-    """The minimal surjection P(M) ->> M from a projective module."""
+    """The minimal surjection P(M) ->> M from a projective module, on M's top generators."""
     A = M.algebra
-    field = A.field
-    rad = {v: column_space_basis(cols) for v, cols in radical_columns(M).items()}
-    gens = []  # (vertex, column vector in M at that vertex)
-    for v in A.vertices:
-        comp = complement_basis(rad[v])
-        for j in range(comp.cols):
-            gens.append((v, comp.col(j)))
-    summands = [projective(A, v) for v, _ in gens]
-    ds = direct_sum(A, summands)
-    components = []
-    for (v, vec), P in zip(gens, summands):
-        paths = A.paths_from(v)
-        by_target: dict = {w: [] for w in A.vertices}
-        for pth in paths:
-            by_target[pth.target].append(pth)
-        mats = {}
-        for w in A.vertices:
-            cols = [path_action(M, v, pth.arrows).apply(vec) for pth in by_target[w]]
-            mats[w] = Mat.from_columns(field, cols, rows=M.dims[w])
-        components.append(ModMap(P, M, mats, check=False))
-    if not components:
-        cover = ModMap.zero(ds.module, M)
-    else:
-        cover = map_from_sum(ds, components)
+    tops = _top(A, M.dims, M.action)
+    P = direct_sum(A, [projective(A, v) for v, _ in tops]).module
+    cover = ModMap(P, M, _cover(A, M.dims, M.action, tops)[0], check=False)
     if not cover.is_epi():
         raise AssertionError("projective cover failed to be surjective")
     return cover
@@ -616,21 +606,17 @@ def injective_envelope(M: Module) -> ModMap:
 
 
 def is_projective(M: Module) -> bool:
-    if M.is_zero():
-        return True
-    return kernel(projective_cover(M))[0].is_zero()
+    return not minimal_presentation(M).verts1
 
 
 def syzygy(M: Module, k: int = 1) -> Module:
-    """The k-th syzygy: iterated kernels of minimal projective covers."""
+    """The k-th syzygy: the k-th kernel of the minimal projective resolution."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    cur = M
-    for _ in range(k):
-        if cur.is_zero():
-            return cur
-        cur, _ = kernel(projective_cover(cur))
-    return cur
+    if k == 0:
+        return M
+    last = _resolve(M, k)[4]
+    return zero_module(M.algebra) if last is None else Module(M.algebra, *last, check=False)
 
 
 def cosyzygy(M: Module, k: int = 1) -> Module:
@@ -641,125 +627,147 @@ def cosyzygy(M: Module, k: int = 1) -> Module:
 # -- presentations, transpose, translates -------------------------------------
 
 
+def _top(A: Algebra, dims: dict, action: dict) -> list:
+    """The top generators (v, j), basis vector j at v: at each vertex, the
+    standard basis vectors that complete a basis of the radical."""
+    return [(v, c) for v in A.vertices for c in quotient_coordinates(Mat.hstack(
+        A.field, [action[a.name] for a in A.arrows if a.target == v], rows=dims[v]))[0]]
+
+
+def _cover(A: Algebra, dims: dict, action: dict, tops: list):
+    """The cover P ->> X on the tops (v_k, j_k), one matrix per vertex, and its labels: the
+    basis of P at w is path * g_k over the paths v_k -> w in basis order, summand by
+    summand, labels[w] lists those (k, path), and that column is the path's action on g_k."""
+    cols = {w: [] for w in A.vertices}
+    labels = {w: [] for w in A.vertices}
+    for k, (v, j) in enumerate(tops):
+        images = {(): tuple(int(r == j) for r in range(dims[v]))}
+        for pth in A.paths_from(v):
+            cols[pth.target].append(_word_image(action, images, pth.arrows))
+            labels[pth.target].append((k, pth.arrows))
+    return {w: Mat.from_columns(A.field, cols[w], rows=dims[w]) for w in A.vertices}, labels
+
+
+def _word_image(action: dict, images: dict, word: tuple) -> tuple:
+    """A vector's image under the path word, from the images of the word's prefixes."""
+    if word not in images:
+        images[word] = action[word[-1]].apply(_word_image(action, images, word[:-1]))
+    return images[word]
+
+
+def _kernel_action(A: Algebra, verts: list, kbas: dict) -> dict:
+    """The action on ker(P ->> X) in its `kernel_basis` kbas[w], P the sum of the P(v), v in
+    verts, acting block-diagonally by the cached projectives.  Free column f is the last nonzero
+    entry of its basis vector and zero in the others, so those entries are the coordinates."""
+    free = {w: [max(q for q, x in enumerate(vec) if x) for vec in kbas[w]] for w in A.vertices}
+    action = {}
+    for a in A.arrows:
+        act = Mat.block_diag(A.field, [projective(A, v).action[a.name] for v in verts])
+        cols = [[y[f] for f in free[a.target]] for y in map(act.apply, kbas[a.source])]
+        action[a.name] = Mat.from_columns(A.field, cols, rows=len(kbas[a.target]))
+    return action
+
+
+def _element_form(tops: list, kbas: dict, labels: dict) -> dict:
+    """elements[(k, i)]: the paths, by summand k of P, of the kernel vector that top i names."""
+    elements = {}
+    for i, (v, j) in enumerate(tops):
+        for (k, word), c in zip(labels[v], kbas[v][j]):
+            if c:
+                elements.setdefault((k, i), []).append((c, word))
+    return {key: tuple(terms) for key, terms in elements.items()}
+
+
+def _resolve(M: Module, length: int):
+    """The top-generator loop: P_0 .. P_length of M's minimal projective resolution.
+
+    P_k covers X_k (X_0 = M) on its top; X_{k+1} = ker(P_k ->> X_k) is held in the
+    `kernel_basis` at each vertex, where its own top gives P_{k+1} -> P_k in element
+    form.  Returns (verts, diffs, covers, tops of M, (dims, action) of the last X_k or None).
+    """
+    A = M.algebra
+    dims, action = M.dims, M.action
+    tops = first = _top(A, dims, action)
+    verts, diffs, covers = [[v for v, _ in tops]], [], []
+    for _ in range(length):
+        mats, labels = _cover(A, dims, action, tops)
+        covers.append(mats)
+        kbas = {w: kernel_basis(mats[w]) for w in A.vertices}
+        dims = {w: len(kbas[w]) for w in A.vertices}
+        if not any(dims.values()):
+            return verts, diffs, covers, first, None
+        action = _kernel_action(A, verts[-1], kbas)
+        tops = _top(A, dims, action)
+        verts.append([v for v, _ in tops])
+        diffs.append(_element_form(tops, kbas, labels))
+    return verts, diffs, covers, first, (dims, action)
+
+
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> M -> 0 in element form.
 
     verts0/verts1 list the projective summand vertices; elements[(j, i)] is
     the combination of paths verts0[j] -> verts1[i] defining the component
-    P(verts1[i]) -> P(verts0[j]) by right multiplication.  cover is P0 ->> M.
-    M is projective exactly when verts1 is empty.
+    P(verts1[i]) -> P(verts0[j]) by right multiplication.  Generator j of M is
+    basis vector generators[j] of M at verts0[j], and cover[w] is the matrix
+    of P0 ->> M at w.  M is projective exactly when verts1 is empty.
     """
 
-    def __init__(self, verts0: list, verts1: list, elements: dict, cover: ModMap):
+    def __init__(self, verts0: list, verts1: list, elements: dict, cover: dict, generators: list):
         self.verts0 = verts0
         self.verts1 = verts1
         self.elements = elements
         self.cover = cover
-
-
-def _cover_summand_vertices(cover: ModMap) -> list:
-    M = cover.target
-    A = M.algebra
-    rad = {v: column_space_basis(cols) for v, cols in radical_columns(M).items()}
-    out = []
-    for v in A.vertices:
-        out.extend([v] * (M.dims[v] - rad[v].cols))
-    return out
+        self.generators = generators
 
 
 def minimal_presentation(M: Module) -> Presentation:
-    A = M.algebra
-    cover0 = projective_cover(M)
-    verts0 = _cover_summand_vertices(cover0)
-    K, incl = kernel(cover0)
-    cover1 = projective_cover(K)
-    verts1 = _cover_summand_vertices(cover1)
-    g = incl.compose(cover1)  # P1 -> P0
-    elements = _element_form(A, verts1, verts0, g)
-    return Presentation(verts0, verts1, elements, cover0)
-
-
-def _element_form(A: Algebra, src_verts, tgt_verts, g: ModMap) -> dict:
-    """Read off the defining algebra elements of a map between projective sums."""
-    # offsets of each summand inside the per-vertex blocks of the direct sums
-    def layout(verts):
-        paths_of = {v: A.paths_from(v) for v in set(verts)}
-        offsets = {w: 0 for w in A.vertices}
-        slots = []  # per summand: dict w -> (offset, paths at w)
-        for v in verts:
-            per = {}
-            for w in A.vertices:
-                mine = [pth for pth in paths_of[v] if pth.target == w]
-                per[w] = (offsets[w], mine)
-                offsets[w] += len(mine)
-            slots.append(per)
-        return slots
-
-    src_slots = layout(src_verts)
-    tgt_slots = layout(tgt_verts)
-    elements = {}
-    for i, v1 in enumerate(src_verts):
-        off_triv, triv_paths = src_slots[i][v1]
-        col = None
-        for idx, pth in enumerate(triv_paths):
-            if not pth.arrows:
-                col = off_triv + idx
-                break
-        if col is None:
-            raise AssertionError("projective summand lost its trivial path")
-        image = g.mats[v1].col(col)
-        for j, v0 in enumerate(tgt_verts):
-            off, paths_here = tgt_slots[j][v1]
-            terms = []
-            for idx, pth in enumerate(paths_here):
-                c = image[off + idx]
-                if c:
-                    terms.append((c, pth.arrows))
-            if terms:
-                elements[(j, i)] = tuple(terms)
-    return elements
+    verts, diffs, covers, tops, _ = _resolve(M, 1)
+    return Presentation(verts[0], verts[1] if diffs else [], diffs[0] if diffs else {}, covers[0],
+                        [j for _, j in tops])
 
 
 def transpose(M: Module, pres: Presentation | None = None) -> Module:
-    """Tr M over the opposite algebra, from M's minimal projective presentation pres."""
+    """Tr M over the opposite algebra: the cokernel of P0* -> P1* for M's minimal presentation,
+    where an element P(verts1[i]) -> P(verts0[j]) dualizes to right multiplication by it on
+    opposite projectives.  Each block is built once, straight from pres.elements."""
     Aop = opposite(M.algebra)
     if pres is None:
         pres = minimal_presentation(M)
-    src = direct_sum(Aop, [projective(Aop, v) for v in pres.verts0])
-    tgt = direct_sum(Aop, [projective(Aop, v) for v in pres.verts1])
-    blocks = {}
+    src, tgt = ({w: list(accumulate((projective(Aop, v).dims[w] for v in verts), initial=0))
+                 for w in Aop.vertices} for verts in (pres.verts0, pres.verts1))
+    grid = {w: [[0] * src[w][-1] for _ in range(tgt[w][-1])] for w in Aop.vertices}
     for (j, i), terms in pres.elements.items():
-        # component P_op(verts0[j]) -> P_op(verts1[i]): right multiplication by
-        # the reversed element, realized on opposite path bases
-        blocks[(i, j)] = _right_mult_map(Aop, pres.verts0[j], pres.verts1[i], terms)
-    gstar = block_map(src, tgt, blocks)
-    return cokernel(gstar)[0]
+        for w, block in _right_mult_map(Aop, pres.verts0[j], pres.verts1[i], terms).items():
+            for r, row in enumerate(block, tgt[w][i]):
+                grid[w][r][src[w][j]:src[w][j + 1]] = row
+    image = {w: Mat.from_rows(Aop.field, grid[w], cols=src[w][-1]) for w in Aop.vertices}
+    action = {a.name: Mat.block_diag(Aop.field, [projective(Aop, v).action[a.name] for v in pres.verts1])
+              for a in Aop.arrows}
+    complement, _, quotient = _cokernel(Aop, action, image)
+    return Module(Aop, {w: len(complement[w]) for w in Aop.vertices}, quotient, check=False)
 
 
-def _right_mult_map(Aop: Algebra, v_from, v_to, terms) -> ModMap:
-    """Right multiplication on opposite projectives by an element of paths v_to -> v_from
-    of the original algebra (so an element of opposite paths v_to -> v_from reversed)."""
-    P_from = projective(Aop, v_from)
-    P_to = projective(Aop, v_to)
-    by_target_from: dict = {w: [] for w in Aop.vertices}
-    for pth in Aop.paths_from(v_from):
-        by_target_from[pth.target].append(pth)
-    by_target_to: dict = {w: [] for w in Aop.vertices}
-    pos_to: dict = {}
+def _right_mult_map(Aop: Algebra, v_from, v_to, terms) -> dict:
+    """Right multiplication P_op(v_from) -> P_op(v_to) by an element of paths v_to -> v_from
+    of the original algebra (so an element of opposite paths v_to -> v_from reversed),
+    as the rows of its matrix over the opposite path bases at each vertex."""
+    p = Aop.field.p
+    pos, col = {}, dict.fromkeys(Aop.vertices, 0)
     for pth in Aop.paths_from(v_to):
-        by_target_to[pth.target].append(pth)
-        pos_to[pth.key()] = len(by_target_to[pth.target]) - 1
-    mats = {}
-    for w in Aop.vertices:
-        rows = [[0] * len(by_target_from[w]) for _ in range(len(by_target_to[w]))]
-        for c, q in enumerate(by_target_from[w]):
-            for coeff, word in terms:
-                op_word = tuple(reversed(word))
-                for c2, bidx in Aop.reduce_word(v_to, op_word + q.arrows):
-                    res = Aop.basis[bidx]
-                    rows[pos_to[res.key()]][c] = (rows[pos_to[res.key()]][c] + coeff * c2) % Aop.field.p
-        mats[w] = Mat.from_rows(Aop.field, rows, cols=len(by_target_from[w]))
-    return ModMap(P_from, P_to, mats, check=False)
+        pos[pth.key()] = col[pth.target]
+        col[pth.target] += 1
+    width = projective(Aop, v_from).dims
+    rows = {w: [[0] * width[w] for _ in range(col[w])] for w in Aop.vertices}
+    col = dict.fromkeys(Aop.vertices, 0)
+    for q in Aop.paths_from(v_from):
+        w, c = q.target, col[q.target]
+        col[w] += 1
+        for coeff, word in terms:
+            for c2, bidx in Aop.reduce_word(v_to, tuple(reversed(word)) + q.arrows):
+                r = pos[Aop.basis[bidx].key()]
+                rows[w][r][c] = (rows[w][r][c] + coeff * c2) % p
+    return rows
 
 
 def tau(M: Module) -> Module:
@@ -797,20 +805,7 @@ class Resolution:
 
 
 def projective_resolution(M: Module, length: int) -> Resolution:
-    A = M.algebra
-    verts = []
-    diffs = []
-    cover = projective_cover(M)
-    verts.append(_cover_summand_vertices(cover))
-    K, incl = kernel(cover)
-    for _ in range(length):
-        if K.is_zero():
-            break
-        nxt = projective_cover(K)
-        verts.append(_cover_summand_vertices(nxt))
-        g = incl.compose(nxt)
-        diffs.append(_element_form(A, verts[-1], verts[-2], g))
-        K, incl = kernel(nxt)
+    verts, diffs = _resolve(M, length)[:2]
     return Resolution(verts, diffs)
 
 
@@ -858,15 +853,9 @@ def resolution_ext_dim(res: Resolution, i: int, N: Module) -> int:
 
 
 def proj_dim(M: Module, cap: int = 32) -> int | None:
-    """Projective dimension, or None when it exceeds the cap."""
-    if M.is_zero():
-        return 0
-    cur = M
-    for k in range(cap + 1):
-        if is_projective(cur):
-            return k
-        cur = syzygy(cur, 1)
-    return None
+    """Projective dimension, or None when it exceeds the cap: where the resolution loop stops."""
+    verts, _, _, _, last = _resolve(M, cap + 1)
+    return len(verts) - 1 if last is None else None
 
 
 def global_dimension(A: Algebra, cap: int = 32) -> int | None:

@@ -264,11 +264,24 @@ def test_e7_census_shape(censuses):
     assert {a for _, _, a in idx.ar_arrows} == {1}
 
 
+def _radical_basis(idx, i, j):
+    """rad(X_i, X_j) as ModMaps, combined from the coordinates `idx.radical` gives."""
+    homs = idx.hom_basis(i, j)
+    out = []
+    for coords in idx.radical(i, j):
+        g = mc.ModMap.zero(idx.modules[i], idx.modules[j])
+        for c, f in zip(coords, homs):
+            if c:
+                g = g.add(f.scale(c))
+        out.append(g)
+    return out
+
+
 def _full_span_multiplicities(idx):
     """a(i, j) from the rank of every composite through rad^2, with no early stop."""
     n = len(idx.modules)
     field_ = idx.algebra.field
-    rad = {(i, j): arknit._rad_basis(idx, i, j) for i in range(n) for j in range(n)}
+    rad = {(i, j): _radical_basis(idx, i, j) for i in range(n) for j in range(n)}
     out = {}
     for i in range(n):
         for j in range(n):
@@ -329,6 +342,55 @@ def test_knitting_computes_each_translate_once(monkeypatch, build):
     assert members("transpose", dual=True) == once(lambda i: not idx.is_injective(i))
     assert len(calls["minimal_presentation"]) == 2 * len(idx.modules)
     assert calls["tau"] == calls["tau_inv"] == []
+
+
+@pytest.mark.parametrize("build", [lambda: e7_linear(p=2), lambda: nakayama_rad2(5, p=101)],
+                         ids=["E7-2", "A5rad2-101"])
+def test_knitting_reads_translates_and_irreducible_maps_off_top_generators(monkeypatch, build):
+    # after the seeds, knitting builds no cover, kernel or cokernel module, and
+    # direct sums only inside the seed decomposition; the rad^2 spans compose no ModMap
+    inside = Counter()
+    calls = {name: [] for name in ("projective_cover", "kernel", "cokernel", "direct_sum")}
+
+    def scoped(module, name):
+        fn = getattr(module, name)
+
+        def run(*args):
+            inside[name] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[name] -= 1
+
+        monkeypatch.setattr(module, name, run)
+
+    def logged(name):
+        fn = getattr(mc, name)
+
+        def run(*args):
+            calls[name].append((inside["decompose"] > 0, inside["_seed_modules"] > 0))
+            return fn(*args)
+
+        monkeypatch.setattr(mc, name, run)
+
+    for name in calls:
+        logged(name)
+    scoped(mc, "decompose")
+    scoped(arknit, "_seed_modules")
+    scoped(arknit, "irreducible_multiplicities")
+    composed = []
+    compose = mc.ModMap.compose
+
+    def recorded(f, g):
+        composed.append(inside["irreducible_multiplicities"] > 0)
+        return compose(f, g)
+
+    monkeypatch.setattr(mc.ModMap, "compose", recorded)
+    arknit.knit_indecomposables(build())
+    assert calls["projective_cover"] == []
+    assert all(in_decompose or in_seeds for in_decompose, in_seeds in calls["kernel"] + calls["cokernel"])
+    assert calls["direct_sum"] and all(in_decompose for in_decompose, _ in calls["direct_sum"])
+    assert not any(composed)
 
 
 @pytest.mark.parametrize("p", [2, 101])

@@ -8,6 +8,7 @@ from taukit.exactlin import (
     column_space_basis,
     complement_basis,
     kernel_basis,
+    quotient_coordinates,
     rank,
     rref,
     solve,
@@ -155,3 +156,27 @@ def test_mul_associative_random():
         b = Mat.from_rows(F101, [[rng.randrange(101) for _ in range(4)] for _ in range(3)])
         c = Mat.from_rows(F101, [[rng.randrange(101) for _ in range(2)] for _ in range(4)])
         assert a.mul(b).mul(c) == a.mul(b.mul(c))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_quotient_coordinates_match_the_complement_and_solve(p):
+    # reference: pivots of [basis | I] pick the complement, and solving on
+    # [basis | complement] gives the coordinates of y modulo the column space
+    field, rng = PrimeField(p), random.Random(p)
+    for _ in range(300):
+        n, k = rng.randrange(6), rng.randrange(5)
+        cols = [tuple(rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)) for _ in range(k)]
+        if cols and rng.random() < 0.3:
+            cols.append(tuple(sum(c[i] * rng.randrange(p) for c in cols) % p for i in range(n)))
+        m = Mat.from_columns(field, cols, rows=n)
+        basis = column_space_basis(m)
+        piv = rref(Mat.hstack(field, [basis, Mat.identity(field, n)], rows=n)).pivots if n else ()
+        expected = [c - basis.cols for c in piv if c >= basis.cols]
+        complement, reduce = quotient_coordinates(m)
+        assert complement == expected
+        comp = Mat.from_columns(field, [tuple(int(r == c) for r in range(n)) for c in expected], rows=n)
+        full = Mat.hstack(field, [basis, comp], rows=n)
+        for _ in range(3):
+            y = tuple(rng.randrange(p) for _ in range(n))
+            x = solve(full, y)
+            assert reduce(y) == tuple(x[basis.cols:])

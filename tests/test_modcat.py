@@ -3,10 +3,12 @@ import random
 import pytest
 
 from taukit import highercat as hc, modcat as mc
-from taukit.algebra import opposite, quotient_by_idempotent
-from taukit.exactlin import Mat, rank
-from tests.conftest import lambda3, nakayama_rad2
+from taukit.algebra import opposite, parse_algebra, quotient_by_idempotent
+from taukit.exactlin import Mat, column_space_basis, complement_basis, rank
+from tests.conftest import auslander_linear, d4, e7_linear, lambda3, nakayama_rad2
+from tests.test_arknit import CYCLE3_RAD2, DUAL_NUMBERS
 from tests.test_highercat import census_and_ct_members
+from tests.test_tautilt import CYCLE2_RAD3, TRUNCATED_X3
 
 
 @pytest.fixture(scope="module")
@@ -449,3 +451,126 @@ def test_indecomposability_agrees_with_fitting_oracle(L3):
     samples.append(mc.direct_sum(D4, [idx4.modules[-1], idx4.modules[0]]).module)
     for M in samples:
         assert mc.is_indecomposable(M) == fitting_says_indecomposable(M), M.dim_vector()
+
+
+# -- the top-generator loop against the module-level constructions ----------------
+
+
+def _module_cover(M):
+    """The cover as modules: generators completing the radical, components through path_action."""
+    A = M.algebra
+    gens = []
+    for v, cols in mc.radical_columns(M).items():
+        comp = complement_basis(column_space_basis(cols))
+        gens += [(v, comp.col(j)) for j in range(comp.cols)]
+    ds = mc.direct_sum(A, [mc.projective(A, v) for v, _ in gens])
+    components = []
+    for (v, vec), inc in zip(gens, ds.inclusions):
+        mats = {w: Mat.from_columns(A.field, [mc.path_action(M, v, pth.arrows).apply(vec)
+                                              for pth in A.paths_from(v) if pth.target == w], rows=M.dims[w])
+                for w in A.vertices}
+        components.append(mc.ModMap(inc.source, M, mats, check=False))
+    cover = mc.map_from_sum(ds, components) if components else mc.ModMap.zero(ds.module, M)
+    return gens, cover
+
+
+def _module_element_form(A, src_verts, tgt_verts, g):
+    """The paths, summand by summand of the target, of each source summand's generator image."""
+    def slots(verts, w):
+        out, at = [], 0
+        for v in verts:
+            paths = [pth.arrows for pth in A.paths_from(v) if pth.target == w]
+            out.append((at, paths))
+            at += len(paths)
+        return out
+
+    elements = {}
+    for i, v1 in enumerate(src_verts):
+        at, paths = slots(src_verts, v1)[i]
+        image = g.mats[v1].col(at + paths.index(()))
+        for j, (off, tgt_paths) in enumerate(slots(tgt_verts, v1)):
+            terms = tuple((image[off + q], word) for q, word in enumerate(tgt_paths) if image[off + q])
+            if terms:
+                elements[(j, i)] = terms
+    return elements
+
+
+def _module_resolution(M, length):
+    """cover -> kernel -> cover -> compose -> element form, as modules, with the kernels."""
+    A = M.algebra
+    gens, cover = _module_cover(M)
+    verts, diffs, kernels = [[v for v, _ in gens]], [], []
+    K, incl = mc.kernel(cover)
+    for _ in range(length):
+        kernels.append(K)
+        if K.is_zero():
+            break
+        kgens, nxt = _module_cover(K)
+        verts.append([v for v, _ in kgens])
+        diffs.append(_module_element_form(A, verts[-1], verts[-2], incl.compose(nxt)))
+        K, incl = mc.kernel(nxt)
+    return gens, cover, verts, diffs, kernels
+
+
+def _module_transpose(M, verts0, verts1, elements):
+    """Tr M as direct_sum / block_map / cokernel over opposite projectives."""
+    Aop = opposite(M.algebra)
+    src = mc.direct_sum(Aop, [mc.projective(Aop, v) for v in verts0])
+    tgt = mc.direct_sum(Aop, [mc.projective(Aop, v) for v in verts1])
+    blocks = {}
+    for (j, i), terms in elements.items():
+        P_from, P_to = src.inclusions[j].source, tgt.inclusions[i].source
+        mats = {}
+        for w in Aop.vertices:
+            to_paths = [pth.key() for pth in Aop.paths_from(verts1[i]) if pth.target == w]
+            rows = [[0] * P_from.dims[w] for _ in to_paths]
+            for c, q in enumerate(pth for pth in Aop.paths_from(verts0[j]) if pth.target == w):
+                for coeff, word in terms:
+                    for c2, b in Aop.reduce_word(verts1[i], tuple(reversed(word)) + q.arrows):
+                        rows[to_paths.index(Aop.basis[b].key())][c] += coeff * c2
+            mats[w] = Mat.from_rows(Aop.field, rows, cols=P_from.dims[w])
+        blocks[(i, j)] = mc.ModMap(P_from, P_to, mats, check=False)
+    return mc.cokernel(mc.block_map(src, tgt, blocks))[0]
+
+
+def _json(M):
+    return M.to_json()
+
+
+LOOP_ALGEBRAS = {
+    "E7-2": lambda: e7_linear(p=2),
+    "E7-101": lambda: e7_linear(p=101),
+    "D4-101": lambda: d4(p=101),
+    "A5rad2-2": lambda: nakayama_rad2(5, p=2),
+    "A5rad2-101": lambda: nakayama_rad2(5, p=101),
+    "auslander3-2": lambda: auslander_linear(3, p=2),
+    "x3-3": lambda: parse_algebra(TRUNCATED_X3),
+    "dual-numbers-2": lambda: parse_algebra(DUAL_NUMBERS),
+    "cycle2rad3-3": lambda: parse_algebra(CYCLE2_RAD3),
+    "cycle3rad2-3": lambda: parse_algebra(CYCLE3_RAD2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_ALGEBRAS))
+def test_top_generator_loop_matches_module_constructions(name):
+    from taukit import arknit
+
+    A = LOOP_ALGEBRAS[name]()
+    members = arknit.knit_indecomposables(A).modules
+    for M in members + [mc.dual(X) for X in members]:
+        gens, cover, verts, diffs, kernels = _module_resolution(M, 3)
+        pres = mc.minimal_presentation(M)
+        assert (pres.verts0, pres.verts1) == (verts[0], verts[1] if diffs else [])
+        assert pres.elements == (diffs[0] if diffs else {})
+        assert pres.cover == cover.mats
+        assert [tuple(int(r == j) for r in range(M.dims[v])) for v, j in zip(pres.verts0, pres.generators)] \
+            == [vec for _, vec in gens]
+        Tr = mc.transpose(M)
+        assert _json(Tr) == _json(_module_transpose(M, verts[0], pres.verts1, pres.elements))
+        assert Tr.algebra is opposite(M.algebra)
+        res = mc.projective_resolution(M, 3)
+        assert (res.verts, res.diffs) == (verts, diffs)
+        for k in (1, 2):
+            expected = kernels[k - 1] if k <= len(kernels) else kernels[-1]
+            assert _json(mc.syzygy(M, k)) == _json(expected), k
+        assert mc.proj_dim(M, 2) == next((k for k, K in enumerate(kernels) if K.is_zero()), None)
