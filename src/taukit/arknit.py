@@ -23,8 +23,8 @@ that no nonzero arrow joins (then it is the sum of those pieces).
 Summand multiplicities are read off the certified mesh, with no search:
 Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
-AssertionError.  The one Hom cache holds bases, solved on the source's top
-generators and knitting fills it; hom_dim is a basis length.
+AssertionError.  Knitting solves Hom once per pair on the source's top generators;
+hom_dim counts solutions, and hom_basis reads a canonical basis back from them when first asked.
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
 reads g -> g o F off the compose table and `map_at` gives one vertex's matrix.
 `tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it.
@@ -64,7 +64,8 @@ class IndecIndex:
         self.modules = modules
         self.ar_arrows = [] if ar_arrows is None else ar_arrows  # (source, target, multiplicity)
         self.tau_map = {} if tau_map is None else tau_map  # index -> index, non-projectives only
-        self._hom_cache = {}  # (i, j) -> Hom basis
+        self._hom_cache = {}  # (i, j) -> Hom(X_i, X_j) solved on X_i's top generators
+        self._hom_bases = {}  # (i, j) -> canonical Hom basis, read back from _hom_cache
         self._ext_cache = {}
         self._resolutions = {}  # (i, length) -> resolution of X_i
         self._ext_masks = {}  # k -> (rows, columns)
@@ -83,25 +84,34 @@ class IndecIndex:
         return _iso_index(self.modules, M)
 
     def hom_dim(self, i: int, j: int) -> int:
-        return len(self.hom_basis(i, j))
+        return len(self._solutions(i, j))
 
     def hom_basis(self, i: int, j: int) -> list:
-        """The `mc.hom_basis` of Hom(X_i, X_j), computed once from X_i's top generators.
+        """The `mc.hom_basis` of Hom(X_i, X_j): the `_maps_at` of its solutions, in free-variable form."""
+        if (i, j) not in self._hom_bases:
+            X, N, A = self.modules[i], self.modules[j], self.algebra
+            per_vertex = [self._maps_at(i, j, w) for w in A.vertices if X.dims[w] * N.dims[w]]
+            vectors = [[y for mats in per_vertex for row in mats[s] for y in row]
+                       for s in range(self.hom_dim(i, j))]
+            length = sum(X.dims[w] * N.dims[w] for w in A.vertices)
+            self._hom_bases[(i, j)] = [mc.vector_to_hom(X, N, vec)
+                                       for vec in free_variable_basis(A.field, vectors, length)]
+        return self._hom_bases[(i, j)]
+
+    def _solutions(self, i: int, j: int) -> list:
+        """A basis of Hom(X_i, X_j) as the images (x_k) of X_i's top generators, solved once.
 
         0 -> Hom(X_i, N) -> Hom(P0, N) -> Hom(P1, N) is exact for the minimal
         presentation P1 -> P0 -> X_i: a map is the images x_k in N_{v_k} of
         the generators, subject to the relations P1 names, evaluated in N
-        through its cached path actions.  Each solution x sends path * g_k to
-        path * x_k, read through a section of the cover at each vertex; the
-        basis is then put in the free-variable form of `mc.hom_basis`.
+        through its cached path actions.  Each solution is kept as its tuple of x_k.
         """
         if (i, j) not in self._hom_cache:
-            self._hom_cache[(i, j)] = self._generator_hom_basis(i, j)
+            self._hom_cache[(i, j)] = self._solve_on_generators(i, j)
         return self._hom_cache[(i, j)]
 
-    def _generator_hom_basis(self, i: int, j: int) -> list:
-        gens, X, N = self._generator_data(i), self.modules[i], self.modules[j]
-        A, p = self.algebra, self.algebra.field.p
+    def _solve_on_generators(self, i: int, j: int) -> list:
+        gens, N = self._generator_data(i), self.modules[j]
         at = [0]
         for v in gens.verts0:
             at.append(at[-1] + N.dims[v])
@@ -117,23 +127,22 @@ class IndecIndex:
                         for q, y in enumerate(entries, at[k]):
                             out[q] += c * y
             row_at += N.dims[u]
-        vectors = []
-        for x in kernel_basis(Mat.from_rows(A.field, rows, cols=at[-1])):
-            flat = []
-            for w in A.vertices:
-                if not X.dims[w] * N.dims[w]:
-                    continue
-                images = [(self._path_action(j, gens.verts0[k], word).apply(x[at[k]:at[k + 1]]), row)
-                          for k, word, row in gens.sections[w]]
-                for r in range(N.dims[w]):
-                    f_r = [0] * X.dims[w]
-                    for image, row in images:
-                        for c, y in enumerate(row if image[r] else ()):
-                            f_r[c] += image[r] * y
-                    flat.extend(y % p for y in f_r)
-            vectors.append(flat)
-        length = sum(X.dims[w] * N.dims[w] for w in A.vertices)
-        return [mc.vector_to_hom(X, N, vec) for vec in free_variable_basis(A.field, vectors, length)]
+        return [tuple(x[at[k]:at[k + 1]] for k in range(len(gens.verts0)))
+                for x in kernel_basis(Mat.from_rows(self.algebra.field, rows, cols=at[-1]))]
+
+    def _maps_at(self, i: int, j: int, w) -> list:
+        """Each solution x's matrix at w, as rows: path * g_k goes to path * x_k, through a section at w."""
+        gens, p = self._generator_data(i), self.algebra.field.p
+        rows, cols = self.modules[j].dims[w], self.modules[i].dims[w]
+        out = []
+        for x in self._solutions(i, j):
+            f = [[0] * cols for _ in range(rows)]
+            for k, word, row in gens.sections[w]:
+                for f_r, y in zip(f, self._path_action(j, gens.verts0[k], word).apply(x[k])):
+                    for c, s in enumerate(row if y else ()):
+                        f_r[c] += y * s
+            out.append([[y % p for y in f_r] for f_r in f])
+        return out
 
     def _generator_data(self, i: int) -> "_Generators":
         if i not in self._generators:
@@ -178,9 +187,10 @@ class IndecIndex:
             n = self.hom_dim(i, j)
             return [tuple(int(a == b) for b in range(n)) for a in range(n)]
         if i not in self._radicals:
-            flat = [mc.flatten_endo(f) for f in self.hom_basis(i, i)]
+            dim = self.hom_dim(i, i)  # dim 1 means End(X_i) = k: no radical, and no basis to read back
+            flat = [mc.flatten_endo(f) for f in self.hom_basis(i, i)] if dim > 1 else []
             rad = mc.radical_of_endos(self.algebra.field, flat)
-            if len(flat) - len(rad) != 1:
+            if dim - len(rad) != 1:
                 raise AssertionError(f"End(X_{i}) modulo its radical is not the ground field")
             self._radicals[i] = rad
         return self._radicals[i]
@@ -433,30 +443,40 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
 def irreducible_multiplicities(idx: IndecIndex) -> dict:
     """a(X, Y) = dim rad(X,Y)/rad^2(X,Y) for all ordered pairs in the index.
 
-    A map out of X_i is read as the images of X_i's top generators g_k: g(g_k)
-    is taken once per g in rad(X_i, X_z), and h o g sends g_k to h's matrix at
-    v_k applied to it.  The composites through X_z are added one z at a time,
-    keeping an echelon basis of their span, which stops growing once it fills
-    rad(X, Y).  A span larger than rad(X, Y) means a composite left the
-    radical, which is a defect.
+    A map out of X_i is read as the images of X_i's top generators g_k: off the
+    diagonal g(g_k) is a slice of g's solution, and h o g sends g_k to h's matrix at
+    v_k, read back once per (z, j, v_k), applied to it; rad End is `idx.radical`.
+    The composites through X_z are added one z at a time, keeping an echelon basis
+    of their span, which stops growing once it fills rad(X, Y).  A span larger
+    than rad(X, Y) means a composite left the radical, which is a defect.
     """
     n = len(idx.modules)
     field_ = idx.algebra.field
-    rad = {(i, j): _radical_maps(idx, i, j) for i in range(n) for j in range(n)}
+    endos = [_radical_endos(idx, i) for i in range(n)]
+    dims = [[len(endos[i]) if i == j else idx.hom_dim(i, j) for j in range(n)] for i in range(n)]
+    read_back = {}
+
+    def at(z, j, v) -> list:
+        """Each basis map of rad(X_z, X_j) at v, as rows."""
+        if (z, j, v) not in read_back:
+            read_back[(z, j, v)] = [h[v].data for h in endos[z]] if z == j else idx._maps_at(z, j, v)
+        return read_back[(z, j, v)]
+
     out = {}
     for i in range(n):
         tops = idx._generator_data(i).tops
-        images = [[[tuple(row[j] for row in g[v].data) for v, j in tops] for g in rad[(i, z)]]
-                  for z in range(n)]
+        images = [[[tuple(row[j] for row in g[v].data) for v, j in tops] for g in endos[i]] if z == i
+                  else idx._solutions(i, z) for z in range(n)]
         for j in range(n):
-            dim = len(rad[(i, j)])
+            dim = dims[i][j]
             if dim == 0:
                 continue
             veclen = sum(idx.modules[j].dims[v] for v, _ in tops)
             span, sq_rank = [], 0
-            for z in [z for z in range(n) if images[z] and rad[(z, j)]]:
-                square = [[y for (v, _), x in zip(tops, gz) for y in h[v].apply(x)]
-                          for gz in images[z] for h in rad[(z, j)]]
+            for z in [z for z in range(n) if images[z] and dims[z][j]]:
+                hs = [at(z, j, v) for v, _ in tops]
+                square = [[sum(a * b for a, b in zip(r, x)) for hv, x in zip(hs, gz) for r in hv[h]]
+                          for gz in images[z] for h in range(dims[z][j])]
                 echelon = rref(Mat.from_rows(field_, span + square, cols=veclen))
                 sq_rank = echelon.rank
                 if sq_rank >= dim:
@@ -469,15 +489,13 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
     return out
 
 
-def _radical_maps(idx: IndecIndex, i: int, j: int) -> list:
-    """The matrices at each vertex of the basis of rad(X_i, X_j) that `idx.radical` gives."""
-    homs = idx.hom_basis(i, j)
-    if i != j:
-        return [f.mats for f in homs]
-    flat, p = [mc.hom_to_vector(f) for f in homs], idx.algebra.field.p
-    return [mc.vector_to_hom(idx.modules[i], idx.modules[j],
+def _radical_endos(idx: IndecIndex, i: int) -> list:
+    """The matrices at each vertex of the basis of rad End(X_i) that `idx.radical` gives."""
+    rad, p = idx.radical(i, i), idx.algebra.field.p
+    flat = [mc.hom_to_vector(f) for f in idx.hom_basis(i, i)] if rad else []
+    return [mc.vector_to_hom(idx.modules[i], idx.modules[i],
                              tuple(sum(c * x for c, x in zip(coords, col)) % p for col in zip(*flat))).mats
-            for coords in idx.radical(i, j)]
+            for coords in rad]
 
 
 def _certify_and_mesh(idx: IndecIndex, inverses: list):

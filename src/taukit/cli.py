@@ -15,7 +15,7 @@ an ambiguous name takes an index suffix like 1-1-0#2.  Reports are JSON on
 stdout (DOT for `ar --dot`); identical runs produce byte-identical output.
 Exit codes: 0 success, 2 falsification witness, 3 budget or limit hit,
 4 usage error, 5 internal error (a failed self-check of the computation,
-including knitting's).
+including knitting's, or any other ValueError).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import sys
 
 from . import arknit, modcat as mc, tautilt as tt, torsion as tn
 from .algebra import NotAdmissibleError, SpecError, build_algebra, parse_spec, serialize_spec
+from .exactlin import is_prime
 from .highercat import NotTwoExactError, Subcat, is_d_cluster_tilting
 
 EXIT_OK = 0
@@ -55,6 +56,15 @@ def _write(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _check_options(args):
+    """Reject option values that no command can run with, before any work starts."""
+    for name, low in (("max_indec", 1), ("max_dim", 1), ("subset_budget", 0), ("d", 1), ("oracle_bound", 1)):
+        if getattr(args, name, low) < low:
+            raise UsageError(f"{name.replace('_', '-')} must be >= {low}")
+    if args.field is not None and not is_prime(args.field):
+        raise UsageError(f"field order must be prime, got {args.field}")
+
+
 def _load_algebra(args):
     try:
         with open(args.spec_path) as fh:
@@ -78,14 +88,12 @@ def _resolve_generators(idx, text: str):
         token = token.strip()
         if not token:
             continue
-        pick = None
-        if "#" in token:
-            token, _, suffix = token.partition("#")
-            pick = int(suffix)
+        token, sep, suffix = token.partition("#")
         try:
+            pick = int(suffix) if sep else None
             dims = tuple(int(x) for x in token.split("-"))
         except ValueError:
-            raise UsageError(f"bad generator name {token!r}") from None
+            raise UsageError(f"bad generator name {token + sep + suffix!r}") from None
         matches = [i for i, m in enumerate(idx.modules) if m.dim_vector() == dims]
         if not matches:
             raise UsageError(f"no indecomposable with dim vector {token}")
@@ -300,8 +308,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        _check_options(args)
         return args.func(args)
-    except (UsageError, SpecError, NotAdmissibleError, ValueError) as exc:
+    except (UsageError, SpecError, NotAdmissibleError) as exc:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_USAGE
     except (arknit.LimitExceededError, arknit.BudgetExceededError,
@@ -309,7 +318,7 @@ def main(argv=None) -> int:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_BUDGET
     except (AssertionError, mc.DecompositionError, NotTwoExactError,
-            tn.SequenceFailedError, arknit.KnitIncompleteError) as exc:
+            tn.SequenceFailedError, arknit.KnitIncompleteError, ValueError) as exc:
         sys.stdout.write(emit_report({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_INTERNAL
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -28,7 +28,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"field order must be prime, got {p}")
         self.p = p
 

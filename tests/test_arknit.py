@@ -297,9 +297,11 @@ def _full_span_multiplicities(idx):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CENSUS_ALGEBRAS))
+# x3-3 and cycle2rad3-3 have members with rad End != 0, which the diagonal path reads
+@pytest.mark.parametrize("name", sorted(CENSUS_ALGEBRAS) + ["x3-3", "cycle2rad3-3", "cycle3rad2-3",
+                                                            "auslander3-2"])
 def test_irreducible_multiplicities_match_full_span(censuses, name):
-    idx = censuses[name]
+    idx = censuses[name] if name in CENSUS_ALGEBRAS else arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
     assert arknit.irreducible_multiplicities(idx) == _full_span_multiplicities(idx)
 
 
@@ -543,23 +545,51 @@ def test_unknitted_index_hom_basis_matches_module_hom_basis(monkeypatch, name):
     assert len(calls["minimal_presentation"]) == len(mods)
 
 
-def test_hom_dim_then_hom_basis_compute_once(monkeypatch, L3):
+def _record_solves(monkeypatch):
     solved = []
-    solve = arknit.IndecIndex._generator_hom_basis
+    solve = arknit.IndecIndex._solve_on_generators
 
     def recorded(self, i, j):
         solved.append((i, j))
         return solve(self, i, j)
 
-    monkeypatch.setattr(arknit.IndecIndex, "_generator_hom_basis", recorded)
+    monkeypatch.setattr(arknit.IndecIndex, "_solve_on_generators", recorded)
+    return solved
+
+
+def test_hom_dim_then_hom_basis_compute_once(monkeypatch, L3):
+    solved = _record_solves(monkeypatch)
     idx = arknit.knit_indecomposables(L3)
     knitted = list(solved)
     calls = _record_calls(monkeypatch, ["hom_basis"])
     i, j = 0, len(idx.modules) - 1
     assert idx.hom_dim(i, j) == len(idx.hom_basis(i, j))
-    # knitting solved the pair on X_i's generators and filled the one Hom cache
+    # knitting solved the pair on X_i's generators, and the basis is read back from that solution
     assert len(calls["hom_basis"]) == 0
     assert knitted.count((i, j)) == 1 and solved == knitted
+
+
+@pytest.mark.parametrize("name", ["E7-2", "A5rad2-101"])
+def test_knitting_solves_each_pair_once_and_reads_back_no_basis(monkeypatch, name):
+    solved = _record_solves(monkeypatch)
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    n = len(idx.modules)
+    # each ordered pair's system is solved once; only an End of dimension > 1 is put in canonical form
+    assert sorted(solved) == [(i, j) for i in range(n) for j in range(n)]
+    assert all(i == j and idx.hom_dim(i, i) > 1 for i, j in idx._hom_bases)
+    knitted = list(solved)
+    calls = _record_calls(monkeypatch, ["hom_basis"])
+    for i in range(n):
+        for j in range(n):
+            assert len(idx.hom_basis(i, j)) == idx.hom_dim(i, j)
+    assert solved == knitted and not calls["hom_basis"]
+
+
+def test_knitting_checks_that_each_end_modulo_its_radical_is_k(monkeypatch):
+    # x3-3 has members with End of dimension > 1; a radical too small for one of them stops knitting
+    monkeypatch.setattr(mc, "radical_of_endos", lambda field, flat: [])
+    with pytest.raises(AssertionError, match="modulo its radical"):
+        arknit.knit_indecomposables(HOM_ALGEBRAS["x3-3"]())
 
 
 # -- Ext on the census: one resolution per member and length, bitmask tables ------

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from taukit import arknit, modcat as mc
+from taukit import arknit, cli, modcat as mc
 from taukit.cli import main
 from tests.conftest import KRONECKER_TEXT, LAMBDA3_TEXT, LOOP_TEXT, SS3_TEXT, nakayama_rad2_text
 
@@ -144,7 +144,24 @@ def test_d_below_one_is_a_usage_error(lambda3_file, capsys, monkeypatch, argv):
     monkeypatch.setattr(arknit.IndecIndex, "ext_masks", refuse)
     code, out = run_cli(capsys, lambda3_file, *argv)
     assert code == 4
-    assert json.loads(out) == {"error": "ValueError", "detail": "d must be >= 1"}
+    assert json.loads(out) == {"error": "UsageError", "detail": "d must be >= 1"}
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (("--max-indec", "0", "indecs"), "max-indec must be >= 1"),
+    (("--max-dim", "0", "ar"), "max-dim must be >= 1"),
+    (("--field", "6", "info"), "field order must be prime, got 6"),
+    (("--subset-budget", "-1", "ctfind"), "subset-budget must be >= 0"),
+    (("indecs", "--oracle", "--oracle-bound", "0"), "oracle-bound must be >= 1"),
+], ids=["max-indec", "max-dim", "field", "subset-budget", "oracle-bound"])
+def test_bad_option_is_a_usage_error(lambda3_file, capsys, monkeypatch, argv, detail):
+    def refuse(spec):
+        raise AssertionError("algebra built before the option check")
+
+    monkeypatch.setattr(cli, "build_algebra", refuse)
+    code, out = run_cli(capsys, lambda3_file, *argv)
+    assert code == 4
+    assert json.loads(out) == {"error": "UsageError", "detail": detail}
 
 
 A3_TEXT = """\
@@ -209,14 +226,14 @@ def test_verify_theorem1_reports_witness(lambda3_file, capsys):
 
 @pytest.mark.parametrize("error", ["AssertionError", "DecompositionError",
                                    "NotTwoExactError", "SequenceFailedError",
-                                   "KnitIncompleteError"])
+                                   "KnitIncompleteError", "ValueError"])
 def test_internal_error_is_reported_as_its_own_class(lambda3_file, capsys, monkeypatch, error):
     from taukit import arknit, highercat, modcat, tautilt, torsion
 
     classes = {"AssertionError": AssertionError, "DecompositionError": modcat.DecompositionError,
                "NotTwoExactError": highercat.NotTwoExactError,
                "SequenceFailedError": torsion.SequenceFailedError,
-               "KnitIncompleteError": arknit.KnitIncompleteError}
+               "KnitIncompleteError": arknit.KnitIncompleteError, "ValueError": ValueError}
 
     def fail(*args, **kwargs):
         raise classes[error]("a self-check failed")
@@ -250,7 +267,7 @@ def test_bad_generator_name(lambda3_file, capsys):
     assert "error" in json.loads(out)
 
 
-@pytest.mark.parametrize("gens", ["1-1-0#3", "1-1-0#-1,0-1-1,0-0-1,1-0-0"])
+@pytest.mark.parametrize("gens", ["1-1-0#3", "1-1-0#-1,0-1-1,0-0-1,1-0-0", "1-1-0#x"])
 def test_generator_suffix_out_of_range(lambda3_file, capsys, gens):
     code, out = run_cli(capsys, lambda3_file, "ctcheck", "--gens", gens)
     assert code == 4
