@@ -26,7 +26,8 @@ with no tau term for projective Y; a negative count or a dim mismatch is an
 AssertionError.  Knitting solves Hom once per pair on the source's top generators;
 hom_dim counts solutions, and hom_basis reads a canonical basis back from them when first asked.
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
-reads g -> g o F off the compose table and `map_at` gives one vertex's matrix.
+reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading,
+and `map_at` gives one vertex's matrix.
 `tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it.
 """
 
@@ -195,31 +196,45 @@ class IndecIndex:
             self._radicals[i] = rad
         return self._radicals[i]
 
-    def precompose(self, F, src, mid, k) -> Mat:
+    def precompose(self, F, src, mid, k, op: bool = False) -> Mat:
         """The matrix of g -> g o F, Hom(+mid, X_k) -> Hom(+src, X_k), for F: +src -> +mid.
 
         A map from a sum of census members into X_k is a row: its coordinates
         in the hom_basis of each summand and k, in turn.  F is one such row per
-        summand of mid.  The entries are read off the compose table.
+        summand of mid.  The entries are read off the compose table.  With op
+        the reading is in Gamma^op, where Hom^op(i, j) = Hom(j, i) and
+        g o^op f = f o g: F: +mid -> +src, each row now over the hom_basis
+        of its mid summand and each src summand, and the result is the
+        matrix of h -> F o h, Hom(X_k, +mid) -> Hom(X_k, +src).
         """
-        row_at, col_at = self._offsets(src, k), self._offsets(mid, k)
+        row_at, col_at = self._offsets(src, k, op), self._offsets(mid, k, op)
+        if not row_at[-1] * col_at[-1]:
+            return Mat.zeros(self.algebra.field, row_at[-1], col_at[-1])
         out = [[0] * col_at[-1] for _ in range(row_at[-1])]
         for b, m in enumerate(mid):
-            f_at = self._offsets(src, m)
+            f_at, row, col = self._offsets(src, m, op), F[b], col_at[b]
             for a, s in enumerate(src):
-                f = F[b][f_at[a]:f_at[a + 1]]
-                table = self.compose(s, m, k) if any(f) else ()
-                for c, products in enumerate(table):
-                    for y, coords in zip(f, products):
-                        for t, z in enumerate(coords if y else ()):
-                            out[row_at[a] + t][col_at[b] + c] += y * z
+                f = row[f_at[a]:f_at[a + 1]]
+                if not any(f):
+                    continue
+                table = self.compose(k, m, s) if op else self.compose(s, m, k)
+                block = out[row_at[a]:row_at[a + 1]]
+                for e, y in enumerate(f):
+                    if not y:
+                        continue
+                    # F's e-th basis map composed with each basis map of Hom(+mid, X_k), in turn
+                    for c, coords in enumerate(table[e] if op else [r[e] for r in table], col):
+                        for out_t, z in zip(block, coords):
+                            out_t[c] += y * z
         return Mat.from_rows(self.algebra.field, out, cols=col_at[-1])
 
-    def _offsets(self, summands, k) -> list:
-        """Where the block of each summand starts in a row into X_k, and the row length."""
-        out = [0]
+    def _offsets(self, summands, k, op: bool = False) -> list:
+        """Where the block of each summand starts in a row into X_k (out of X_k with op), and the row length."""
+        out, at, solved = [0], 0, self._hom_cache
         for s in summands:
-            out.append(out[-1] + self.hom_dim(s, k))
+            key = (k, s) if op else (s, k)
+            at += len(solved[key] if key in solved else self._solutions(*key))
+            out.append(at)
         return out
 
     def map_at(self, F, src, tgt, v) -> Mat:

@@ -169,7 +169,7 @@ def cmd_ctfind(args) -> int:
     idx = _index(A, args)
     n = len(idx.modules)
     if n > args.subset_budget:
-        raise arknit.LimitExceededError(f"{n} indecomposables exceed the subset budget")
+        raise tn.TooLargeError(f"{n} indecomposables exceed the subset budget")
     found = []
     for r in range(n + 1):
         for S in itertools.combinations(range(n), r):
@@ -205,8 +205,6 @@ def _ct_subcat(A, idx, args):
 
 
 def cmd_torsion(args) -> int:
-    if args.action != "enum":
-        raise UsageError(f"unknown torsion action {args.action!r}")
     A = _load_algebra(args)
     idx = _index(A, args)
     C = _ct_subcat(A, idx, args)
@@ -217,8 +215,6 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_tau2(args) -> int:
-    if args.action != "enum":
-        raise UsageError(f"unknown tau2 action {args.action!r}")
     A = _load_algebra(args)
     idx = _index(A, args)
     C = _ct_subcat(A, idx, args)
@@ -238,8 +234,6 @@ def cmd_tau2(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.action != "theorem1":
-        raise UsageError(f"unknown verify action {args.action!r}")
     A = _load_algebra(args)
     idx = _index(A, args)
     C = _ct_subcat(A, idx, args)

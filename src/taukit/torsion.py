@@ -6,8 +6,9 @@ approximations, whose failure implies failure for every approximation
 (anything else factors through the full one).  Every term of that check
 lies in add C, which is equivalent to proj Gamma for Gamma = End_A(+C)
 (Auslander), so it is decided on the composition table of Gamma that the
-census keeps (`IndecIndex.compose`), building no modules.  The 2-covariant
-check is the same one on the opposite table, Gamma^op.
+census keeps, building no modules: each Hom(Y, -) of a map is one
+`IndecIndex.precompose` matrix, read in Gamma^op on the contravariant side
+and plainly on the covariant side.
 """
 
 from __future__ import annotations
@@ -60,38 +61,21 @@ class FinitenessCert:
         return terms if self.side == "contra" else terms[::-1]
 
 
-class _Table:
-    """Hom dimensions and composition in Gamma = End(+C), or in Gamma^op.
-
-    Hom^op(i, j) = Hom(j, i) and a o^op b = b o a, so the covariant reading
-    of a table entry swaps the roles of the two factors.
-    """
-
-    def __init__(self, idx, side: str):
-        self.idx, self.op = idx, side == "co"
-
-    def dim(self, i: int, j: int) -> int:
-        return len(self.idx.hom_basis(j, i) if self.op else self.idx.hom_basis(i, j))
-
-    def product(self, i: int, j: int, k: int, a: int, b: int) -> tuple:
-        """Coordinates of a o b, a in Hom(j, k) and b in Hom(i, j)."""
-        if self.op:
-            return self.idx.compose(k, j, i)[b][a]
-        return self.idx.compose(i, j, k)[a][b]
-
-
 def is_2_finite(X: Subcat, C: Subcat, side: str):
     """2-contravariant ('contra') or 2-covariant ('co') finiteness of X in C.
 
     Decided in Gamma = End_A(+C), since add C is equivalent to proj Gamma:
-    every term below lies in add C, so the check is linear algebra on the
-    composition table of the census (`IndecIndex.compose`); the covariant
-    side is the same check on Gamma^op.  For each member M of C, X1 -> M is
-    the multiplicity-full right X-approximation and K its kernel.  Hom is
-    left exact, so Hom(Y, K) = ker F_Y for F_Y: Hom(Y, X1) -> Hom(Y, M).
-    The member passes when, for every C0 in C, each map C0 -> K factors
-    through add X, i.e. Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) is exact
-    at the middle for the full X-approximation X2 -> K.
+    every term below lies in add C, so each Hom(Y, -) of a map is one
+    `IndecIndex.precompose` matrix.  On the contravariant side it is read in
+    Gamma^op (h -> F o h); the covariant side is the same check with every
+    map reversed, so it reads `precompose` plainly (h -> h o F).  For each
+    member M of C, phi: X1 -> M is the multiplicity-full right
+    X-approximation, one copy of x per basis map between x and M, and K its
+    kernel.  Hom is left exact, so Hom(Y, K) = ker F_Y for
+    F_Y: Hom(Y, X1) -> Hom(Y, M).  The kernel rows of the F_x, x in X,
+    stacked, are the full X-approximation psi: X2 -> K.  The member passes
+    when, for every C0 in C, each map C0 -> K factors through psi, i.e.
+    Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) is exact at the middle.
 
     Returns (ok, certificates) where certificates maps each member index of C
     to its `FinitenessCert`.  The check stops at the first member that fails,
@@ -99,56 +83,26 @@ def is_2_finite(X: Subcat, C: Subcat, side: str):
     """
     if side not in ("contra", "co"):
         raise ValueError("side must be 'contra' or 'co'")
-    table = _Table(C.host, side)
-    field = C.host.algebra.field
+    idx, op = C.host, side == "contra"
     xs, cs = X.member_list(), C.member_list()
     certs = {}
     for M in cs:
-        copies = [(x, b) for x in xs for b in range(table.dim(x, M))]
-        kernels = {x: kernel_basis(_restriction(table, field, copies, x, M)) for x in xs}
-        certs[M] = FinitenessCert(side, M,
-                                  [table.dim(t, M) if t in X.members else 0 for t in cs],
-                                  [len(kernels[t]) if t in X.members else 0 for t in cs])
-        # a member C0 of X passes: every map C0 -> K factors through C0 itself
-        if not all(_kernel_maps_factor(table, field, copies, kernels, C0,
-                                       _restriction(table, field, copies, C0, M))
-                   for C0 in cs if C0 not in X.members):
-            return False, certs
+        counts = {x: idx.hom_dim(x, M) if op else idx.hom_dim(M, x) for x in xs}
+        x1 = [x for x in xs for _ in range(counts[x])]
+        phi = [tuple(int(c == b) for c in range(counts[x])) for x in xs for b in range(counts[x])]
+        kernels = {x: kernel_basis(idx.precompose(phi, [M], x1, x, op)) for x in xs if x1}
+        x2 = [x for x, rows in kernels.items() for _ in rows]
+        psi = [row for rows in kernels.values() for row in rows]
+        certs[M] = FinitenessCert(side, M, [counts.get(t, 0) for t in cs],
+                                  [len(kernels.get(t, ())) for t in cs])
+        # M passes when no map links X and M (K = 0), and so does each member C0 of X,
+        # as every map C0 -> K factors through C0 itself
+        for C0 in (C0 for C0 in cs if x1 and C0 not in X.members):
+            F = idx.precompose(phi, [M], x1, C0, op)
+            kernel_dim = F.cols - rank(F)
+            if kernel_dim and rank(idx.precompose(psi, x1, x2, C0, op)) != kernel_dim:
+                return False, certs
     return True, certs
-
-
-def _restriction(table, field, copies, Y, M) -> Mat:
-    """F_Y: Hom(Y, X1) -> Hom(Y, M), with X1 the sum of the copies (x, b).
-
-    Columns run over the copies and, inside each, over the basis maps Y -> x.
-    """
-    cols = [table.product(Y, x, M, b, c) for x, b in copies for c in range(table.dim(Y, x))]
-    return Mat.from_columns(field, cols, rows=table.dim(Y, M))
-
-
-def _kernel_maps_factor(table, field, copies, kernels, C0, F) -> bool:
-    """Whether the maps C0 -> x' -> K (x' in X) span Hom(C0, K) = ker F."""
-    kernel_dim = F.cols - rank(F)
-    if kernel_dim == 0:
-        return True
-    spans = []
-    for xp, psis in kernels.items():
-        for d in range(table.dim(C0, xp)):
-            # the basis maps x' -> x, each composed with the d-th basis map C0 -> x'
-            comps = {x: [table.product(C0, xp, x, c, d) for c in range(table.dim(xp, x))]
-                     for x in kernels}
-            for psi in psis:
-                coords = iter(psi)
-                vec = []
-                for x, _ in copies:
-                    block = [0] * table.dim(C0, x)
-                    for comp in comps[x]:
-                        coef = next(coords)
-                        for e, val in enumerate(comp):
-                            block[e] += coef * val
-                    vec.extend(block)
-                spans.append(vec)
-    return rank(Mat.from_rows(field, spans, cols=F.cols)) == kernel_dim
 
 
 class TorsPair2FF:
@@ -394,18 +348,9 @@ def enumerate_2ff_torsion_pairs(C: Subcat, max_members: int = 20) -> list:
     pairs = []
     for r in range(n + 1):
         for S in itertools.combinations(C.member_list(), r):
-            Sset = set(S)
-            F = frozenset(y for y in C.member_list()
-                          if all(idx.hom_dim(t, y) == 0 for t in Sset))
-            perp_F = {x for x in C.member_list()
-                      if all(idx.hom_dim(x, f) == 0 for f in F)}
-            if perp_F != Sset:
-                continue
-            T = Subcat.of(idx, Sset)
-            Fsub = Subcat.of(idx, F)
-            ok, _ = is_torsion_pair_2ff(T, Fsub, C)
-            if not ok:
-                continue
-            pairs.append(TorsPair2FF(C, T, Fsub))
+            T = Subcat.of(idx, S)
+            F = Subcat.of(idx, [y for y in C.member_list() if all(idx.hom_dim(t, y) == 0 for t in S)])
+            if is_torsion_pair_2ff(T, F, C)[0]:
+                pairs.append(TorsPair2FF(C, T, F))
     pairs.sort(key=lambda p: p.key())
     return pairs

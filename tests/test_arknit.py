@@ -9,7 +9,7 @@ import pytest
 from taukit import arknit, modcat as mc
 from taukit.algebra import parse_algebra
 from taukit.cli import emit_report
-from taukit.exactlin import Mat, rank, solve_matrix
+from taukit.exactlin import Mat, rank, solve, solve_matrix
 from tests.conftest import auslander_linear, d4, e7_linear, kronecker, lambda3, nakayama_rad2
 from tests.test_tautilt import CYCLE2_RAD3, TRUNCATED_X3
 
@@ -264,17 +264,18 @@ def test_e7_census_shape(censuses):
     assert {a for _, _, a in idx.ar_arrows} == {1}
 
 
+def _combination(idx, i, j, coords):
+    """The map X_i -> X_j with the given coordinates over idx.hom_basis(i, j)."""
+    g = mc.ModMap.zero(idx.modules[i], idx.modules[j])
+    for c, f in zip(coords, idx.hom_basis(i, j)):
+        if c:
+            g = g.add(f.scale(c))
+    return g
+
+
 def _radical_basis(idx, i, j):
     """rad(X_i, X_j) as ModMaps, combined from the coordinates `idx.radical` gives."""
-    homs = idx.hom_basis(i, j)
-    out = []
-    for coords in idx.radical(i, j):
-        g = mc.ModMap.zero(idx.modules[i], idx.modules[j])
-        for c, f in zip(coords, homs):
-            if c:
-                g = g.add(f.scale(c))
-        out.append(g)
-    return out
+    return [_combination(idx, i, j, coords) for coords in idx.radical(i, j)]
 
 
 def _full_span_multiplicities(idx):
@@ -590,6 +591,65 @@ def test_knitting_checks_that_each_end_modulo_its_radical_is_k(monkeypatch):
     monkeypatch.setattr(mc, "radical_of_endos", lambda field, flat: [])
     with pytest.raises(AssertionError, match="modulo its radical"):
         arknit.knit_indecomposables(HOM_ALGEBRAS["x3-3"]())
+
+
+def _coordinates(idx, i, j, g):
+    """The coordinates of g: X_i -> X_j over idx.hom_basis(i, j)."""
+    vec = mc.hom_to_vector(g)
+    basis = [mc.hom_to_vector(f) for f in idx.hom_basis(i, j)]
+    coords = solve(Mat.from_columns(idx.algebra.field, basis, rows=len(vec)), vec)
+    assert coords is not None
+    return list(coords)
+
+
+def _precompose_oracle(idx, F, src, mid, k, op):
+    """`precompose`'s matrix, one column per basis map of Hom(+mid, X_k), from composed ModMaps."""
+    def hom(i, j):  # the pair whose hom_basis spans Hom(i, j) in the reading at hand
+        return (j, i) if op else (i, j)
+
+    parts = {}  # (b, a): F's component between mid[b] and src[a]
+    for b, m in enumerate(mid):
+        at = 0
+        for a, s in enumerate(src):
+            n = idx.hom_dim(*hom(s, m))
+            parts[(b, a)] = _combination(idx, *hom(s, m), F[b][at:at + n])
+            at += n
+    columns = []
+    for b, m in enumerate(mid):
+        for g in idx.hom_basis(*hom(m, k)):
+            column = []
+            for a, s in enumerate(src):
+                composite = parts[(b, a)].compose(g) if op else g.compose(parts[(b, a)])
+                column += _coordinates(idx, *hom(s, k), composite)
+            columns.append(column)
+    return Mat.from_columns(idx.algebra.field, columns,
+                            rows=sum(idx.hom_dim(*hom(s, k)) for s in src))
+
+
+# x3-3 has members whose End has dimension > 1
+@pytest.mark.parametrize("name", ["A5rad2-2", "A5rad2-101", "x3-3"])
+@pytest.mark.parametrize("op", [False, True], ids=["plain", "op"])
+def test_precompose_matches_composed_maps(name, op):
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    n, p = len(idx.modules), idx.algebra.field.p
+    rng = random.Random(1717)
+
+    def dim(i, j):  # dim Hom(i, j) in the reading at hand
+        return idx.hom_dim(j, i) if op else idx.hom_dim(i, j)
+
+    def reached_from(sources):  # members the sources map to, so that most composites are nonzero
+        return [j for j in range(n) if any(dim(i, j) for i in sources)] or list(range(n))
+
+    nonzero = 0
+    for _ in range(80):
+        src = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+        mid = [rng.choice(reached_from(src)) for _ in range(rng.randint(1, 3))]
+        k = rng.choice(reached_from(mid))
+        F = [tuple(rng.randrange(p) for s in src for _ in range(dim(s, m))) for m in mid]
+        got = idx.precompose(F, src, mid, k, op)
+        assert got == _precompose_oracle(idx, F, src, mid, k, op), (src, mid, k)
+        nonzero += not got.is_zero()
+    assert nonzero >= 20
 
 
 # -- Ext on the census: one resolution per member and length, bitmask tables ------

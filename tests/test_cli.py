@@ -164,6 +164,22 @@ def test_bad_option_is_a_usage_error(lambda3_file, capsys, monkeypatch, argv, de
     assert json.loads(out) == {"error": "UsageError", "detail": detail}
 
 
+@pytest.mark.parametrize("command", ["torsion", "tau2", "verify"])
+def test_bad_action_is_a_usage_error(lambda3_file, capsys, command):
+    code = main([lambda3_file, command, "bogus", "--ct", CSTAR])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "invalid choice: 'bogus'" in captured.err
+
+
+def test_ctfind_subset_budget_overrun_is_the_subset_scans_budget_error(lambda3_file, capsys):
+    code, out = run_cli(capsys, lambda3_file, "--subset-budget", "4", "ctfind")
+    assert code == 3
+    assert json.loads(out) == {"error": "TooLargeError",
+                               "detail": "5 indecomposables exceed the subset budget"}
+
+
 A3_TEXT = """\
 field 101
 vertices 1 2 3
