@@ -26,8 +26,8 @@ with no tau term for projective Y; a negative count or a dim mismatch is an
 AssertionError.  Knitting solves Hom once per pair on the source's top generators;
 hom_dim counts solutions, and hom_basis reads a canonical basis back from them when first asked.
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
-reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading,
-and `map_at` gives one vertex's matrix.
+reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading.
+Into the injective member I(v) it is D of F's matrix at v, as Hom(M, I(v)) = D(M_v).
 `tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it.
 """
 
@@ -207,18 +207,26 @@ class IndecIndex:
         of its mid summand and each src summand, and the result is the
         matrix of h -> F o h, Hom(X_k, +mid) -> Hom(X_k, +src).
         """
-        row_at, col_at = self._offsets(src, k, op), self._offsets(mid, k, op)
-        if not row_at[-1] * col_at[-1]:
-            return Mat.zeros(self.algebra.field, row_at[-1], col_at[-1])
-        out = [[0] * col_at[-1] for _ in range(row_at[-1])]
-        for b, m in enumerate(mid):
-            f_at, row, col = self._offsets(src, m, op), F[b], col_at[b]
-            for a, s in enumerate(src):
-                f = row[f_at[a]:f_at[a + 1]]
+        field, solved = self.algebra.field, self._hom_cache
+        heights, widths = [], []  # dim Hom(s, k) and Hom(m, k) in the reading at hand, off the solved pairs
+        for dims, summands in ((heights, src), (widths, mid)):
+            for t in summands:
+                key = (k, t) if op else (t, k)
+                dims.append(len(solved[key] if key in solved else self._solutions(*key)))
+        rows, cols = sum(heights), sum(widths)
+        if not rows * cols:
+            return Mat.zeros(field, rows, cols)
+        out, col = [[0] * cols for _ in range(rows)], 0
+        for m, row, w in zip(mid, F, widths):
+            at = row_at = 0
+            for s, h in zip(src, heights):
+                key = (m, s) if op else (s, m)
+                n = len(solved[key] if key in solved else self._solutions(*key))
+                f, at, row_at = row[at:at + n], at + n, row_at + h
                 if not any(f):
                     continue
+                block = out[row_at - h:row_at]
                 table = self.compose(k, m, s) if op else self.compose(s, m, k)
-                block = out[row_at[a]:row_at[a + 1]]
                 for e, y in enumerate(f):
                     if not y:
                         continue
@@ -226,32 +234,8 @@ class IndecIndex:
                     for c, coords in enumerate(table[e] if op else [r[e] for r in table], col):
                         for out_t, z in zip(block, coords):
                             out_t[c] += y * z
-        return Mat.from_rows(self.algebra.field, out, cols=col_at[-1])
-
-    def _offsets(self, summands, k, op: bool = False) -> list:
-        """Where the block of each summand starts in a row into X_k (out of X_k with op), and the row length."""
-        out, at, solved = [0], 0, self._hom_cache
-        for s in summands:
-            key = (k, s) if op else (s, k)
-            at += len(solved[key] if key in solved else self._solutions(*key))
-            out.append(at)
-        return out
-
-    def map_at(self, F, src, tgt, v) -> Mat:
-        """The matrix at vertex v of F: +src -> +tgt, one `precompose` row per tgt summand."""
-        rows = []
-        for b, t in enumerate(tgt):
-            for r in range(self.modules[t].dims[v]):
-                row, at = [], 0
-                for s in src:
-                    entries = [0] * self.modules[s].dims[v]
-                    for coef, f in zip(F[b][at:], self.hom_basis(s, t)):
-                        for q, x in enumerate(f.mats[v].data[r] if coef else ()):
-                            entries[q] += coef * x
-                    at += self.hom_dim(s, t)
-                    row += entries
-                rows.append(row)
-        return Mat.from_rows(self.algebra.field, rows, cols=sum(self.modules[s].dims[v] for s in src))
+            col += w
+        return Mat.from_rows(field, out, cols=cols)
 
     def quotient_projectives(self, e: frozenset) -> tuple:
         """Census indices of the indecomposable projectives of A/<e>, read as A-modules."""

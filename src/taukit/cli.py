@@ -195,7 +195,7 @@ def cmd_ctcheck(args) -> int:
     return EXIT_OK
 
 
-def _ct_subcat(A, idx, args):
+def _ct_subcat(idx, args):
     members = _resolve_generators(idx, args.ct)
     C = Subcat.of(idx, members)
     rep = is_d_cluster_tilting(C, 2)
@@ -207,7 +207,7 @@ def _ct_subcat(A, idx, args):
 def cmd_torsion(args) -> int:
     A = _load_algebra(args)
     idx = _index(A, args)
-    C = _ct_subcat(A, idx, args)
+    C = _ct_subcat(idx, args)
     pairs = tn.enumerate_2ff_torsion_pairs(C, max_members=args.subset_budget)
     _write(emit_report({"pairs": [p.to_json(include_certs=args.certs) for p in pairs]}),
            args.out)
@@ -217,7 +217,7 @@ def cmd_torsion(args) -> int:
 def cmd_tau2(args) -> int:
     A = _load_algebra(args)
     idx = _index(A, args)
-    C = _ct_subcat(A, idx, args)
+    C = _ct_subcat(idx, args)
     # the CLI reports the quotient-only reading, so its output matches earlier versions
     tilting = tt.support_tau2_tilting_modules(A, C, max_members=args.subset_budget,
                                               definition="quotient")
@@ -236,7 +236,7 @@ def cmd_tau2(args) -> int:
 def cmd_verify(args) -> int:
     A = _load_algebra(args)
     idx = _index(A, args)
-    C = _ct_subcat(A, idx, args)
+    C = _ct_subcat(idx, args)
     # the CLI reports the quotient-only reading, so its output matches earlier versions
     report = tt.verify_theorem1(A, C, max_members=args.subset_budget, definition="quotient")
     _write(emit_report(report.to_json(host=idx)), args.out)

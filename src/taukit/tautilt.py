@@ -24,8 +24,6 @@ support tau-tilting pairs of Adachi-Iyama-Reiten, *tau-tilting theory*
 
 from __future__ import annotations
 
-import itertools
-
 from . import algebra as algebra_mod
 from . import highercat as hc
 from . import modcat as mc
@@ -33,7 +31,7 @@ from . import torsion as tn
 from .algebra import Algebra
 from .exactlin import Mat, kernel_basis, rank, rref
 from .highercat import ExactSeq, Subcat
-from .torsion import TooLargeError
+from .torsion import TooLargeError  # raised here through tn.member_subsets
 
 DEFINITIONS = ("ambient", "quotient")
 
@@ -93,50 +91,41 @@ def _coresolution(idx, source, members, maxlen: int, mono_start: bool) -> list |
 
     Returns the terms T_0, T_1, ... as sorted census indices with
     multiplicity, or None.  A map between sums is one `precompose` row per
-    target summand.  With F: T_{k-1} -> T_k the step before and Q its
-    cokernel, Hom(Q, X_i) is K_i, the maps T_k -> X_i that kill F, and the
-    minimal left add-T approximation Q -> T_{k+1} takes, for each member i, a
-    basis of K_i modulo sum_j rad(X_j, X_i) o K_j.  It is injective when
-    rank F + rank G = dim T_k at every vertex, and Q = 0 when G is onto.
-    A nonzero G o F at some vertex is an AssertionError.
+    target summand.  With F: T_{k-1} -> T_k the step before (at first the zero
+    map from the empty sum) and Q its cokernel, Hom(Q, X_i) is K_i, the maps
+    T_k -> X_i that kill F, and the minimal left add-T approximation
+    Q -> T_{k+1} takes, for each member i, a basis of K_i modulo
+    sum_j rad(X_j, X_i) o K_j.  As Hom(M, I(v)) = D(M_v) for the injective
+    member I(v), G's rank at v is that of g -> g o G into I(v), with dim T_k
+    rows and dim T_{k+1} columns: G is injective when rank F + rank G is the
+    row count at every v, and Q = 0 when rank G is the column count.  A
+    nonzero G o F at some v is an AssertionError.
     """
-    vertices, field = idx.algebra.vertices, idx.algebra.field
+    field = idx.algebra.field
+    cogen = [k for k in range(len(idx.modules)) if idx.is_injective(k)]
     terms: list = []
-    cur, prev, F, F_at = list(source), None, None, None
-    for _ in range(maxlen + 1 if cur else 0):
-        K = {i: _killing(idx, F, prev, cur, i) for i in members}
+    prev, cur, F = [], list(source), [()] * len(source)
+    F_at, F_ranks = [], [0] * len(cogen)  # the empty map has no composite to check
+    for step in range(maxlen + 1 if cur else 0):
+        K = {i: kernel_basis(idx.precompose(F, prev, cur, i)) for i in members}
         nxt, G = [], []
         for i in (i for i in members if K[i]):
             rad = [idx.precompose([kappa], cur, [j], i).apply(r)
                    for j in members for kappa in K[j] for r in idx.radical(j, i)]
-            rows = sum(idx.hom_dim(c, i) for c in cur)
-            pivots = rref(Mat.from_columns(field, rad + K[i], rows=rows)).pivots
+            pivots = rref(Mat.from_columns(field, rad + K[i])).pivots
             G += [K[i][c - len(rad)] for c in pivots if c >= len(rad)]
             nxt += [i] * (len(G) - len(nxt))
-        G_at = {v: idx.map_at(G, cur, nxt, v) for v in vertices}
-        ranks = {v: rank(G_at[v]) for v in vertices}
-        dims = {v: sum(idx.modules[c].dims[v] for c in cur) for v in vertices}
-        if F is None:
-            exact = not mono_start or ranks == dims
-        else:
-            if any(not G_at[v].mul(F_at[v]).is_zero() for v in vertices):
-                raise AssertionError("coresolution failed its own exactness check")
-            exact = all(rank(F_at[v]) + ranks[v] == dims[v] for v in vertices)
-        if not exact:
+        G_at = [idx.precompose(G, cur, nxt, k) for k in cogen]
+        ranks = [rank(g) for g in G_at]
+        if any(not f.mul(g).is_zero() for f, g in zip(F_at, G_at)):
+            raise AssertionError("coresolution failed its own exactness check")
+        if (mono_start or step) and any(r + s != g.rows for r, s, g in zip(F_ranks, ranks, G_at)):
             return None
         terms.append(nxt)
-        if all(ranks[v] == sum(idx.modules[c].dims[v] for c in nxt) for v in vertices):
+        if all(r == g.cols for r, g in zip(ranks, G_at)):
             return terms
-        prev, F, F_at, cur = cur, G, G_at, nxt
+        prev, F, F_at, F_ranks, cur = cur, G, G_at, ranks, nxt
     return None if cur else terms
-
-
-def _killing(idx, F, prev, cur, i) -> list:
-    """A basis of the rows g: +cur -> X_i with g o F = 0, all of Hom when F is None."""
-    if F is None:
-        n = sum(idx.hom_dim(c, i) for c in cur)
-        return [tuple(int(a == b) for b in range(n)) for a in range(n)]
-    return kernel_basis(idx.precompose(F, prev, cur, i))
 
 
 class SupportTau2Cert:
@@ -332,20 +321,16 @@ def support_tau2_tilting_modules(A: Algebra, C: Subcat, max_members: int = 20,
     subset of C.  tau_2 of each member over A must be 0 or a member
     (Iyama 2007), else AssertionError.
     """
-    n = len(C.members)
-    if n > max_members:
-        raise TooLargeError(f"{n} members exceeds the subset budget {max_members}")
-    idx = C.host
+    subsets, idx = tn.member_subsets(C, max_members), C.host
     for j in C.member_list():
         t, _ = idx.tau2_row(frozenset(), j)
         if not t.is_zero() and idx.find_iso(t) not in C.members:
             raise AssertionError(f"tau_2 of member {j} is neither 0 nor a member of C")
     tilting = []
-    for r in range(n + 1):
-        for S in itertools.combinations(C.member_list(), r):
-            res = is_support_tau2_tilting(S, idx, definition)
-            if isinstance(res, SupportTau2Cert):
-                tilting.append((S, res))
+    for S in subsets:
+        res = is_support_tau2_tilting(S, idx, definition)
+        if isinstance(res, SupportTau2Cert):
+            tilting.append((S, res))
     tilting.sort(key=lambda t: t[0])
     return tilting
 

@@ -31,6 +31,14 @@ class TooLargeError(Exception):
     pass
 
 
+def member_subsets(C: Subcat, max_members: int):
+    """Every subset of C's members, by size; past the budget this call raises TooLargeError."""
+    n, members = len(C.members), C.member_list()
+    if n > max_members:
+        raise TooLargeError(f"{n} members exceeds the subset budget {max_members}")
+    return itertools.chain.from_iterable(itertools.combinations(members, r) for r in range(n + 1))
+
+
 class SequenceFailedError(Exception):
     """A canonical sequence failed for a supposedly verified pair."""
 
@@ -341,16 +349,12 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng):
 
 def enumerate_2ff_torsion_pairs(C: Subcat, max_members: int = 20) -> list:
     """All 2-functorially-finite torsion pairs in C, canonically ordered."""
-    n = len(C.members)
-    if n > max_members:
-        raise TooLargeError(f"{n} members exceeds the subset budget {max_members}")
     idx = C.host
     pairs = []
-    for r in range(n + 1):
-        for S in itertools.combinations(C.member_list(), r):
-            T = Subcat.of(idx, S)
-            F = Subcat.of(idx, [y for y in C.member_list() if all(idx.hom_dim(t, y) == 0 for t in S)])
-            if is_torsion_pair_2ff(T, F, C)[0]:
-                pairs.append(TorsPair2FF(C, T, F))
+    for S in member_subsets(C, max_members):
+        T = Subcat.of(idx, S)
+        F = Subcat.of(idx, [y for y in C.member_list() if all(idx.hom_dim(t, y) == 0 for t in S)])
+        if is_torsion_pair_2ff(T, F, C)[0]:
+            pairs.append(TorsPair2FF(C, T, F))
     pairs.sort(key=lambda p: p.key())
     return pairs

@@ -652,6 +652,54 @@ def test_precompose_matches_composed_maps(name, op):
     assert nonzero >= 20
 
 
+def _matrix_at(idx, F, src, mid, v):
+    """The matrix at v of F: +src -> +mid, assembled from its components as ModMaps."""
+    field_ = idx.algebra.field
+    blocks = []
+    for m, row in zip(mid, F):
+        parts, at = [], 0
+        for s in src:
+            n = idx.hom_dim(s, m)
+            parts.append(_combination(idx, s, m, row[at:at + n]).mats[v])
+            at += n
+        blocks.append(Mat.hstack(field_, parts, rows=idx.modules[m].dims[v]))
+    return Mat.vstack(field_, blocks, cols=sum(idx.modules[s].dims[v] for s in src))
+
+
+# Hom(M, I(v)) is D(M_v), so precomposing into the injective I(v) is F's matrix at v, transposed
+@pytest.mark.parametrize("name", ["A5rad2-2", "A5rad2-101", "x3-3", "cycle2rad3-3"])
+def test_precompose_into_an_injective_has_the_rank_of_the_vertex_matrix(name):
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    A, n, p = idx.algebra, len(idx.modules), idx.algebra.field.p
+    injective = {v: idx.find_iso(mc.injective(A, v)) for v in A.vertices}
+    rng = random.Random(1818)
+    nonzero = 0
+    for _ in range(40):
+        src = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+        reached = [j for j in range(n) if any(idx.hom_dim(i, j) for i in src)] or list(range(n))
+        mid = [rng.choice(reached) for _ in range(rng.randint(1, 3))]
+        F = [tuple(rng.randrange(p) for s in src for _ in range(idx.hom_dim(s, m))) for m in mid]
+        for v in A.vertices:
+            expected = _matrix_at(idx, F, src, mid, v)
+            got = idx.precompose(F, src, mid, injective[v])
+            assert (got.rows, got.cols) == (expected.cols, expected.rows), (src, mid, v)
+            assert rank(got) == rank(expected), (src, mid, v)
+            nonzero += rank(expected) > 0
+    assert nonzero >= 20
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_knitting_flags_the_projective_and_injective_member_of_each_vertex(name):
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    A, n = idx.algebra, len(idx.modules)
+    projective = {idx.find_iso(mc.projective(A, v)) for v in A.vertices}
+    injective = {idx.find_iso(mc.injective(A, v)) for v in A.vertices}
+    assert None not in projective | injective
+    assert len(projective) == len(injective) == len(A.vertices)
+    assert {i for i in range(n) if idx.is_projective(i)} == projective
+    assert {i for i in range(n) if idx.is_injective(i)} == injective
+
+
 # -- Ext on the census: one resolution per member and length, bitmask tables ------
 
 EXT_ALGEBRAS = {

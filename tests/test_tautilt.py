@@ -399,6 +399,19 @@ def test_table_coresolution_matches_oracle_on_a7_rigid_cliques():
         assert _table_terms(idx, S, False) == _oracle_terms(idx, S, False), S
 
 
+@pytest.mark.parametrize("definition", tt.DEFINITIONS)
+def test_coresolution_checks_its_composites(monkeypatch, definition):
+    # a kernel vector that does not kill the map before makes some G o F nonzero
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    C = _nakayama_rad2_ct(idx, 5)
+    kernel_basis = tt.kernel_basis
+    monkeypatch.setattr(tt, "kernel_basis",
+                        lambda m: [(1,) * m.cols] if m.rows and m.cols else kernel_basis(m))
+    with pytest.raises(AssertionError, match="coresolution failed its own exactness check"):
+        tt.support_tau2_tilting_modules(A, C, definition=definition)
+
+
 @pytest.mark.parametrize("p", [2, 101])
 def test_tau2_rows_match_module_rigidity_on_a5(p):
     A = nakayama_rad2(5, p)
