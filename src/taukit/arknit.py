@@ -16,7 +16,10 @@ irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the rank of the
 composites through rad^2, read as the images of X's top generators, with
 rad End(X) from `IndecIndex.radical`; each span stops growing once it fills rad(X, Y).
 The brute-force enumerator is the independent oracle the tests compare
-against.  It rejects a candidate on its raw entries, before building a
+against.  It walks one candidate per orbit of the basis rescalings, the
+orbit's least member in lex order, and so returns the list a walk over every
+matrix would: the first member of an isomorphism class is least in its
+orbit.  It rejects a candidate on its raw entries, before building a
 module, when a relation fails or when its support falls apart into pieces
 that no nonzero arrow joins (then it is the sum of those pieces).
 
@@ -49,7 +52,11 @@ class LimitExceededError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """Brute-force enumeration would exceed the configured work budget."""
+    """Brute-force enumeration would exceed the configured work budget.
+
+    The work counted is the bound 2^F p^(E-F) on the rescaling-orbit walk,
+    summed over dim vectors: E entries, F of them a spanning forest.
+    """
 
 
 class KnitIncompleteError(Exception):
@@ -520,29 +527,33 @@ def _certify_and_mesh(idx: IndecIndex, inverses: list):
 
 
 def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 22) -> list:
-    """All indecomposables with dim vector <= max_dims, by raw enumeration."""
+    """All indecomposables with dim vector <= max_dims, by raw enumeration.
+
+    Per dim vector it walks the least member of each orbit of the basis
+    rescalings (`_orbit_least`), in lex order of the flat entries.  An
+    isomorphism class is a union of such orbits, and the first member of a
+    class in lex order is least in its own orbit, so the kept module of each
+    class, and the order of the list, are those of a walk over every matrix.
+    """
     p = A.field.p
     bounds = [max_dims.get(v, 0) for v in A.vertices]
-    total_work = 0
-    vectors = list(itertools.product(*(range(b + 1) for b in bounds)))
-    for dims in vectors:
-        entries = sum(dims[A.vertex_index[a.target]] * dims[A.vertex_index[a.source]]
-                      for a in A.arrows)
-        total_work += p ** entries
+    plans = [(dims, _entry_ends(A, dims)) for dims in itertools.product(*(range(b + 1) for b in bounds))]
+    total_work = sum(_walk_bound(ends, sum(dims), p) for dims, ends in plans)
     if total_work > budget:
         raise BudgetExceededError(f"enumeration needs {total_work} module candidates")
     names = [a.name for a in A.arrows]
     out: list = []
-    for dims in vectors:
+    for dims, ends in plans:
         if sum(dims) == 0:
             continue
         dim_map = dict(zip(A.vertices, dims))
         support = [v for v in A.vertices if dim_map[v]]
         shapes = [(dim_map[a.target], dim_map[a.source]) for a in A.arrows]
-        # every matrix of each arrow, as row tuples
-        choices = [[tuple(flat[i * c:(i + 1) * c] for i in range(r))
-                    for flat in itertools.product(range(p), repeat=r * c)] for r, c in shapes]
-        for assignment in itertools.product(*choices):
+        starts = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
+        for flat in _orbit_least(ends, sum(dims), p):
+            # each arrow's matrix as row tuples
+            assignment = [tuple(flat[o + i * c:o + (i + 1) * c] for i in range(r))
+                          for o, (r, c) in zip(starts, shapes)]
             rows = dict(zip(names, assignment))
             if not mc.relations_hold(A, dim_map, rows):
                 continue
@@ -558,6 +569,66 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
             out.append(M)
     out.sort(key=lambda m: (m.total_dim, m.dim_vector()))
     return out
+
+
+def _entry_ends(A: Algebra, dims: tuple) -> list:
+    """The two basis vectors each matrix entry joins, in walk order: arrow by arrow, row-major.
+
+    Basis vector i at the vertex with index k is number sum(dims[:k]) + i;
+    entry (r, c) of an arrow s -> t joins the r-th vector at t and the c-th at s.
+    """
+    first = list(itertools.accumulate(dims, initial=0))
+    ends = []
+    for a in A.arrows:
+        s, t = A.vertex_index[a.source], A.vertex_index[a.target]
+        ends += [(first[t] + r, first[s] + c) for r in range(dims[t]) for c in range(dims[s])]
+    return ends
+
+
+def _orbit_least(ends: list, nodes: int, p: int):
+    """The least member of each rescaling orbit of flat entries, once each, in lex order.
+
+    Rescaling basis vector u by l_u turns the entry x joining u and w into
+    l_u x / l_w.  `comp` labels the pieces that the earlier nonzero entries
+    join.  An entry across two pieces can be made 1 by rescaling one piece,
+    which moves no earlier entry, so it takes 0 or 1 and a 1 joins them.
+    An entry inside one piece (a loop's diagonal too) is fixed by every
+    rescaling that fixes the earlier entries, so it takes every value.
+    """
+    flat = [0] * len(ends)
+
+    def walk(k, comp):
+        if k == len(ends):
+            yield tuple(flat)
+            return
+        u, w = ends[k]
+        cu, cw = comp[u], comp[w]
+        if cu == cw:
+            for x in range(p):
+                flat[k] = x
+                yield from walk(k + 1, comp)
+            return
+        flat[k] = 0
+        yield from walk(k + 1, comp)
+        flat[k] = 1
+        yield from walk(k + 1, tuple(cu if c == cw else c for c in comp))
+
+    return walk(0, tuple(range(nodes)))
+
+
+def _walk_bound(ends: list, nodes: int, p: int) -> int:
+    """2^F p^(E-F) >= the walk's length: E entries, F of them a spanning forest taken in walk order.
+
+    No subset of the entries before a forest entry joins its ends, so the
+    walk gives it two values in every branch.
+    """
+    comp, forest = list(range(nodes)), 0
+    for u, w in ends:
+        cu, cw = comp[u], comp[w]
+        if cu != cw:
+            forest += 1
+            comp = [cu if c == cw else c for c in comp]
+    return 2 ** forest * p ** (len(ends) - forest)
 
 
 def _connected(vertices: list, arrows: list) -> bool:

@@ -194,6 +194,10 @@ ORACLE_CASES = {
     "D4-2": (lambda: d4(p=2), {"1": 1, "2": 1, "3": 1, "4": 2}),
     "auslander3-2": (lambda: auslander_linear(3, p=2), 1),
     "cycle3rad2-3": (lambda: parse_algebra(CYCLE3_RAD2), 1),
+    # a cycle, a loop and a non-thin dim vector: entries range over all of F_p^x
+    "kronecker-3": (lambda: kronecker(p=3), {"1": 1, "2": 2}),
+    "x3-3": (lambda: parse_algebra(TRUNCATED_X3), 2),
+    "A3-5": (lambda: lambda3(p=5), {"1": 1, "2": 2, "3": 1}),
 }
 
 
@@ -204,6 +208,60 @@ def test_brute_force_matches_the_plain_loop(name):
     bounds = bound if isinstance(bound, dict) else {v: bound for v in A.vertices}
     fast = arknit.brute_force_indecomposables(A, bounds)
     assert [M.to_json() for M in fast] == [M.to_json() for M in _brute_force_reference(A, bounds)]
+
+
+def test_brute_force_builds_one_candidate_per_rescaling_orbit(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(mc, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in ("relations_hold", "is_indecomposable"):
+        monkeypatch.setattr(mc, name, counted(name))
+    A = lambda3(p=101)
+    assert len(arknit.brute_force_indecomposables(A, {v: 1 for v in A.vertices})) == 5
+    # 12 walked assignments and the 5 survivors' Module checks; the 5 classes
+    assert calls == {"relations_hold": 17, "is_indecomposable": 5}
+
+
+def _rescaling_orbit_minima(A, dims):
+    """The least member of each orbit of flat entries, by applying every basis rescaling."""
+    p = A.field.p
+    dim_map = dict(zip(A.vertices, dims))
+    node = {(v, i): n for n, (v, i) in enumerate((v, i) for v in A.vertices for i in range(dim_map[v]))}
+    ends = [(node[a.target, r], node[a.source, c])
+            for a in A.arrows for r in range(dim_map[a.target]) for c in range(dim_map[a.source])]
+    scalings = list(itertools.product(range(1, p), repeat=len(node)))
+    seen, minima = set(), []
+    for flat in itertools.product(range(p), repeat=len(ends)):
+        if flat in seen:
+            continue
+        orbit = {tuple(s[u] * x * pow(s[w], -1, p) % p for (u, w), x in zip(ends, flat)) for s in scalings}
+        seen |= orbit
+        minima.append(min(orbit))
+    return sorted(minima)
+
+
+@pytest.mark.parametrize("build, dims", [
+    (lambda: kronecker(p=3), (1, 2)),
+    (lambda: kronecker(p=3), (2, 2)),
+    (lambda: lambda3(p=3), (1, 2, 1)),
+    (lambda: lambda3(p=5), (1, 1, 1)),
+    (lambda: d4(p=3), (1, 1, 1, 2)),
+    (lambda: parse_algebra(TRUNCATED_X3), (3,)),
+    (lambda: parse_algebra("field 5\nvertices 1\narrow x: 1 -> 1\nrelation x*x\n"), (2,)),
+], ids=["kronecker-12", "kronecker-22", "A3-121", "A3-5", "D4-1112", "x3-3", "loop-5"])
+def test_orbit_walk_yields_each_orbit_minimum_once_in_order(build, dims):
+    A = build()
+    ends = arknit._entry_ends(A, dims)
+    walk = list(arknit._orbit_least(ends, sum(dims), A.field.p))
+    assert walk == _rescaling_orbit_minima(A, dims)
+    assert len(walk) <= arknit._walk_bound(ends, sum(dims), A.field.p)
 
 
 # -- pinned census bytes, the rad^2 oracle, and work done once -------------------

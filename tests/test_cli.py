@@ -60,6 +60,16 @@ def test_indecs_with_oracle(lambda3_file, capsys):
     assert data["oracle"]["matches_knitting"] is True
 
 
+def test_indecs_oracle_over_f101(tmp_path, capsys):
+    path = tmp_path / "a5r2.alg"
+    path.write_text(nakayama_rad2_text(5, p=101))
+    code, out = run_cli(capsys, str(path), "indecs", "--oracle")
+    assert code == 0
+    data = json.loads(out)
+    assert data["oracle"]["count"] == data["count"] == 9
+    assert data["oracle"]["matches_knitting"] is True
+
+
 def test_indecs_loop_not_admissible(tmp_path, capsys):
     path = tmp_path / "loop.alg"
     path.write_text(LOOP_TEXT.format(p=5))
