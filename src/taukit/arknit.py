@@ -20,8 +20,8 @@ against.  It walks one candidate per orbit of the basis rescalings, the
 orbit's least member in lex order, and so returns the list a walk over every
 matrix would: the first member of an isomorphism class is least in its
 orbit.  It rejects a candidate on its raw entries, before building a
-module, when a relation fails or when its support falls apart into pieces
-that no nonzero arrow joins (then it is the sum of those pieces).
+module, when a relation fails or when its nonzero entries leave its basis
+vectors in more than one piece (then it is the sum of their spans).
 
 Summand multiplicities are read off the certified mesh, with no search:
 Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
@@ -31,7 +31,9 @@ hom_dim counts solutions, and hom_basis reads a canonical basis back from them w
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
 reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading.
 Into the injective member I(v) it is D of F's matrix at v, as Hom(M, I(v)) = D(M_v).
-`tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it.
+`tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it, and
+`quotient_projectives` the projectives of A/<e>; both are computed once per
+connected piece of the quiver of A/<e>, since A/<e> is the product of its pieces' algebras.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class IndecIndex:
         self._compose_cache = {}
         self._radicals = {}  # i -> rad End(X_i) coordinates
         self._quotient_projectives = {}  # e -> indices
-        self._tau2 = {}  # (e, j) -> (tau_2 X_j over A/<e>, row)
+        self._tau2 = {}  # (e, j) -> (tau_2 X_j over A/<e>, row), one entry per piece of X_j
         self._proj_flags = []
         self._inj_flags = []
         self._generators = {}  # i -> _Generators of X_i
@@ -245,29 +247,54 @@ class IndecIndex:
         return Mat.from_rows(field, out, cols=cols)
 
     def quotient_projectives(self, e: frozenset) -> tuple:
-        """Census indices of the indecomposable projectives of A/<e>, read as A-modules."""
+        """Census indices of the indecomposable projectives of A/<e>, read as A-modules.
+
+        A/<e> is the product of the algebras A/<V - c> of the pieces c of its
+        quiver, and the projective of a product at v is that of the factor
+        holding v, up to isomorphism.  So each piece's projectives are placed
+        on the census once, over A/<V - c>, and each e reads them, in vertex order.
+        """
         if e not in self._quotient_projectives:
-            Aq = quotient_by_idempotent(self.algebra, e) if e else self.algebra
-            found = [self.find_iso(mc.induce_module(mc.projective(Aq, v), self.algebra))
-                     for v in Aq.vertices]
-            if None in found:
-                raise AssertionError(f"a projective of A/<{sorted(e)}> is missing from the census")
-            self._quotient_projectives[e] = tuple(found)
+            A = self.algebra
+            pieces = _pieces(A, e)
+            if len(pieces) > 1:
+                found = {}
+                for c in pieces:
+                    found.update(zip([v for v in A.vertices if v in c],
+                                     self.quotient_projectives(frozenset(A.vertices) - c)))
+                self._quotient_projectives[e] = tuple(found[v] for v in A.vertices if v not in e)
+            else:
+                Aq = quotient_by_idempotent(A, e) if e else A
+                found = [self.find_iso(mc.induce_module(mc.projective(Aq, v), A)) for v in Aq.vertices]
+                if None in found:
+                    raise AssertionError(f"a projective of A/<{sorted(e)}> is missing from the census")
+                self._quotient_projectives[e] = tuple(found)
         return self._quotient_projectives[e]
 
     def tau2_row(self, e: frozenset, j: int) -> tuple:
         """tau_2 X_j over A/<e> as an A-module, and the bitmask of the i with Hom(X_i, it) != 0.
 
-        X_j must vanish on e.  Hom between modules that e kills is the same over
-        A and over A/<e>, so the row is read over A, only at the X_i that vanish
-        on e.  Computed once per (e, j).
+        X_j must vanish on e, else ValueError.  A/<e> is the product of the
+        algebras A/<V - c> of the pieces c of its quiver, and the indecomposable
+        X_j lives in one of them; Hom, tau and projectives over a product are
+        those of the factor.  So tau_2 is computed over A/<V - c>, once per
+        (c, j), and each e reads it: the module is returned up to isomorphism.
+        Hom between modules that e kills is the same over A and over A/<e>, so
+        the row is read over A, only at the X_i that vanish off c: an X_i that
+        e kills and that maps into tau_2 X_j lives in c.
         """
         if (e, j) not in self._tau2:
-            Aq = quotient_by_idempotent(self.algebra, e) if e else self.algebra
-            t = mc.induce_module(mc.tau_d(mc.restrict_module(self.modules[j], Aq), 2), self.algebra)
-            row = sum(1 << i for i, Y in enumerate(self.modules)
-                      if not any(Y.dims[v] for v in e) and mc.hom_dim(Y, t))
-            self._tau2[(e, j)] = (t, row)
+            A, X = self.algebra, self.modules[j]
+            if any(X.dims[v] for v in e):
+                raise ValueError(f"X_{j} does not vanish on {sorted(e)}")
+            rest = frozenset(A.vertices) - _piece(A, e, [v for v in A.vertices if X.dims[v]])
+            if (rest, j) not in self._tau2:
+                Aq = quotient_by_idempotent(A, rest) if rest else A
+                t = mc.induce_module(mc.tau_d(mc.restrict_module(X, Aq), 2), A)
+                row = sum(1 << i for i, Y in enumerate(self.modules)
+                          if not any(Y.dims[v] for v in rest) and mc.hom_dim(Y, t))
+                self._tau2[(rest, j)] = (t, row)
+            self._tau2[(e, j)] = self._tau2[(rest, j)]
         return self._tau2[(e, j)]
 
     def ext_dim(self, k: int, i: int, j: int) -> int:
@@ -547,7 +574,6 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
         if sum(dims) == 0:
             continue
         dim_map = dict(zip(A.vertices, dims))
-        support = [v for v in A.vertices if dim_map[v]]
         shapes = [(dim_map[a.target], dim_map[a.source]) for a in A.arrows]
         starts = list(itertools.accumulate((r * c for r, c in shapes), initial=0))
         for flat in _orbit_least(ends, sum(dims), p):
@@ -557,7 +583,7 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
             rows = dict(zip(names, assignment))
             if not mc.relations_hold(A, dim_map, rows):
                 continue
-            if not _connected(support, [a for a, m in zip(A.arrows, assignment) if any(map(any, m))]):
+            if not _one_piece(ends, flat, sum(dims)):
                 continue
             action = {a.name: Mat.from_rows(A.field, m, cols=c)
                       for a, m, (_, c) in zip(A.arrows, assignment, shapes)}
@@ -631,17 +657,40 @@ def _walk_bound(ends: list, nodes: int, p: int) -> int:
     return 2 ** forest * p ** (len(ends) - forest)
 
 
-def _connected(vertices: list, arrows: list) -> bool:
-    """Whether the arrows join the vertices into one piece (True for no vertices)."""
-    reach = set(vertices[:1])
-    grew = True
+def _one_piece(ends: list, flat: tuple, nodes: int) -> bool:
+    """Whether the nonzero entries join all the basis vectors into one piece.
+
+    The span of the basis vectors of a piece is closed under every arrow, so
+    with two pieces or more the candidate is the sum of their spans.
+    """
+    comp, pieces = list(range(nodes)), nodes
+    for (u, w), x in zip(ends, flat):
+        cu, cw = comp[u], comp[w]
+        if x and cu != cw:
+            comp = [cu if c == cw else c for c in comp]
+            pieces -= 1
+    return pieces == 1
+
+
+def _piece(A: Algebra, e: frozenset, start) -> frozenset:
+    """The vertices that arrows avoiding e join to the vertices in start."""
+    piece, grew = set(start), True
     while grew:
         grew = False
-        for a in arrows:
-            if (a.source in reach) != (a.target in reach):
-                reach.update((a.source, a.target))
+        for a in A.arrows:
+            if a.source not in e and a.target not in e and (a.source in piece) != (a.target in piece):
+                piece.update((a.source, a.target))
                 grew = True
-    return len(reach) == len(vertices)
+    return frozenset(piece)
+
+
+def _pieces(A: Algebra, e: frozenset) -> list:
+    """The vertex sets of the connected pieces of the quiver of A/<e>."""
+    out = []
+    for v in A.vertices:
+        if v not in e and not any(v in c for c in out):
+            out.append(_piece(A, e, [v]))
+    return out
 
 
 def ar_quiver_dot(idx: IndecIndex) -> str:

@@ -4,7 +4,10 @@ Support is handled by the maximal vertex idempotent e killing the module T.
 An A/<e>-module is an A-module that e kills, with the same Hom spaces, so T
 and A/<e> stay on the census of A: tau_2 is additive, so rigidity is read off
 one tau_2 row per (e, summand), and the add-T coresolution of A/<e> is rank
-work on Hom-basis blocks (`_coresolution`).  Two named readings of "support
+work on Hom-basis blocks (`_coresolution`).  A/<e> is the product of the
+algebras of the connected pieces of its quiver, so the census computes each
+tau_2 row and each projective of A/<e> once per piece, and returns the tau_2
+modules up to isomorphism.  Two named readings of "support
 tau_2-tilting" are available (`DEFINITIONS`), as higher analogues of the
 support tau-tilting pairs of Adachi-Iyama-Reiten, *tau-tilting theory*
 (Compos. Math. 2014):

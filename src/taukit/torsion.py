@@ -8,7 +8,9 @@ lies in add C, which is equivalent to proj Gamma for Gamma = End_A(+C)
 (Auslander), so it is decided on the composition table of Gamma that the
 census keeps, building no modules: each Hom(Y, -) of a map is one
 `IndecIndex.precompose` matrix, read in Gamma^op on the contravariant side
-and plainly on the covariant side.
+and plainly on the covariant side.  A member M of X needs none: the full
+approximation X1 -> M contains id_M, so it splits, and its kernel is a
+summand of X1 in add X, so M passes.
 """
 
 from __future__ import annotations
@@ -83,7 +85,11 @@ def is_2_finite(X: Subcat, C: Subcat, side: str):
     F_Y: Hom(Y, X1) -> Hom(Y, M).  The kernel rows of the F_x, x in X,
     stacked, are the full X-approximation psi: X2 -> K.  The member passes
     when, for every C0 in C, each map C0 -> K factors through psi, i.e.
-    Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) is exact at the middle.
+    Hom(C0, X2) -> Hom(C0, X1) -> Hom(C0, M) is exact at the middle.  A
+    member M of X passes with no linear algebra: phi contains id_M, so it
+    splits, and its certificate is read off one table of Hom dimensions,
+    x2[t] = sum_y x1[y] dim Hom(t, y) - dim Hom(t, M) (every Hom reversed on
+    the covariant side).
 
     Returns (ok, certificates) where certificates maps each member index of C
     to its `FinitenessCert`.  The check stops at the first member that fails,
@@ -93,16 +99,31 @@ def is_2_finite(X: Subcat, C: Subcat, side: str):
         raise ValueError("side must be 'contra' or 'co'")
     idx, op = C.host, side == "contra"
     xs, cs = X.member_list(), C.member_list()
+    hom = {}
+
+    def dim(x, M):
+        """dim Hom(x, M), or dim Hom(M, x) on the covariant side, read once per call."""
+        if (x, M) not in hom:
+            hom[(x, M)] = idx.hom_dim(x, M) if op else idx.hom_dim(M, x)
+        return hom[(x, M)]
+
     certs = {}
     for M in cs:
-        counts = {x: idx.hom_dim(x, M) if op else idx.hom_dim(M, x) for x in xs}
+        counts = {x: dim(x, M) for x in xs}
+        mults = [counts.get(t, 0) for t in cs]
+        if M in X.members:
+            # phi contains id_M, so it splits and Hom(t, X1) -> Hom(t, M) is onto; K is a
+            # summand of X1, so psi splits and every map C0 -> K factors through it
+            certs[M] = FinitenessCert(side, M, mults, [
+                sum(n * dim(t, y) for y, n in counts.items() if n) - counts[t] if t in X.members else 0
+                for t in cs])
+            continue
         x1 = [x for x in xs for _ in range(counts[x])]
         phi = [tuple(int(c == b) for c in range(counts[x])) for x in xs for b in range(counts[x])]
         kernels = {x: kernel_basis(idx.precompose(phi, [M], x1, x, op)) for x in xs if x1}
         x2 = [x for x, rows in kernels.items() for _ in rows]
         psi = [row for rows in kernels.values() for row in rows]
-        certs[M] = FinitenessCert(side, M, [counts.get(t, 0) for t in cs],
-                                  [len(kernels.get(t, ())) for t in cs])
+        certs[M] = FinitenessCert(side, M, mults, [len(kernels.get(t, ())) for t in cs])
         # M passes when no map links X and M (K = 0), and so does each member C0 of X,
         # as every map C0 -> K factors through C0 itself
         for C0 in (C0 for C0 in cs if x1 and C0 not in X.members):

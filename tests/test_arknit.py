@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from taukit import arknit, modcat as mc
-from taukit.algebra import parse_algebra
+from taukit.algebra import parse_algebra, quotient_by_idempotent
 from taukit.cli import emit_report
 from taukit.exactlin import Mat, rank, solve, solve_matrix
 from tests.conftest import auslander_linear, d4, e7_linear, kronecker, lambda3, nakayama_rad2
@@ -227,6 +227,24 @@ def test_brute_force_builds_one_candidate_per_rescaling_orbit(monkeypatch):
     assert len(arknit.brute_force_indecomposables(A, {v: 1 for v in A.vertices})) == 5
     # 12 walked assignments and the 5 survivors' Module checks; the 5 classes
     assert calls == {"relations_hold": 17, "is_indecomposable": 5}
+
+
+def test_brute_force_tests_only_candidates_in_one_piece(monkeypatch):
+    # over F_2 at bound 2 most walked candidates that pass the relations split into
+    # the spans of the pieces their nonzero entries join; none reaches is_indecomposable
+    calls = Counter()
+    is_indecomposable = mc.is_indecomposable
+
+    def counted(M):
+        calls["is_indecomposable"] += 1
+        return is_indecomposable(M)
+
+    monkeypatch.setattr(mc, "is_indecomposable", counted)
+    A = lambda3(p=2)
+    bounds = {v: 2 for v in A.vertices}
+    fast = arknit.brute_force_indecomposables(A, bounds)
+    assert calls == {"is_indecomposable": 23}  # 98 when only a split support was rejected
+    assert [M.to_json() for M in fast] == [M.to_json() for M in _brute_force_reference(A, bounds)]
 
 
 def _rescaling_orbit_minima(A, dims):
@@ -780,3 +798,46 @@ def test_census_ext_table_matches_modcat(name):
         for i in range(n):
             for j in range(n):
                 assert (rows[i] >> j & 1, cols[j] >> i & 1) == (bool(idx.ext_dim(k, i, j)),) * 2
+
+
+# -- the support-quotient tables, read per connected piece of A/<e> -----------------
+
+# the (e, j) with X_j vanishing on e, over every e in Q_0
+PIECE_ROWS = {"A5rad2-2": 112, "cycle2rad3-3": 8, "cycle3rad2-3": 18, "D4-101": 52, "auslander3-2": 324}
+
+
+@pytest.mark.parametrize("name", sorted(PIECE_ROWS))
+def test_support_quotient_tables_match_the_whole_quotient(name):
+    # A/<e> is the product of the algebras of its pieces, so each tau_2 row and each
+    # projective read over one piece is what the whole quotient A/<e> gives
+    A = HOM_ALGEBRAS[name]()
+    idx = arknit.knit_indecomposables(A)
+    rows = 0
+    for r in range(len(A.vertices) + 1):
+        for e in map(frozenset, itertools.combinations(A.vertices, r)):
+            Aq = quotient_by_idempotent(A, e) if e else A
+            assert idx.quotient_projectives(e) == tuple(
+                idx.find_iso(mc.induce_module(mc.projective(Aq, v), A)) for v in Aq.vertices), e
+            for j, X in enumerate(idx.modules):
+                if any(X.dims[v] for v in e):
+                    continue
+                t = mc.induce_module(mc.tau_d(mc.restrict_module(X, Aq), 2), A)
+                row = sum(1 << i for i, Y in enumerate(idx.modules)
+                          if not any(Y.dims[v] for v in e) and mc.hom_dim(Y, t))
+                got, got_row = idx.tau2_row(e, j)
+                assert (got_row, got.dim_vector()) == (row, t.dim_vector()), (e, j)
+                assert idx.summand_indices(got) == idx.summand_indices(t), (e, j)
+                rows += 1
+    assert rows == PIECE_ROWS[name]
+
+
+def test_tau2_row_rejects_a_member_that_does_not_vanish_on_e():
+    # X_j = P1 of A5/rad^2 lives on {1, 2}; a walk from its support must not pass
+    # through the killed vertex 2 into the piece {1}
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    j = next(j for j, X in enumerate(idx.modules) if X.dim_vector() == (1, 1, 0, 0, 0))
+    for e in (frozenset({"2"}), frozenset({"1", "2"}), frozenset({"2", "4"})):
+        with pytest.raises(ValueError, match="does not vanish"):
+            idx.tau2_row(e, j)
+    assert idx.tau2_row(frozenset({"3"}), j)[1] == idx.tau2_row(frozenset({"3", "4", "5"}), j)[1]

@@ -1,9 +1,10 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
-from taukit import arknit, highercat as hc, modcat as mc, tautilt as tt
+from taukit import arknit, highercat as hc, modcat as mc, tautilt as tt, torsion as tn
 from taukit.algebra import parse_algebra, quotient_by_idempotent
 from tests.conftest import auslander_linear, nakayama_rad2
 from tests.test_highercat import _nakayama_rad2_ct, auslander_ct
@@ -485,6 +486,50 @@ def test_verify_theorem1_builds_no_module_per_candidate(monkeypatch):
     assert tt.verify_theorem1(A, C, definition="quotient").counts() == (31, 24)
     # at most once per (support complement, member); the module-level scan made 128 calls
     assert len(seen) == len(set(seen)) < 128
+
+
+@pytest.mark.parametrize("definition, tau_d_calls, coresolutions", [("quotient", 39, 77),
+                                                                     ("ambient", 38, 64)])
+def test_verify_theorem1_does_less_work_per_candidate(monkeypatch, definition, tau_d_calls,
+                                                      coresolutions):
+    # tau_2 X_j is computed once per piece of the quiver of A/<e> that holds X_j, not once
+    # per e (74 and 56 tau_d calls), and a member of X passes 2-finiteness with no precompose
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    C = _nakayama_rad2_ct(idx, 5)
+    calls, current = Counter(), []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    is_2_finite, precompose = tn.is_2_finite, arknit.IndecIndex.precompose
+
+    def finite(X, *args):
+        current.append(X.members)
+        try:
+            return is_2_finite(X, *args)
+        finally:
+            current.pop()
+
+    def watched(self, F, src, mid, k, op=False):
+        if current:
+            calls["precompose in is_2_finite"] += 1
+            # into k in X only for the kernel of Hom(k, X1) -> Hom(k, M), with src = [M]
+            calls["precompose for a member of X"] += k in current[-1] and src[0] in current[-1]
+        return precompose(self, F, src, mid, k, op)
+
+    counted(mc, "tau_d")
+    counted(tt, "_coresolution")
+    monkeypatch.setattr(tn, "is_2_finite", finite)
+    monkeypatch.setattr(arknit.IndecIndex, "precompose", watched)
+    assert tt.verify_theorem1(A, C, definition=definition).counts()[1] == 24
+    assert calls["tau_d"] == tau_d_calls and calls["_coresolution"] == coresolutions
+    assert calls["precompose in is_2_finite"] and not calls["precompose for a member of X"]
 
 
 def test_verify_theorem1_reads_census_hom_off_the_census(monkeypatch):

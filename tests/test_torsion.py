@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
-from taukit.exactlin import Mat, rank
+from taukit.algebra import parse_algebra
+from taukit.exactlin import Mat, kernel_basis, rank
 from tests.conftest import lambda3, nakayama_rad2
 from tests.test_highercat import A5R2_CT
+from tests.test_tautilt import TRUNCATED_X3
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +340,42 @@ def test_certificates_on_demand_match_is_2_finite(Cstar):
                 assert ok
                 assert certs[f"{name}_{side}"] == {
                     str(mi): cert.chain(Cstar) for mi, cert in sorted(expected.items())}
+
+
+def _kernel_certificate(X, C, side, M):
+    """x1 and x2 of M's certificate from the kernels of Hom(x, X1) -> Hom(x, M), computed on the table."""
+    idx, op = C.host, side == "contra"
+    xs, cs = X.member_list(), C.member_list()
+    counts = {x: idx.hom_dim(x, M) if op else idx.hom_dim(M, x) for x in xs}
+    x1 = [x for x in xs for _ in range(counts[x])]
+    phi = [tuple(int(c == b) for c in range(counts[x])) for x in xs for b in range(counts[x])]
+    x2 = {x: len(kernel_basis(idx.precompose(phi, [M], x1, x, op))) for x in xs}
+    return [counts.get(t, 0) for t in cs], [x2.get(t, 0) for t in cs]
+
+
+@pytest.mark.parametrize("case", ["A5rad2-2", "A5rad2-101", "x3-3"])
+def test_members_of_x_get_the_certificate_of_the_kernel_ranks(case):
+    # a member M of X passes because phi splits; its certificate is read off Hom dimensions
+    if case == "x3-3":  # End of a member has dimension > 1 here
+        idx = arknit.knit_indecomposables(parse_algebra(TRUNCATED_X3))
+        C = hc.Subcat.of(idx, range(len(idx.modules)))
+    else:
+        idx = arknit.knit_indecomposables(nakayama_rad2(5, int(case.rsplit("-", 1)[1])))
+        vecs = by_vec(idx)
+        C = hc.Subcat.of(idx, [vecs[v] for v in A5R2_CT])
+    checked = 0
+    for r in range(len(C.members) + 1):
+        for S in itertools.combinations(C.member_list(), r):
+            X = hc.Subcat.of(idx, S)
+            for side in ("contra", "co"):
+                ok, certs = tn.is_2_finite(X, C, side)
+                for M in S:
+                    if M in certs:
+                        assert (certs[M].x1, certs[M].x2) == _kernel_certificate(X, C, side, M), (S, side, M)
+                        checked += 1
+                    else:
+                        assert not ok
+    assert checked
 
 
 # -- the module-level 2-finiteness check, kept as an independent reference ------
