@@ -84,6 +84,7 @@ class IndecIndex:
         self._radicals = {}  # i -> rad End(X_i) coordinates
         self._quotient_projectives = {}  # e -> indices
         self._tau2 = {}  # (e, j) -> (tau_2 X_j over A/<e>, row), one entry per piece of X_j
+        self._coresolutions = {}  # (p, R(p), maxlen, mono_start) -> X_p's coresolution terms, or None
         self._proj_flags = []
         self._inj_flags = []
         self._generators = {}  # i -> _Generators of X_i

@@ -7,10 +7,14 @@ one tau_2 row per (e, summand), and the add-T coresolution of A/<e> is rank
 work on Hom-basis blocks (`_coresolution`).  A/<e> is the product of the
 algebras of the connected pieces of its quiver, so the census computes each
 tau_2 row and each projective of A/<e> once per piece, and returns the tau_2
-modules up to isomorphism.  Two named readings of "support
-tau_2-tilting" are available (`DEFINITIONS`), as higher analogues of the
-support tau-tilting pairs of Adachi-Iyama-Reiten, *tau-tilting theory*
-(Compos. Math. 2014):
+modules up to isomorphism.  Minimal left approximations and cokernels are
+additive, so the coresolution of A/<e> = +P_v runs one projective P_v at a
+time and sums their terms; each P_v's run reads only R(P_v), the summands
+of T it reaches by nonzero Hom chains inside T, and the census keeps it
+under that key for every candidate with the same R(P_v).  Two named
+readings of "support tau_2-tilting" are available (`DEFINITIONS`), as higher
+analogues of the support tau-tilting pairs of Adachi-Iyama-Reiten,
+*tau-tilting theory* (Compos. Math. 2014):
 
 - "ambient" (the default): Hom_A(T, tau_2 T) = 0 over A itself and
   Hom(T, tau_2 T) = 0 over A/<e>, and an exact sequence
@@ -93,9 +97,46 @@ def _coresolution(idx, source, members, maxlen: int, mono_start: bool) -> list |
     """`add_coresolution` of +source by +members, all census indices, on tables.
 
     Returns the terms T_0, T_1, ... as sorted census indices with
-    multiplicity, or None.  A map between sums is one `precompose` row per
-    target summand.  With F: T_{k-1} -> T_k the step before (at first the zero
-    map from the empty sum) and Q its cokernel, Hom(Q, X_i) is K_i, the maps
+    multiplicity, or None.  Minimal left approximations and cokernels are
+    additive (Auslander-Smalo 1980), so +source has such a coresolution
+    exactly when each summand p has one, and its terms are the step-wise sums
+    of theirs: the call runs one p at a time and stops at the first that
+    fails.  Step k + 1 only holds members that T_k maps to, so p's run reads
+    only R(p), the members that p reaches by nonzero Hom chains inside
+    +members.  Its result is kept on the census under (p, R(p), maxlen,
+    mono_start) and shared by every T with the same R(p) (`_coresolve`).
+    """
+    memo, terms = idx._coresolutions, []
+    for p in source:
+        key = (p, _reach(idx, p, members), maxlen, mono_start)
+        if key not in memo:
+            memo[key] = _coresolve(idx, *key)
+        own = memo[key]
+        if own is None:
+            return None
+        terms += [[] for _ in own[len(terms):]]
+        for term, part in zip(terms, own):
+            term += part
+    return [sorted(term) for term in terms]
+
+
+def _reach(idx, p, members) -> tuple:
+    """R(p), sorted: the members that p reaches by a chain of nonzero Hom through members."""
+    reached, todo = set(), [p]
+    while todo:
+        s = todo.pop()
+        new = [i for i in members if i not in reached and idx.hom_dim(s, i)]
+        reached.update(new)
+        todo += new
+    return tuple(sorted(reached))
+
+
+def _coresolve(idx, p, members, maxlen: int, mono_start: bool) -> list | None:
+    """The add-T coresolution of the one census member X_p, for `_coresolution`.
+
+    A map between sums is one `precompose` row per target summand.  With
+    F: T_{k-1} -> T_k the step before (at first the zero map from X_p's
+    empty predecessor) and Q its cokernel, Hom(Q, X_i) is K_i, the maps
     T_k -> X_i that kill F, and the minimal left add-T approximation
     Q -> T_{k+1} takes, for each member i, a basis of K_i modulo
     sum_j rad(X_j, X_i) o K_j.  As Hom(M, I(v)) = D(M_v) for the injective
@@ -107,14 +148,19 @@ def _coresolution(idx, source, members, maxlen: int, mono_start: bool) -> list |
     field = idx.algebra.field
     cogen = [k for k in range(len(idx.modules)) if idx.is_injective(k)]
     terms: list = []
-    prev, cur, F = [], list(source), [()] * len(source)
+    prev, cur, F = [], [p], [()]
     F_at, F_ranks = [], [0] * len(cogen)  # the empty map has no composite to check
-    for step in range(maxlen + 1 if cur else 0):
+    for step in range(maxlen + 1):
         K = {i: kernel_basis(idx.precompose(F, prev, cur, i)) for i in members}
         nxt, G = [], []
         for i in (i for i in members if K[i]):
-            rad = [idx.precompose([kappa], cur, [j], i).apply(r)
-                   for j in members for kappa in K[j] for r in idx.radical(j, i)]
+            rad = []
+            for j in (j for j in members if K[j]):
+                rad_ji = idx.radical(j, i)  # read once per (j, i), not once per kappa
+                if rad_ji:
+                    for kappa in K[j]:
+                        via = idx.precompose([kappa], cur, [j], i)
+                        rad += [via.apply(r) for r in rad_ji]
             pivots = rref(Mat.from_columns(field, rad + K[i])).pivots
             G += [K[i][c - len(rad)] for c in pivots if c >= len(rad)]
             nxt += [i] * (len(G) - len(nxt))
@@ -128,7 +174,7 @@ def _coresolution(idx, source, members, maxlen: int, mono_start: bool) -> list |
         if all(r == g.cols for r, g in zip(ranks, G_at)):
             return terms
         prev, F, F_at, F_ranks, cur = cur, G, G_at, ranks, nxt
-    return None if cur else terms
+    return None
 
 
 class SupportTau2Cert:

@@ -180,20 +180,30 @@ def is_torsion_pair_2ff(T: Subcat, F: Subcat, C: Subcat):
         for f in F.member_list():
             if idx.hom_dim(t, f) != 0:
                 return False, f"hom({t},{f}) nonzero"
-    perp_F = {x for x in C.member_list()
-              if all(idx.hom_dim(x, f) == 0 for f in F.member_list())}
+    perp_F = _left_perp(F, C)
     if perp_F != set(T.member_list()):
         return False, f"torsion part not maximal: {sorted(perp_F)}"
     T_perp = {y for y in C.member_list()
               if all(idx.hom_dim(t, y) == 0 for t in T.member_list())}
     if T_perp != set(F.member_list()):
         return False, f"torsion-free part not maximal: {sorted(T_perp)}"
+    witness = _halves_not_2_finite(T, F, C)
+    return witness is None, witness
+
+
+def _left_perp(F: Subcat, C: Subcat) -> frozenset:
+    """The members x of C with Hom(x, F) = 0."""
+    idx = C.host
+    return frozenset(x for x in C.member_list() if all(idx.hom_dim(x, f) == 0 for f in F.member_list()))
+
+
+def _halves_not_2_finite(T: Subcat, F: Subcat, C: Subcat) -> str | None:
+    """None when T and F are both 2-contravariantly and 2-covariantly finite in C, else the witness."""
     for X, name in ((T, "T"), (F, "F")):
         for side in ("contra", "co"):
-            ok, _ = is_2_finite(X, C, side)
-            if not ok:
-                return False, f"{name} not 2-{side}variantly finite"
-    return True, None
+            if not is_2_finite(X, C, side)[0]:
+                return f"{name} not 2-{side}variantly finite"
+    return None
 
 
 def canonical_sequence(pair: TorsPair2FF, M) -> ExactSeq:
@@ -369,13 +379,18 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng):
 
 
 def enumerate_2ff_torsion_pairs(C: Subcat, max_members: int = 20) -> list:
-    """All 2-functorially-finite torsion pairs in C, canonically ordered."""
+    """All 2-functorially-finite torsion pairs in C, canonically ordered.
+
+    F is built as T^perp, so Hom(T, F) = 0 and F = T^perp hold by
+    construction: a subset T is a torsion class when T = perp F, and then
+    only the 2-finiteness of both halves is left to check.
+    """
     idx = C.host
     pairs = []
     for S in member_subsets(C, max_members):
         T = Subcat.of(idx, S)
         F = Subcat.of(idx, [y for y in C.member_list() if all(idx.hom_dim(t, y) == 0 for t in S)])
-        if is_torsion_pair_2ff(T, F, C)[0]:
+        if _left_perp(F, C) == T.members and _halves_not_2_finite(T, F, C) is None:
             pairs.append(TorsPair2FF(C, T, F))
     pairs.sort(key=lambda p: p.key())
     return pairs

@@ -400,6 +400,35 @@ def test_table_coresolution_matches_oracle_on_a7_rigid_cliques():
         assert _table_terms(idx, S, False) == _oracle_terms(idx, S, False), S
 
 
+@pytest.mark.parametrize("p", [2, 101])
+def test_table_coresolution_matches_oracle_on_auslander_a3_rigid_cliques(p):
+    idx = arknit.knit_indecomposables(auslander_linear(3, p))
+    members = auslander_ct(idx).member_list()
+    tau2 = {j: mc.tau_d(idx.modules[j], 2) for j in members}
+    clash = {(i, j) for i in members for j in members if mc.hom_dim(idx.modules[i], tau2[j])}
+    rigid = [S for r in range(len(members) + 1) for S in itertools.combinations(members, r)
+             if not any((i, j) in clash for i in S for j in S)]
+    assert len(rigid) == 232
+    for S in rigid:
+        assert _table_terms(idx, S, False) == _oracle_terms(idx, S, False), S
+
+
+@pytest.mark.parametrize("mono_start", [True, False])
+@pytest.mark.parametrize("name", ["A3", "A5rad2-2", "A5rad2-101", "cycle2rad3", "x3"])
+def test_coresolution_memo_matches_a_fresh_census(name, mono_start):
+    # each projective's terms are kept under (p, R(p), maxlen, mono_start); a key that
+    # missed a member of R(p) would hand one candidate another's stale terms
+    warm, subsets = _case(name)
+    fresh, _ = _case(name)
+    for S in reversed(subsets):
+        _table_terms(warm, S, mono_start)
+    entries = len(warm._coresolutions)
+    for S in subsets:
+        fresh._coresolutions.clear()
+        assert _table_terms(warm, S, mono_start) == _table_terms(fresh, S, mono_start), S
+    assert len(warm._coresolutions) == entries  # the warm census answered every S from its memo
+
+
 @pytest.mark.parametrize("definition", tt.DEFINITIONS)
 def test_coresolution_checks_its_composites(monkeypatch, definition):
     # a kernel vector that does not kill the map before makes some G o F nonzero
@@ -530,6 +559,26 @@ def test_verify_theorem1_does_less_work_per_candidate(monkeypatch, definition, t
     assert tt.verify_theorem1(A, C, definition=definition).counts()[1] == 24
     assert calls["tau_d"] == tau_d_calls and calls["_coresolution"] == coresolutions
     assert calls["precompose in is_2_finite"] and not calls["precompose for a member of X"]
+
+
+@pytest.mark.parametrize("definition, runs, counts", [("quotient", 56, (31, 24)),
+                                                      ("ambient", 56, (24, 24))])
+def test_verify_theorem1_coresolves_each_projective_once_per_reach(monkeypatch, definition, runs,
+                                                                   counts):
+    # 202 and 181 projectives are looked up across the candidates; only 56 distinct
+    # (p, R(p)) are run, and every other lookup is served from the census
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    C = _nakayama_rad2_ct(idx, 5)
+    coresolve, computed = tt._coresolve, []
+
+    def counted(*args):
+        computed.append(args[1:3])
+        return coresolve(*args)
+
+    monkeypatch.setattr(tt, "_coresolve", counted)
+    assert tt.verify_theorem1(A, C, definition=definition).counts() == counts
+    assert len(computed) == len(set(computed)) == runs
 
 
 def test_verify_theorem1_reads_census_hom_off_the_census(monkeypatch):

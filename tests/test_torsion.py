@@ -306,7 +306,9 @@ def test_add_p1_two_finiteness_fails_exhaustively_over_f2():
 
 
 def test_enumeration_checks_finiteness_only_inside_the_pair_test(Cstar, monkeypatch):
-    real_finite, real_pair = tn.is_2_finite, tn.is_torsion_pair_2ff
+    # the pair test is the finiteness of both halves; enumeration builds F = T^perp, so it
+    # does not re-derive the torsion-pair axioms through is_torsion_pair_2ff
+    real_finite, real_pair = tn.is_2_finite, tn._halves_not_2_finite
     calls = {"pair": 0, "outside": 0}
     depth = [0]
 
@@ -323,8 +325,12 @@ def test_enumeration_checks_finiteness_only_inside_the_pair_test(Cstar, monkeypa
         finally:
             depth[0] -= 1
 
+    def refuse(*args):
+        raise AssertionError("enumeration re-checked the axioms of a pair it built")
+
     monkeypatch.setattr(tn, "is_2_finite", finite)
-    monkeypatch.setattr(tn, "is_torsion_pair_2ff", pair)
+    monkeypatch.setattr(tn, "_halves_not_2_finite", pair)
+    monkeypatch.setattr(tn, "is_torsion_pair_2ff", refuse)
     assert len(tn.enumerate_2ff_torsion_pairs(Cstar)) == 7
     assert calls["pair"] >= 7
     assert calls["outside"] == 0
