@@ -28,6 +28,7 @@ Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
 AssertionError.  Knitting solves Hom once per pair on the source's top generators;
 hom_dim counts solutions, and hom_basis reads a canonical basis back from them when first asked.
+`hom_masks` keeps which Hom spaces are nonzero as one bitmask row and column per member.
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
 reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading.
 Into the injective member I(v) it is D of F's matrix at v, as Hom(M, I(v)) = D(M_v).
@@ -78,6 +79,7 @@ class IndecIndex:
         self._hom_bases = {}  # (i, j) -> canonical Hom basis, read back from _hom_cache
         self._ext_cache = {}
         self._resolutions = {}  # (i, length) -> resolution of X_i
+        self._hom_masks = None  # (rows, columns) of the nonzero Hom spaces
         self._ext_masks = {}  # k -> (rows, columns)
         self._ext_masks_below = {}  # d -> (rows, columns) over 0 < k < d
         self._compose_cache = {}
@@ -85,6 +87,7 @@ class IndecIndex:
         self._quotient_projectives = {}  # e -> indices
         self._tau2 = {}  # (e, j) -> (tau_2 X_j over A/<e>, row), one entry per piece of X_j
         self._coresolutions = {}  # (p, R(p), maxlen, mono_start) -> X_p's coresolution terms, or None
+        self._finiteness = {}  # (C, side, M, N1, X & N(N1)) as bitmasks -> (ok, M's FinitenessCert)
         self._proj_flags = []
         self._inj_flags = []
         self._generators = {}  # i -> _Generators of X_i
@@ -309,6 +312,14 @@ class IndecIndex:
                 res = self._resolutions[(i, k + 1)]
                 self._ext_cache[key] = mc.resolution_ext_dim(res, k, self.modules[j])
         return self._ext_cache[key]
+
+    def hom_masks(self) -> tuple:
+        """Bitmask rows[x] of the m with Hom(X_x, X_m) != 0, and columns[m] of those x."""
+        if self._hom_masks is None:
+            ids = range(len(self.modules))
+            rows = [sum(1 << m for m in ids if self.hom_dim(x, m)) for x in ids]
+            self._hom_masks = (rows, [sum(1 << x for x in ids if rows[x] >> m & 1) for m in ids])
+        return self._hom_masks
 
     def ext_masks(self, k: int) -> tuple:
         """Bitmask rows[x] of the m with Ext^k(X_x, X_m) != 0, and columns[m] of those x."""

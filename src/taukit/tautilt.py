@@ -121,14 +121,16 @@ def _coresolution(idx, source, members, maxlen: int, mono_start: bool) -> list |
 
 
 def _reach(idx, p, members) -> tuple:
-    """R(p), sorted: the members that p reaches by a chain of nonzero Hom through members."""
-    reached, todo = set(), [p]
-    while todo:
-        s = todo.pop()
-        new = [i for i in members if i not in reached and idx.hom_dim(s, i)]
-        reached.update(new)
-        todo += new
-    return tuple(sorted(reached))
+    """R(p), sorted: the members that p reaches by a chain of nonzero Hom through members.
+
+    A breadth-first search over the `IndecIndex.hom_masks` rows, one frontier at a time.
+    """
+    rows, inside = idx.hom_masks()[0], sum(1 << i for i in members)
+    reached = frontier = rows[p] & inside
+    while frontier:
+        frontier = tn._union(rows, frontier) & inside & ~reached
+        reached |= frontier
+    return tuple(tn._indices(reached))
 
 
 def _coresolve(idx, p, members, maxlen: int, mono_start: bool) -> list | None:
@@ -263,16 +265,19 @@ def fac_cap_C(T, C: Subcat) -> Subcat:
 
     T is a module or census indices (see `is_support_tau2_tilting`).  X_k lies
     in Fac T exactly when the maps X_i -> X_k, i in T, together are onto: at
-    each vertex v the hom_basis(i, k) matrices span (X_k)_v.
+    each vertex v the hom_basis(i, k) matrices span (X_k)_v.  A summand of T
+    passes through its identity, and a member that no summand maps to, whose
+    `hom_masks` column misses T, fails; only the rest need the ranks.
     """
     idx = C.host
     members = _members(T, idx)
-    field = idx.algebra.field
+    field, mask, cols = idx.algebra.field, sum(1 << i for i in members), idx.hom_masks()[1]
     keep = []
     for k in C.member_list():
         X = idx.modules[k]
-        if all(rank(Mat.hstack(field, [f.mats[v] for i in members for f in idx.hom_basis(i, k)],
-                               rows=X.dims[v])) == X.dims[v] for v in idx.algebra.vertices):
+        if mask >> k & 1 or cols[k] & mask and all(
+                rank(Mat.hstack(field, [f.mats[v] for i in members for f in idx.hom_basis(i, k)],
+                                rows=X.dims[v])) == X.dims[v] for v in idx.algebra.vertices):
             keep.append(k)
     return Subcat.of(idx, keep)
 

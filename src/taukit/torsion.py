@@ -1,16 +1,22 @@
 """Torsion pairs inside a fixed 2-cluster-tilting subcategory.
 
-Candidate torsion classes are subsets of the indecomposables of C; the
-2-functorial finiteness conditions are checked with multiplicity-full
+The torsion classes of C are the closed sets T = perp(T^perp) of the Galois
+connection "Hom(x, y) = 0" on its members.  They are listed by NextClosure
+(Ganter 1984) on the census Hom-support bitmasks (`IndecIndex.hom_masks`),
+where each perp is a few ANDs, and only they are checked, for the
+2-functorial finiteness of both halves.  That check uses multiplicity-full
 approximations, whose failure implies failure for every approximation
-(anything else factors through the full one).  Every term of that check
-lies in add C, which is equivalent to proj Gamma for Gamma = End_A(+C)
-(Auslander), so it is decided on the composition table of Gamma that the
-census keeps, building no modules: each Hom(Y, -) of a map is one
+(anything else factors through the full one).  Every term of it lies in
+add C, which is equivalent to proj Gamma for Gamma = End_A(+C) (Auslander),
+so it is decided on the composition table of Gamma that the census keeps,
+building no modules: each Hom(Y, -) of a map is one
 `IndecIndex.precompose` matrix, read in Gamma^op on the contravariant side
 and plainly on the covariant side.  A member M of X needs none: the full
 approximation X1 -> M contains id_M, so it splits, and its kernel is a
-summand of X1 in add X, so M passes.
+summand of X1 in add X, so M passes.  Each member M of C reads X only
+through N1, the members of X with a nonzero Hom to M, and X & N(N1), the
+members of X with a nonzero Hom to N1; its verdict and certificate are kept
+on the census under (C, side, M, N1, X & N(N1)).
 """
 
 from __future__ import annotations
@@ -35,10 +41,42 @@ class TooLargeError(Exception):
 
 def member_subsets(C: Subcat, max_members: int):
     """Every subset of C's members, by size; past the budget this call raises TooLargeError."""
+    _check_budget(C, max_members)
     n, members = len(C.members), C.member_list()
-    if n > max_members:
-        raise TooLargeError(f"{n} members exceeds the subset budget {max_members}")
     return itertools.chain.from_iterable(itertools.combinations(members, r) for r in range(n + 1))
+
+
+def _check_budget(C: Subcat, max_members: int):
+    if len(C.members) > max_members:
+        raise TooLargeError(f"{len(C.members)} members exceeds the subset budget {max_members}")
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _indices(mask: int) -> list:
+    """The census indices set in a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _union(table: list, mask: int) -> int:
+    """The OR of table[m] over the m in the mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _perp(table: list, within: int, mask: int) -> int:
+    """The members in `within` outside table[m] for each m in the mask.
+
+    On the `IndecIndex.hom_masks` rows this is S^perp, the y with Hom(S, y) = 0;
+    on its columns, perp S, the x with Hom(x, S) = 0.
+    """
+    return within & ~_union(table, mask)
 
 
 class SequenceFailedError(Exception):
@@ -91,47 +129,72 @@ def is_2_finite(X: Subcat, C: Subcat, side: str):
     x2[t] = sum_y x1[y] dim Hom(t, y) - dim Hom(t, M) (every Hom reversed on
     the covariant side).
 
+    Each member M of C reads X only through N1, the members of X with a
+    nonzero Hom to M, and X & N(N1), N(N1) being the members with a nonzero
+    Hom to N1: a member x or C0 outside N(N1) has Hom(x, X1) = 0, so it
+    adds no kernel rows and passes, and M lies in X exactly when it lies in
+    N1.  M's verdict and certificate are kept on the census under
+    (C, side, M, N1, X & N(N1)), as bitmasks.
+
     Returns (ok, certificates) where certificates maps each member index of C
     to its `FinitenessCert`.  The check stops at the first member that fails,
     so the certificates are complete only when ok is True.
     """
     if side not in ("contra", "co"):
         raise ValueError("side must be 'contra' or 'co'")
-    idx, op = C.host, side == "contra"
-    xs, cs = X.member_list(), C.member_list()
-    hom = {}
-
-    def dim(x, M):
-        """dim Hom(x, M), or dim Hom(M, x) on the covariant side, read once per call."""
-        if (x, M) not in hom:
-            hom[(x, M)] = idx.hom_dim(x, M) if op else idx.hom_dim(M, x)
-        return hom[(x, M)]
-
+    idx, cs = C.host, C.member_list()
+    into = idx.hom_masks()[1 if side == "contra" else 0]  # the x with Hom(x, M) != 0, or Hom(M, x)
+    x_mask, c_mask, memo = _mask(X.members), _mask(cs), idx._finiteness
     certs = {}
     for M in cs:
-        counts = {x: dim(x, M) for x in xs}
-        mults = [counts.get(t, 0) for t in cs]
-        if M in X.members:
-            # phi contains id_M, so it splits and Hom(t, X1) -> Hom(t, M) is onto; K is a
-            # summand of X1, so psi splits and every map C0 -> K factors through it
-            certs[M] = FinitenessCert(side, M, mults, [
-                sum(n * dim(t, y) for y, n in counts.items() if n) - counts[t] if t in X.members else 0
-                for t in cs])
-            continue
-        x1 = [x for x in xs for _ in range(counts[x])]
-        phi = [tuple(int(c == b) for c in range(counts[x])) for x in xs for b in range(counts[x])]
-        kernels = {x: kernel_basis(idx.precompose(phi, [M], x1, x, op)) for x in xs if x1}
-        x2 = [x for x, rows in kernels.items() for _ in rows]
-        psi = [row for rows in kernels.values() for row in rows]
-        certs[M] = FinitenessCert(side, M, mults, [len(kernels.get(t, ())) for t in cs])
-        # M passes when no map links X and M (K = 0), and so does each member C0 of X,
-        # as every map C0 -> K factors through C0 itself
-        for C0 in (C0 for C0 in cs if x1 and C0 not in X.members):
-            F = idx.precompose(phi, [M], x1, C0, op)
-            kernel_dim = F.cols - rank(F)
-            if kernel_dim and rank(idx.precompose(psi, x1, x2, C0, op)) != kernel_dim:
-                return False, certs
+        n1 = x_mask & into[M]
+        near = _union(into, n1)  # N(N1)
+        key = (c_mask, side, M, n1, x_mask & near)
+        if key not in memo:
+            memo[key] = (_member_of_x(idx, cs, side, M, n1, x_mask & near) if n1 >> M & 1 else
+                         _outside_member(idx, cs, side, M, n1, x_mask & near, c_mask & near & ~x_mask))
+        ok, certs[M] = memo[key]
+        if not ok:
+            return False, certs
     return True, certs
+
+
+def _member_of_x(idx, cs: list, side: str, M: int, n1: int, near: int) -> tuple:
+    """(True, FinitenessCert) of a member M of X, for `is_2_finite`; n1 and near are N1 and X & N(N1).
+
+    phi contains id_M, so it splits and Hom(t, X1) -> Hom(t, M) is onto; K is a
+    summand of X1, so psi splits and every map C0 -> K factors through it.
+    """
+    def dim(x, y):
+        return idx.hom_dim(x, y) if side == "contra" else idx.hom_dim(y, x)
+
+    counts = {x: dim(x, M) for x in _indices(n1)}
+    x2 = {t: sum(n * dim(t, y) for y, n in counts.items()) - counts.get(t, 0) for t in _indices(near)}
+    return True, FinitenessCert(side, M, [counts.get(t, 0) for t in cs], [x2.get(t, 0) for t in cs])
+
+
+def _outside_member(idx, cs: list, side: str, M: int, n1: int, kernels_at: int, probes: int) -> tuple:
+    """(ok, FinitenessCert) of a member M of C outside X, for `is_2_finite`.
+
+    n1 is N1, the members of X that phi: X1 -> M draws on; kernels_at is
+    X & N(N1), the members of X that can map to X1, and probes the members C0
+    of C outside X that can.  M passes when no map links X and M (K = 0).  A
+    member C0 of X is no probe, as every map C0 -> K factors through C0 itself.
+    """
+    op = side == "contra"
+    counts = {x: idx.hom_dim(x, M) if op else idx.hom_dim(M, x) for x in _indices(n1)}
+    x1 = [x for x, n in counts.items() for _ in range(n)]
+    phi = [tuple(int(c == b) for c in range(n)) for n in counts.values() for b in range(n)]
+    kernels = {x: kernel_basis(idx.precompose(phi, [M], x1, x, op)) for x in _indices(kernels_at)}
+    x2 = [x for x, rows in kernels.items() for _ in rows]
+    psi = [row for rows in kernels.values() for row in rows]
+    cert = FinitenessCert(side, M, [counts.get(t, 0) for t in cs], [len(kernels.get(t, ())) for t in cs])
+    for C0 in _indices(probes):
+        F = idx.precompose(phi, [M], x1, C0, op)
+        kernel_dim = F.cols - rank(F)
+        if kernel_dim and rank(idx.precompose(psi, x1, x2, C0, op)) != kernel_dim:
+            return False, cert
+    return True, cert
 
 
 class TorsPair2FF:
@@ -175,26 +238,19 @@ def is_torsion_pair_2ff(T: Subcat, F: Subcat, C: Subcat):
 
     Returns (ok, witness) with a human-readable witness on failure.
     """
-    idx = C.host
+    rows, cols = C.host.hom_masks()
+    c_mask, t_mask, f_mask = _mask(C.members), _mask(T.members), _mask(F.members)
     for t in T.member_list():
-        for f in F.member_list():
-            if idx.hom_dim(t, f) != 0:
-                return False, f"hom({t},{f}) nonzero"
-    perp_F = _left_perp(F, C)
-    if perp_F != set(T.member_list()):
-        return False, f"torsion part not maximal: {sorted(perp_F)}"
-    T_perp = {y for y in C.member_list()
-              if all(idx.hom_dim(t, y) == 0 for t in T.member_list())}
-    if T_perp != set(F.member_list()):
-        return False, f"torsion-free part not maximal: {sorted(T_perp)}"
+        if rows[t] & f_mask:
+            return False, f"hom({t},{_indices(rows[t] & f_mask)[0]}) nonzero"
+    perp_F = _perp(cols, c_mask, f_mask)
+    if perp_F != t_mask:
+        return False, f"torsion part not maximal: {_indices(perp_F)}"
+    T_perp = _perp(rows, c_mask, t_mask)
+    if T_perp != f_mask:
+        return False, f"torsion-free part not maximal: {_indices(T_perp)}"
     witness = _halves_not_2_finite(T, F, C)
     return witness is None, witness
-
-
-def _left_perp(F: Subcat, C: Subcat) -> frozenset:
-    """The members x of C with Hom(x, F) = 0."""
-    idx = C.host
-    return frozenset(x for x in C.member_list() if all(idx.hom_dim(x, f) == 0 for f in F.member_list()))
 
 
 def _halves_not_2_finite(T: Subcat, F: Subcat, C: Subcat) -> str | None:
@@ -378,19 +434,51 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng):
     return None
 
 
+def _torsion_classes(C: Subcat):
+    """Each torsion class T = perp(T^perp) of C with F = T^perp, as bitmasks, in lectic order.
+
+    The closed sets of the Galois connection Hom(x, y) = 0, listed by NextClosure
+    (Ganter 1984; Ganter-Wille, *Formal Concept Analysis*, 1999): the successor
+    of a closed set T is the closure of i and T's members below i, for the
+    largest member i outside T whose closure adds no member below i.  The
+    last closed set is C itself.
+    """
+    rows, cols = C.host.hom_masks()
+    members, full = C.member_list(), _mask(C.members)
+
+    def closure(T):
+        F = _perp(rows, full, T)
+        return _perp(cols, full, F), F
+
+    T, F = closure(0)
+    yield T, F
+    while T != full:
+        for i in reversed(members):
+            bit = 1 << i
+            if T & bit:
+                T ^= bit
+                continue
+            closed, perp = closure(T | bit)
+            if closed & (bit - 1) == T:
+                T, F = closed, perp
+                break
+        yield T, F
+
+
 def enumerate_2ff_torsion_pairs(C: Subcat, max_members: int = 20) -> list:
     """All 2-functorially-finite torsion pairs in C, canonically ordered.
 
-    F is built as T^perp, so Hom(T, F) = 0 and F = T^perp hold by
-    construction: a subset T is a torsion class when T = perp F, and then
-    only the 2-finiteness of both halves is left to check.
+    Only the closed sets T = perp(T^perp) are torsion classes, and
+    `_torsion_classes` lists them with F = T^perp, so Hom(T, F) = 0, F = T^perp
+    and T = perp F hold by construction: only the 2-finiteness of both halves
+    is left to check.
     """
+    _check_budget(C, max_members)
     idx = C.host
     pairs = []
-    for S in member_subsets(C, max_members):
-        T = Subcat.of(idx, S)
-        F = Subcat.of(idx, [y for y in C.member_list() if all(idx.hom_dim(t, y) == 0 for t in S)])
-        if _left_perp(F, C) == T.members and _halves_not_2_finite(T, F, C) is None:
+    for T, F in _torsion_classes(C):
+        T, F = Subcat.of(idx, _indices(T)), Subcat.of(idx, _indices(F))
+        if _halves_not_2_finite(T, F, C) is None:
             pairs.append(TorsPair2FF(C, T, F))
     pairs.sort(key=lambda p: p.key())
     return pairs

@@ -581,6 +581,49 @@ def test_verify_theorem1_coresolves_each_projective_once_per_reach(monkeypatch, 
     assert len(computed) == len(set(computed)) == runs
 
 
+def test_verify_theorem1_runs_each_member_outside_x_once_per_key(monkeypatch):
+    # the 128 finiteness checks look up 475 members M outside X; only 38 distinct
+    # (C, side, M, N1, X & N(N1)) are run, and every other lookup is served from the census
+    A = nakayama_rad2(5)
+    idx = arknit.knit_indecomposables(A)
+    C = _nakayama_rad2_ct(idx, 5)
+    is_2_finite, outside_member, lookups, runs = tn.is_2_finite, tn._outside_member, [], []
+
+    def finite(X, *args):
+        ok, certs = is_2_finite(X, *args)
+        lookups.extend(M for M in certs if M not in X.members)
+        return ok, certs
+
+    def counted(idx, cs, *key):
+        runs.append(key)
+        return outside_member(idx, cs, *key)
+
+    monkeypatch.setattr(tn, "is_2_finite", finite)
+    monkeypatch.setattr(tn, "_outside_member", counted)
+    assert tt.verify_theorem1(A, C).counts() == (24, 24)
+    assert len(lookups) == 475
+    assert len(runs) == len(set(runs)) == 38
+
+
+def _reach_by_hom_dim(idx, p, members):
+    """R(p) by a depth-first walk over single hom_dim reads."""
+    reached, todo = set(), [p]
+    while todo:
+        s = todo.pop()
+        new = [i for i in members if i not in reached and idx.hom_dim(s, i)]
+        reached.update(new)
+        todo += new
+    return tuple(sorted(reached))
+
+
+@pytest.mark.parametrize("name", ["A5rad2-101", "x3"])
+def test_reach_matches_the_hom_chains(name):
+    idx, subsets = _case(name)
+    for S in subsets:
+        for p in range(len(idx.modules)):
+            assert tt._reach(idx, p, S) == _reach_by_hom_dim(idx, p, S), (p, S)
+
+
 def test_verify_theorem1_reads_census_hom_off_the_census(monkeypatch):
     A = nakayama_rad2(5)
     idx = arknit.knit_indecomposables(A)

@@ -5,8 +5,8 @@ import pytest
 from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
 from taukit.algebra import parse_algebra
 from taukit.exactlin import Mat, kernel_basis, rank
-from tests.conftest import lambda3, nakayama_rad2
-from tests.test_highercat import A5R2_CT
+from tests.conftest import auslander_linear, lambda3, nakayama_rad2
+from tests.test_highercat import A5R2_CT, _nakayama_rad2_ct, auslander_ct
 from tests.test_tautilt import TRUNCATED_X3
 
 
@@ -382,6 +382,120 @@ def test_members_of_x_get_the_certificate_of_the_kernel_ranks(case):
                     else:
                         assert not ok
     assert checked
+
+
+# -- torsion classes by closure, against the subset scan they replaced ------------
+
+
+def _ct_case(name):
+    """A freshly knitted 2-CT subcategory: "A3", "A<n>rad2-<p>", "kA3-<p>" or "x3"."""
+    if name == "A3":
+        idx = arknit.knit_indecomposables(lambda3())
+        vecs = by_vec(idx)
+        return hc.Subcat.of(idx, [vecs[v] for v in ((1, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0))])
+    if name == "x3":  # not 2-CT, but End of a member has dimension > 1
+        idx = arknit.knit_indecomposables(parse_algebra(TRUNCATED_X3))
+        return hc.Subcat.of(idx, range(len(idx.modules)))
+    family, p = name.split("-")
+    if family == "kA3":
+        return auslander_ct(arknit.knit_indecomposables(auslander_linear(3, int(p))))
+    n = int(family[1:family.index("rad2")])
+    return _nakayama_rad2_ct(arknit.knit_indecomposables(nakayama_rad2(n, int(p))), n)
+
+
+def _closed_subsets(C):
+    """The subsets S of C with S = perp(S^perp), by a walk over every subset, read off hom_dim."""
+    idx, members, out = C.host, C.member_list(), []
+    for S in tn.member_subsets(C, 20):
+        F = [y for y in members if all(idx.hom_dim(t, y) == 0 for t in S)]
+        if {x for x in members if all(idx.hom_dim(x, f) == 0 for f in F)} == set(S):
+            out.append((S, tuple(F)))
+    return out
+
+
+def _subset_scan(C):
+    """The enumeration as a walk over every subset: each closed one, then both halves' 2-finiteness."""
+    idx, pairs = C.host, []
+    for S, F in _closed_subsets(C):
+        T, F = hc.Subcat.of(idx, S), hc.Subcat.of(idx, F)
+        if tn._halves_not_2_finite(T, F, C) is None:
+            pairs.append(tn.TorsPair2FF(C, T, F))
+    pairs.sort(key=lambda p: p.key())
+    return pairs
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101", "A7rad2-101", "kA3-2", "kA3-101"])
+def test_closure_enumeration_matches_the_subset_scan(case):
+    C, fresh = _ct_case(case), _ct_case(case)
+    classes = [(tuple(tn._indices(T)), tuple(tn._indices(F))) for T, F in tn._torsion_classes(C)]
+    assert len(classes) == len(set(classes))
+    assert sorted(classes) == sorted(_closed_subsets(fresh))
+    pairs, expected = tn.enumerate_2ff_torsion_pairs(C), _subset_scan(fresh)
+    assert [p.key() for p in pairs] == [p.key() for p in expected]
+    assert ([p.to_json(include_certs=True) for p in pairs]
+            == [p.to_json(include_certs=True) for p in expected])
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_enumeration_on_auslander_algebra_of_a4(p):
+    # |C| = 20, the subset budget; 2098 closed sets, of which 357 have 2-finite halves
+    C = auslander_ct(arknit.knit_indecomposables(auslander_linear(4, p)))
+    assert len(C.members) == 20
+    assert sum(1 for _ in tn._torsion_classes(C)) == 2098
+    assert len(tn.enumerate_2ff_torsion_pairs(C)) == 357
+
+
+def _axiom_witness(T, F, C):
+    """The torsion-pair axioms of `is_torsion_pair_2ff`, from single hom_dim reads."""
+    idx, members = C.host, C.member_list()
+    for t in T.member_list():
+        for f in F.member_list():
+            if idx.hom_dim(t, f):
+                return f"hom({t},{f}) nonzero"
+    perp_F = [x for x in members if all(idx.hom_dim(x, f) == 0 for f in F.members)]
+    if set(perp_F) != T.members:
+        return f"torsion part not maximal: {perp_F}"
+    T_perp = [y for y in members if all(idx.hom_dim(t, y) == 0 for t in T.members)]
+    if set(T_perp) != F.members:
+        return f"torsion-free part not maximal: {T_perp}"
+    return None
+
+
+def test_pair_axioms_read_off_the_hom_masks_keep_their_witnesses(Cstar):
+    idx, subsets = Cstar.host, list(tn.member_subsets(Cstar, 20))
+    witnesses = set()
+    for S in subsets:
+        for R in subsets:
+            T, F = hc.Subcat.of(idx, S), hc.Subcat.of(idx, R)
+            witness = _axiom_witness(T, F, Cstar)
+            if witness is None:
+                witness = tn._halves_not_2_finite(T, F, Cstar)
+            assert tn.is_torsion_pair_2ff(T, F, Cstar) == (witness is None, witness), (S, R)
+            witnesses.add(witness and witness.split(":")[0].split("(")[0])
+    assert witnesses >= {None, "hom", "torsion part not maximal", "torsion-free part not maximal"}
+
+
+def _flat(result):
+    ok, certs = result
+    return ok, {M: (c.side, c.member, c.x1, c.x2) for M, c in certs.items()}
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101", "x3", "kA3-101"])
+def test_finiteness_memo_matches_a_fresh_census(case):
+    # a member M outside X is kept under (C, side, M, N1, X & N(N1)); a key that missed
+    # X & N(N1) or the side would hand one X the verdict or certificate of another
+    warm, fresh = _ct_case(case), _ct_case(case)
+    subsets = list(tn.member_subsets(warm, 20))
+    for S in reversed(subsets):
+        for side in ("contra", "co"):
+            tn.is_2_finite(hc.Subcat.of(warm.host, S), warm, side)
+    entries = len(warm.host._finiteness)
+    for S in subsets:
+        for side in ("contra", "co"):
+            fresh.host._finiteness.clear()
+            assert (_flat(tn.is_2_finite(hc.Subcat.of(warm.host, S), warm, side))
+                    == _flat(tn.is_2_finite(hc.Subcat.of(fresh.host, S), fresh, side))), (S, side)
+    assert len(warm.host._finiteness) == entries  # the warm census answered every X from its memo
 
 
 # -- the module-level 2-finiteness check, kept as an independent reference ------
