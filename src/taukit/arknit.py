@@ -14,7 +14,8 @@ middle term recomputed from irreducible-map multiplicities must match
 dimension-wise, and the kept tau^-1 of tau Z must be Z again.  The
 irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the rank of the
 composites through rad^2, read as the images of X's top generators, with
-rad End(X) from `IndecIndex.radical`; each span stops growing once it fills rad(X, Y).
+rad End(X) from `IndecIndex.radical`; each span is kept as echelon rows that
+each new composite is reduced against, and stops growing once it fills rad(X, Y).
 The brute-force enumerator is the independent oracle the tests compare
 against.  It walks one candidate per orbit of the basis rescalings, the
 orbit's least member in lex order, and so returns the list a walk over every
@@ -28,6 +29,11 @@ Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
 AssertionError.  Knitting solves Hom once per pair on the source's top generators;
 hom_dim counts solutions, and hom_basis reads a canonical basis back from them when first asked.
+A pair is zero with no elimination when X_j is zero at X_i's tops, or when no
+vertex of soc X_j lies in supp X_i: a nonzero image of X_i is a submodule of
+X_j supported in supp X_i, and its socle lies in soc X_j.  The socle vertices
+are the tops of D X_j, which knitting presents anyway; they are kept on the
+census, and an index built by hand reads each member's socle once when first asked.
 `hom_masks` keeps which Hom spaces are nonzero as one bitmask row and column per member.
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
 reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading.
@@ -43,7 +49,7 @@ import itertools
 
 from . import modcat as mc
 from .algebra import Algebra, quotient_by_idempotent
-from .exactlin import Mat, free_variable_basis, kernel_basis, rref, solve_matrix
+from .exactlin import Mat, extend_echelon, free_variable_basis, kernel_of_rows, solve_matrix
 
 
 class LimitExceededError(Exception):
@@ -88,9 +94,11 @@ class IndecIndex:
         self._tau2 = {}  # (e, j) -> (tau_2 X_j over A/<e>, row), one entry per piece of X_j
         self._coresolutions = {}  # (p, R(p), maxlen, mono_start) -> X_p's coresolution terms, or None
         self._finiteness = {}  # (C, side, M, N1, X & N(N1)) as bitmasks -> (ok, M's FinitenessCert)
+        self._approximation_kernels = {}  # (side, M, N1, y) -> ker Hom(y, X1) -> Hom(y, M), X1 -> M from N1
         self._proj_flags = []
         self._inj_flags = []
         self._generators = {}  # i -> _Generators of X_i
+        self._socles = {}  # i -> the vertices of soc X_i, kept by knitting or read by _socle
         self._actions = {}  # (j, v, word) -> path action on X_j
 
     def find_iso(self, M) -> int | None:
@@ -125,11 +133,13 @@ class IndecIndex:
         return self._hom_cache[(i, j)]
 
     def _solve_on_generators(self, i: int, j: int) -> list:
-        gens, N = self._generator_data(i), self.modules[j]
+        """`_solutions` of (i, j), with no elimination when N = X_j is zero at X_i's tops or
+        no vertex of soc N is in supp X_i: a nonzero image of X_i has its socle in soc N."""
+        gens, N, p = self._generator_data(i), self.modules[j], self.algebra.field.p
         at = [0]
         for v in gens.verts0:
             at.append(at[-1] + N.dims[v])
-        if not at[-1]:
+        if not at[-1] or not any(self.modules[i].dims[v] for v in self._socle(j)):
             return []
         rows = [[0] * at[-1] for v in gens.verts1 for _ in range(N.dims[v])]
         row_at = 0
@@ -141,8 +151,9 @@ class IndecIndex:
                         for q, y in enumerate(entries, at[k]):
                             out[q] += c * y
             row_at += N.dims[u]
+        rows = [[x % p for x in row] for row in rows]
         return [tuple(x[at[k]:at[k + 1]] for k in range(len(gens.verts0)))
-                for x in kernel_basis(Mat.from_rows(self.algebra.field, rows, cols=at[-1]))]
+                for x in kernel_of_rows(rows, at[-1], p)]
 
     def _maps_at(self, i: int, j: int, w) -> list:
         """Each solution x's matrix at w, as rows: path * g_k goes to path * x_k, through a section at w."""
@@ -162,6 +173,12 @@ class IndecIndex:
         if i not in self._generators:
             self._generators[i] = _Generators.of(self.algebra, mc.minimal_presentation(self.modules[i]))
         return self._generators[i]
+
+    def _socle(self, j: int) -> set:
+        """The vertices of soc X_j: kept by knitting, else read off X_j once."""
+        if j not in self._socles:
+            self._socles[j] = {v for v, c in mc.socle_columns(self.modules[j]).items() if c.cols}
+        return self._socles[j]
 
     def _path_action(self, j: int, v, word) -> Mat:
         key = (j, v, word)
@@ -403,8 +420,9 @@ class _Generators:
 
 def _iso_index(modules, M) -> int | None:
     """Index of the first of the indecomposables isomorphic to M, if any."""
+    dims = M.dim_vector()
     for i, X in enumerate(modules):
-        if X.dim_vector() == M.dim_vector() and mc.iso_between_indecomposables(M, X) is not None:
+        if X.dim_vector() == dims and mc.iso_between_indecomposables(M, X) is not None:
             return i
     return None
 
@@ -455,15 +473,15 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         for X, _ in mc.decompose(seed).summands:
             register(X)
 
-    # for each M in found: its presentation, whether it is injective (D M's presentation
-    # has no P1), and the indices in found of tau M and tau^-1 M, None when not taken
+    # for each M in found: its presentation, D M's (its tops are soc M, and M is injective
+    # when it has no P1), and the indices in found of tau M and tau^-1 M, None when not taken
     records = []
     while len(records) < len(found):
         M = found[len(records)]
         pres = mc.minimal_presentation(M)
         DM = mc.dual(M)
         dual_pres = mc.minimal_presentation(DM)
-        records.append((pres, not dual_pres.verts1,
+        records.append((pres, dual_pres,
                         register(mc.dual(mc.transpose(M, pres))) if pres.verts1 else None,
                         register(mc.transpose(DM, dual_pres)) if dual_pres.verts1 else None))
 
@@ -472,10 +490,11 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
     idx = IndecIndex(A, [found[i] for i in order])
     inverses = []
     for z, i in enumerate(order):
-        pres, injective, t, s = records[i]
+        pres, dual_pres, t, s = records[i]
         idx._proj_flags.append(not pres.verts1)
-        idx._inj_flags.append(injective)
+        idx._inj_flags.append(not dual_pres.verts1)
         idx._generators[z] = _Generators.of(A, pres)
+        idx._socles[z] = set(dual_pres.verts0)
         if pres.verts1:
             if t is None:
                 raise KnitIncompleteError("tau image missing from index")
@@ -491,12 +510,15 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
     A map out of X_i is read as the images of X_i's top generators g_k: off the
     diagonal g(g_k) is a slice of g's solution, and h o g sends g_k to h's matrix at
     v_k, read back once per (z, j, v_k), applied to it; rad End is `idx.radical`.
-    The composites through X_z are added one z at a time, keeping an echelon basis
-    of their span, which stops growing once it fills rad(X, Y).  A span larger
-    than rad(X, Y) means a composite left the radical, which is a defect.
+    The composites through X_z are added one z at a time, each reduced against
+    the echelon rows of the span so far (`extend_echelon`), since only its rank
+    is read; the scan stops once the span fills rad(X, Y).  All of one z's
+    composites go in before the rank is compared, so a span larger than
+    rad(X, Y), which means a composite left the radical, is a defect that is
+    still seen.  Hom(X_i, X_z) is zero with no elimination when soc X_z misses
+    supp X_i (`IndecIndex._solve_on_generators`).
     """
-    n = len(idx.modules)
-    field_ = idx.algebra.field
+    n, p = len(idx.modules), idx.algebra.field.p
     endos = [_radical_endos(idx, i) for i in range(n)]
     dims = [[len(endos[i]) if i == j else idx.hom_dim(i, j) for j in range(n)] for i in range(n)]
     read_back = {}
@@ -516,17 +538,15 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
             dim = dims[i][j]
             if dim == 0:
                 continue
-            veclen = sum(idx.modules[j].dims[v] for v, _ in tops)
-            span, sq_rank = [], 0
+            echelon, sq_rank = {}, 0
             for z in [z for z in range(n) if images[z] and dims[z][j]]:
                 hs = [at(z, j, v) for v, _ in tops]
-                square = [[sum(a * b for a, b in zip(r, x)) for hv, x in zip(hs, gz) for r in hv[h]]
-                          for gz in images[z] for h in range(dims[z][j])]
-                echelon = rref(Mat.from_rows(field_, span + square, cols=veclen))
-                sq_rank = echelon.rank
+                for gz in images[z]:
+                    for h in range(dims[z][j]):
+                        row = [sum(a * b for a, b in zip(r, x)) % p for hv, x in zip(hs, gz) for r in hv[h]]
+                        sq_rank += extend_echelon(echelon, row, p)
                 if sq_rank >= dim:
                     break
-                span = list(echelon.matrix.data[:sq_rank])
             if sq_rank > dim:
                 raise AssertionError(f"composites X_{i} -> X_{j} through rad^2 span more than rad")
             if sq_rank < dim:

@@ -4,6 +4,13 @@ Scalars are plain Python ints in [0, p); matrices are immutable tuples of
 row tuples.  Zero-row and zero-column matrices are legal everywhere and
 behave as zero maps.  Pivoting is deterministic (leftmost pivot, first
 nonzero row) so every basis produced downstream is reproducible.
+
+Every entry of a `Mat` lies in [0, p): `from_rows` (and so `from_columns`)
+reduces what it is given, the arithmetic methods reduce what they compute,
+and the rest only move entries.  The one elimination, `eliminate`, relies on
+this: `rref`, `rank`, `kernel_basis`, `solve` and `solve_matrix` copy a
+matrix's rows into lists and reduce them in place, with no second pass
+mod p.  Code that calls `Mat(...)` directly must pass entries in [0, p).
 """
 
 from __future__ import annotations
@@ -31,12 +38,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"field order must be prime, got {p}")
         self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -79,10 +80,6 @@ class Mat:
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Mat":
         return cls(field, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def column(cls, field: PrimeField, entries) -> "Mat":
-        return cls.from_rows(field, [[x] for x in entries], cols=1)
 
     @classmethod
     def from_columns(cls, field: PrimeField, columns, rows: int | None = None) -> "Mat":
@@ -210,69 +207,101 @@ class Mat:
         return cls(field, rows, cols, tuple(tuple(r) for r in out))
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and rref(self).rank == self.rows
+        return self.rows == self.cols and rank(self) == self.rows
 
 
 class RrefResult(namedtuple("RrefResult", "matrix rank pivots")):
     __slots__ = ()
 
 
-def rref(m: Mat) -> RrefResult:
-    """Reduced row-echelon form with leftmost-pivot, first-nonzero-row pivoting."""
-    p = m.field.p
-    work = [[x % p for x in row] for row in m.data]
+def eliminate(work: list, cols: int, p: int) -> list:
+    """Bring work to reduced row-echelon form in place and return its pivot columns.
+
+    work is a list of row lists whose entries are already in [0, p), as every
+    `Mat` keeps them; no entry is reduced first.  Pivots are sought in the
+    first `cols` columns, leftmost pivot and first nonzero row, and each row
+    operation acts on the whole row.  Rows are swapped, not copied.
+    """
+    nrows = len(work)
     pivots = []
-    r = 0
-    for c in range(m.cols):
-        for pr in range(r, m.rows):
+    for c in range(cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
             if work[pr][c]:
                 break
         else:
             continue
-        work[r], work[pr] = work[pr], work[r]
+        row = work[pr]
+        work[pr] = work[r]
+        work[r] = row
         # every row is zero left of c in the columns still to clear
-        row = work[r]
         if row[c] != 1:
-            inv = m.field.inv(row[c])
-            row[c:] = [(x * inv) % p for x in row[c:]]
+            inv = pow(row[c], p - 2, p)
+            row[c:] = [x * inv % p for x in row[c:]]
         tail = row[c:]
-        for i in range(m.rows):
-            f = work[i][c]
-            if f and i != r:
-                work[i][c:] = [(x - f * y) % p for x, y in zip(work[i][c:], tail)]
+        for other in work:
+            f = other[c]
+            if f and other is not row:
+                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
         pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    out = Mat(m.field, m.rows, m.cols, tuple(map(tuple, work)))
-    return RrefResult(out, len(pivots), tuple(pivots))
+    return pivots
 
 
-def _echelon(m: Mat) -> RrefResult:
-    """rref(m), except that a matrix with no entries is its own echelon form."""
-    if m.rows == 0 or m.cols == 0:
-        return RrefResult(m, 0, ())
-    return rref(m)
+def rref(m: Mat) -> RrefResult:
+    """Reduced row-echelon form with leftmost-pivot, first-nonzero-row pivoting."""
+    work = [list(r) for r in m.data]
+    pivots = eliminate(work, m.cols, m.field.p)
+    return RrefResult(Mat(m.field, m.rows, m.cols, tuple(map(tuple, work))), len(pivots), tuple(pivots))
+
+
+def _pivots(m: Mat) -> list:
+    return eliminate([list(r) for r in m.data], m.cols, m.field.p)
 
 
 def rank(m: Mat) -> int:
-    return _echelon(m).rank
+    return len(_pivots(m))
+
+
+def kernel_of_rows(work: list, cols: int, p: int) -> list:
+    """`kernel_basis` of the matrix with rows work (entries in [0, p)), which is reduced in place."""
+    pivots = eliminate(work, cols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [0] * cols
+        v[f] = 1
+        for row, c in zip(work, pivots):
+            if row[f]:
+                v[c] = p - row[f]
+        basis.append(tuple(v))
+    return basis
 
 
 def kernel_basis(m: Mat) -> list:
     """Basis of the right null space as a list of column vectors (tuples)."""
-    p = m.field.p
-    res = _echelon(m)
-    pivot_set = set(res.pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for r, c in enumerate(res.pivots):
-            v[c] = (-res.matrix.entry(r, f)) % p
-        basis.append(tuple(v))
-    return basis
+    return kernel_of_rows([list(r) for r in m.data], m.cols, m.field.p)
+
+
+def extend_echelon(echelon: dict, row: list, p: int) -> bool:
+    """Reduce row in place against echelon and keep what is left; True when it was independent.
+
+    echelon maps each pivot column c to the tail from c of its row, which has
+    a 1 at c.  The entries of row must be in [0, p).
+    """
+    for c, x in enumerate(row):
+        if not x:
+            continue
+        tail = echelon.get(c)
+        if tail is None:
+            inv = pow(x, p - 2, p)
+            echelon[c] = [y * inv % p for y in row[c:]]
+            return True
+        row[c:] = [(y - x * z) % p for y, z in zip(row[c:], tail)]
+    return False
 
 
 def free_variable_basis(field: PrimeField, vectors, length: int) -> list:
@@ -282,46 +311,47 @@ def free_variable_basis(field: PrimeField, vectors, length: int) -> list:
     and zeros after f.  So it is the reduced echelon form of the independent
     vectors with the column order reversed, sorted by last nonzero column.
     """
-    if not vectors:
-        return []
-    res = rref(Mat.from_rows(field, [v[::-1] for v in vectors], cols=length))
-    return [row[::-1] for row in reversed(res.matrix.data[:res.rank])]
+    p = field.p
+    work = [[x % p for x in reversed(v)] for v in vectors]
+    rank_ = len(eliminate(work, length, p))
+    return [tuple(reversed(row)) for row in reversed(work[:rank_])]
+
+
+def _solved_rows(m: Mat, work: list, width: int):
+    """The rows of the X with m X = B and free variables 0, or None; work is [m | B], width B's.
+
+    Only m's columns are eliminated: B is in m's column space exactly when
+    every row left zero on m is zero on B.
+    """
+    pivots = eliminate(work, m.cols, m.field.p)
+    if any(any(row[m.cols:]) for row in work[len(pivots):]):
+        return None
+    out = [(0,) * width] * m.cols
+    for row, c in zip(work, pivots):
+        out[c] = tuple(row[m.cols:])
+    return out
 
 
 def solve(m: Mat, b) -> tuple | None:
     """One solution x of m*x = b with free variables pinned to 0, or None."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = Mat.hstack(m.field, [m, Mat.column(m.field, b)], rows=m.rows)
-    res = _echelon(aug)
-    if res.pivots and res.pivots[-1] == m.cols:
-        return None
-    x = [0] * m.cols
-    for r, c in enumerate(res.pivots):
-        x[c] = res.matrix.entry(r, m.cols)
-    return tuple(x)
+    p = m.field.p
+    out = _solved_rows(m, [[*r, int(y) % p] for r, y in zip(m.data, b)], 1)
+    return None if out is None else tuple(row[0] for row in out)
 
 
 def solve_matrix(m: Mat, bmat: Mat) -> Mat | None:
     """Solve m*X = bmat column by column (all or nothing), free variables 0."""
     if bmat.rows != m.rows:
         raise ValueError("right-hand side row count mismatch")
-    aug = Mat.hstack(m.field, [m, bmat], rows=m.rows)
-    res = _echelon(aug)
-    if any(c >= m.cols for c in res.pivots):
-        return None
-    cols = []
-    for j in range(bmat.cols):
-        x = [0] * m.cols
-        for r, c in enumerate(res.pivots):
-            x[c] = res.matrix.entry(r, m.cols + j)
-        cols.append(tuple(x))
-    return Mat.from_columns(m.field, cols, rows=m.cols)
+    out = _solved_rows(m, [[*r, *s] for r, s in zip(m.data, bmat.data)], bmat.cols)
+    return None if out is None else Mat(m.field, m.cols, bmat.cols, tuple(out))
 
 
 def column_space_basis(m: Mat) -> Mat:
     """Deterministic basis of the column space: the pivot columns of m."""
-    piv = _echelon(m).pivots
+    piv = _pivots(m)
     return Mat.from_columns(m.field, [m.col(j) for j in piv], rows=m.rows)
 
 
@@ -337,10 +367,11 @@ def quotient_coordinates(m: Mat):
     space of m, and y's coordinates on those e_c modulo U.  The c left out are the last
     nonzero entries of vectors of U: the pivots of its echelon form, coordinates reversed."""
     n, p = m.rows, m.field.p
-    res = _echelon(Mat.from_rows(m.field, [col[::-1] for col in m.columns()], cols=n))
-    ends = {n - 1 - c for c in res.pivots}
+    work = [[r[j] for r in reversed(m.data)] for j in range(m.cols)]
+    pivots = eliminate(work, n, p)
+    ends = {n - 1 - c for c in pivots}
     complement = [c for c in range(n) if c not in ends]
-    rows = list(zip(res.pivots, res.matrix.data))
+    rows = list(zip(pivots, work))
 
     def reduce(y) -> tuple:
         y = y[::-1]

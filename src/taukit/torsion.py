@@ -134,7 +134,9 @@ def is_2_finite(X: Subcat, C: Subcat, side: str):
     Hom to N1: a member x or C0 outside N(N1) has Hom(x, X1) = 0, so it
     adds no kernel rows and passes, and M lies in X exactly when it lies in
     N1.  M's verdict and certificate are kept on the census under
-    (C, side, M, N1, X & N(N1)), as bitmasks.
+    (C, side, M, N1, X & N(N1)), as bitmasks.  phi and X1 depend on
+    (side, M, N1) alone, so the kernel of each F_y, y an x or a C0, is kept
+    under (side, M, N1, y) and shared by every X and C that reach it.
 
     Returns (ok, certificates) where certificates maps each member index of C
     to its `FinitenessCert`.  The check stops at the first member that fails,
@@ -185,13 +187,20 @@ def _outside_member(idx, cs: list, side: str, M: int, n1: int, kernels_at: int, 
     counts = {x: idx.hom_dim(x, M) if op else idx.hom_dim(M, x) for x in _indices(n1)}
     x1 = [x for x, n in counts.items() for _ in range(n)]
     phi = [tuple(int(c == b) for c in range(n)) for n in counts.values() for b in range(n)]
-    kernels = {x: kernel_basis(idx.precompose(phi, [M], x1, x, op)) for x in _indices(kernels_at)}
+
+    def kernel(y):
+        """ker F_y, kept on the census under (side, M, N1, y): phi and X1 depend on nothing else."""
+        key = (side, M, n1, y)
+        if key not in idx._approximation_kernels:
+            idx._approximation_kernels[key] = kernel_basis(idx.precompose(phi, [M], x1, y, op))
+        return idx._approximation_kernels[key]
+
+    kernels = {x: kernel(x) for x in _indices(kernels_at)}
     x2 = [x for x, rows in kernels.items() for _ in rows]
     psi = [row for rows in kernels.values() for row in rows]
     cert = FinitenessCert(side, M, [counts.get(t, 0) for t in cs], [len(kernels.get(t, ())) for t in cs])
     for C0 in _indices(probes):
-        F = idx.precompose(phi, [M], x1, C0, op)
-        kernel_dim = F.cols - rank(F)
+        kernel_dim = len(kernel(C0))
         if kernel_dim and rank(idx.precompose(psi, x1, x2, C0, op)) != kernel_dim:
             return False, cert
     return True, cert

@@ -841,3 +841,61 @@ def test_tau2_row_rejects_a_member_that_does_not_vanish_on_e():
         with pytest.raises(ValueError, match="does not vanish"):
             idx.tau2_row(e, j)
     assert idx.tau2_row(frozenset({"3"}), j)[1] == idx.tau2_row(frozenset({"3", "4", "5"}), j)[1]
+
+
+def _record_eliminations(monkeypatch):
+    """{(i, j): whether solving Hom(X_i, X_j) ran an elimination}, filled as pairs are solved."""
+    eliminations, pairs = [], {}
+    kernel, solve = arknit.kernel_of_rows, arknit.IndecIndex._solve_on_generators
+
+    def counted(*args):
+        eliminations.append(args)
+        return kernel(*args)
+
+    def recorded(self, i, j):
+        before = len(eliminations)
+        out = solve(self, i, j)
+        pairs[(i, j)] = len(eliminations) > before
+        return out
+
+    monkeypatch.setattr(arknit, "kernel_of_rows", counted)
+    monkeypatch.setattr(arknit.IndecIndex, "_solve_on_generators", recorded)
+    return pairs
+
+
+def _zero_at_tops(idx, i, j):
+    """Whether X_j is zero at every top vertex of X_i, so that Hom(X_i, X_j) has no unknowns."""
+    return not any(idx.modules[j].dims[v] for v in idx._generator_data(i).verts0)
+
+
+@pytest.mark.parametrize("name", ["E7-2", "A5rad2-101", "auslander3-2", "cycle2rad3-3", "x3-3"])
+def test_socle_certificate_skips_only_zero_hom_spaces(monkeypatch, name):
+    # a nonzero image of X_i has its socle in soc X_j and its support in supp X_i,
+    # so a pair with no vertex of soc X_j in supp X_i is answered with no elimination
+    pairs = _record_eliminations(monkeypatch)
+    A = HOM_ALGEBRAS[name]()
+    idx = arknit.knit_indecomposables(A)
+    mods = idx.modules
+    for j, N in enumerate(mods):
+        assert idx._socles[j] == {v for v, cols in mc.socle_columns(N).items() if cols.cols}
+    skipped = [pair for pair, eliminated in pairs.items() if not eliminated]
+    assert all(mc.hom_dim(mods[i], mods[j]) == 0 for i, j in skipped)
+    by_socle = [(i, j) for i, j in skipped if not _zero_at_tops(idx, i, j)]
+    assert by_socle == [(i, j) for i, j in skipped if not any(mods[i].dims[v] for v in idx._socles[j])
+                        and not _zero_at_tops(idx, i, j)]
+    if name == "E7-2":
+        assert (len(by_socle), len(pairs)) == (499, 3969)
+
+
+def test_hand_built_index_reads_socles_and_skips_only_zero_hom_spaces(monkeypatch):
+    # an index built without knitting reads each member's socle itself and skips the same pairs
+    census = arknit.knit_indecomposables(HOM_ALGEBRAS["A5rad2-101"]())
+    pairs = _record_eliminations(monkeypatch)
+    idx = arknit.IndecIndex(census.algebra, list(census.modules))
+    n = len(idx.modules)
+    assert [[idx.hom_dim(i, j) for j in range(n)] for i in range(n)] == \
+        [[census.hom_dim(i, j) for j in range(n)] for i in range(n)]
+    assert len(pairs) == n * n and idx._socles == census._socles
+    skipped = [pair for pair, eliminated in pairs.items() if not eliminated]
+    assert any(not _zero_at_tops(idx, i, j) for i, j in skipped)
+    assert all(mc.hom_dim(idx.modules[i], idx.modules[j]) == 0 for i, j in skipped)
