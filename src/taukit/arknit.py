@@ -1,7 +1,8 @@
 """Enumeration of all indecomposables for representation-finite algebras.
 
-The knitting route seeds the index with the projectives, injectives,
-simples and the radical/socle layers of those, then closes under the AR
+The knitting route seeds the index with the projectives, injectives and
+simples, which are indecomposable and go in as they are, and the summands of
+rad P and I/soc I, the only seeds decomposed; then it closes under the AR
 translate in both directions.  The loop takes one minimal presentation of
 each M and one of D M: tau M = D Tr M and tau^-1 M = Tr D M are their
 transposes, M is projective (injective) when the one of M (D M) has no P1
@@ -88,6 +89,7 @@ class IndecIndex:
         self._hom_masks = None  # (rows, columns) of the nonzero Hom spaces
         self._ext_masks = {}  # k -> (rows, columns)
         self._ext_masks_below = {}  # d -> (rows, columns) over 0 < k < d
+        self._ct_required = {}  # d -> bitmask of the members in every d-CT subcategory
         self._compose_cache = {}
         self._radicals = {}  # i -> rad End(X_i) coordinates
         self._quotient_projectives = {}  # e -> indices
@@ -355,6 +357,18 @@ class IndecIndex:
             self._ext_masks_below[d] = below
         return self._ext_masks_below[d]
 
+    def ct_required(self, d: int) -> int:
+        """Bitmask of the x with Ext^k(x, -) = 0 or Ext^k(-, x) = 0 for all 0 < k < d, kept per d.
+
+        Each such x lies in every d-cluster-tilting C, since C holds every X
+        with Ext^k(X, C) = 0, and every X with Ext^k(C, X) = 0, for 0 < k < d.
+        At d = 2 these are the projective and the injective members.
+        """
+        if d not in self._ct_required:
+            rows, cols = self.ext_masks_below(d)
+            self._ct_required[d] = sum(1 << x for x, (r, c) in enumerate(zip(rows, cols)) if not r or not c)
+        return self._ct_required[d]
+
     def is_projective(self, i: int) -> bool:
         return self._proj_flags[i]
 
@@ -418,34 +432,40 @@ class _Generators:
         return cls(list(zip(pres.verts0, pres.generators)), list(pres.verts1), relations, sections)
 
 
-def _iso_index(modules, M) -> int | None:
-    """Index of the first of the indecomposables isomorphic to M, if any."""
+def _iso_index(modules, M, dim_vectors=None) -> int | None:
+    """Index of the first of the indecomposables isomorphic to M, if any.
+
+    dim_vectors[i] is the dim vector of modules[i]; a caller that scans a
+    growing list keeps it next to the list, else it is read off each module.
+    """
     dims = M.dim_vector()
-    for i, X in enumerate(modules):
-        if X.dim_vector() == dims and mc.iso_between_indecomposables(M, X) is not None:
+    if dim_vectors is None:
+        dim_vectors = [X.dim_vector() for X in modules]
+    for i, d in enumerate(dim_vectors):
+        if d == dims and mc.iso_between_indecomposables(M, modules[i]) is not None:
             return i
     return None
 
 
-def _seed_modules(A: Algebra):
-    seeds = []
-    for v in A.vertices:
-        seeds.append(mc.projective(A, v))
-    for v in A.vertices:
-        seeds.append(mc.injective(A, v))
-    for v in A.vertices:
-        seeds.append(mc.simple(A, v))
-    for v in A.vertices:
-        P = mc.projective(A, v)
+def _seed_modules(A: Algebra) -> tuple:
+    """The seeds that are indecomposable, and those that may split.
+
+    P(v), I(v) and S(v) are indecomposable: the endomorphism rings of P(v)
+    and I(v) are e_v A e_v or its opposite, local as e_v is primitive, and
+    S(v) is simple.  rad P(v) and I(v)/soc I(v) can be sums, and are decomposed.
+    """
+    projectives = [mc.projective(A, v) for v in A.vertices]
+    injectives = [mc.injective(A, v) for v in A.vertices]
+    layers = []
+    for P, I in zip(projectives, injectives):
         radP, _ = mc.radical_submodule(P)
         if not radP.is_zero():
-            seeds.append(radP)
-        I = mc.injective(A, v)
+            layers.append(radP)
         soc, inc = mc.submodule_from_columns(I, mc.socle_columns(I))
         quot, _ = mc.cokernel(inc)
         if not quot.is_zero():
-            seeds.append(quot)
-    return seeds
+            layers.append(quot)
+    return projectives + injectives + [mc.simple(A, v) for v in A.vertices], layers
 
 
 def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> IndecIndex:
@@ -453,6 +473,7 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
     if max_count <= 0 or max_dim <= 0:
         raise ValueError("limits must be positive")
     found: list = []
+    found_dims: list = []  # found_dims[i] is the dim vector of found[i]
 
     def register(M) -> int | None:
         """The index in found of the member isomorphic to M, placing M if it is new."""
@@ -461,15 +482,21 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         if M.total_dim > max_dim:
             raise LimitExceededError(
                 f"module of dimension {M.total_dim} exceeds max_dim={max_dim}", partial=found)
-        k = _iso_index(found, M)
+        k = _iso_index(found, M, found_dims)
         if k is not None:
             return k
         found.append(M)
+        found_dims.append(M.dim_vector())
         if len(found) > max_count:
             raise LimitExceededError(f"more than max_count={max_count} indecomposables", partial=found)
         return len(found) - 1
 
-    for seed in _seed_modules(A):
+    # decompose(X) is [(X, 1)] for an indecomposable X, so the census is the one
+    # that decomposing every seed gives, module for module and in the same order
+    whole, layers = _seed_modules(A)
+    for X in whole:
+        register(X)
+    for seed in layers:
         for X, _ in mc.decompose(seed).summands:
             register(X)
 
@@ -485,7 +512,7 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
                         register(mc.dual(mc.transpose(M, pres))) if pres.verts1 else None,
                         register(mc.transpose(DM, dual_pres)) if dual_pres.verts1 else None))
 
-    order = sorted(range(len(found)), key=lambda i: (found[i].total_dim, found[i].dim_vector()))
+    order = sorted(range(len(found)), key=lambda i: (found[i].total_dim, found_dims[i]))
     place = {i: z for z, i in enumerate(order)}
     idx = IndecIndex(A, [found[i] for i in order])
     inverses = []
@@ -602,6 +629,7 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
         raise BudgetExceededError(f"enumeration needs {total_work} module candidates")
     names = [a.name for a in A.arrows]
     out: list = []
+    out_dims: list = []  # out_dims[i] is the dim vector of out[i]
     for dims, ends in plans:
         if sum(dims) == 0:
             continue
@@ -622,9 +650,10 @@ def brute_force_indecomposables(A: Algebra, max_dims: dict, budget: int = 2 ** 2
             M = mc.Module(A, dim_map, action, check=True)
             if not mc.is_indecomposable(M):
                 continue
-            if _iso_index(out, M) is not None:
+            if _iso_index(out, M, out_dims) is not None:
                 continue
             out.append(M)
+            out_dims.append(M.dim_vector())
     out.sort(key=lambda m: (m.total_dim, m.dim_vector()))
     return out
 

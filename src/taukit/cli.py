@@ -173,8 +173,8 @@ def cmd_ctfind(args) -> int:
     found = []
     for r in range(n + 1):
         for S in itertools.combinations(range(n), r):
-            C = Subcat.of(idx, S)
-            if is_d_cluster_tilting(C, args.d).ok:
+            # indices drawn from range(n) need no check from Subcat.of
+            if is_d_cluster_tilting(Subcat(idx, frozenset(S)), args.d).ok:
                 found.append([_dimvec_name(idx.modules[i]) for i in S])
     _write(emit_report({"d": args.d, "subcategories": found}), args.out)
     return EXIT_OK

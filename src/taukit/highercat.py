@@ -215,17 +215,24 @@ def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
 
     For each host index x, the members m with Ext^i(m, x) != 0 or Ext^i(x, m)
     != 0 for some 0 < i < d are one AND with the member mask and the OR of the
-    degrees, kept per d.  The verdict stops at the first failing x; violations
-    are listed only when read.  A witness is the lowest such member at its lowest such degree.
+    degrees, kept per d.  A C that leaves out a member of `ct_required(d)`,
+    at d = 2 a projective or an injective, fails on one AND before that scan.
+    The verdict stops at the first failing x; violations are listed only when
+    read.  A witness is the lowest such member at its lowest such degree.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     idx = C.host
-    mask = sum(1 << m for m in C.members)
-    rows, cols = idx.ext_masks_below(d)
-    ok = all(not (rows[x] | cols[x]) & mask if mask >> x & 1 else rows[x] & mask and cols[x] & mask
-             for x in range(len(idx.modules)))
-    return CTReport(True, []) if ok else CTReport(False, lambda: _ct_violations(idx, mask, d))
+    mask = 0
+    for m in C.members:
+        mask |= 1 << m
+    required = idx.ct_required(d)
+    if mask & required == required:
+        rows, cols = idx.ext_masks_below(d)
+        if all(not (rows[x] | cols[x]) & mask if mask >> x & 1 else rows[x] & mask and cols[x] & mask
+               for x in range(len(idx.modules))):
+            return CTReport(True, [])
+    return CTReport(False, lambda: _ct_violations(idx, mask, d))
 
 
 def _ct_violations(idx, mask: int, d: int) -> list:

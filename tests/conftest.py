@@ -138,3 +138,16 @@ arrow c: 3 -> 4
 
 def d4(p=101):
     return parse_algebra(D4_TEXT.format(p=p))
+
+
+# E7 with the chain 1 -> ... -> 6 oriented linearly and the branch arrow 7 -> 3
+CENSUS_ALGEBRAS = {
+    "E7-2": lambda: e7_linear(p=2),
+    "D4-2": lambda: d4(p=2),
+    "D4-101": lambda: d4(p=101),
+    "A3": lambda: lambda3(p=101),
+    "A5rad2-2": lambda: nakayama_rad2(5, p=2),
+    "A5rad2-101": lambda: nakayama_rad2(5, p=101),
+    "A7rad2-2": lambda: nakayama_rad2(7, p=2),
+    "A7rad2-101": lambda: nakayama_rad2(7, p=101),
+}

@@ -10,7 +10,8 @@ from taukit import arknit, modcat as mc
 from taukit.algebra import parse_algebra, quotient_by_idempotent
 from taukit.cli import emit_report
 from taukit.exactlin import Mat, rank, solve, solve_matrix
-from tests.conftest import auslander_linear, d4, e7_linear, kronecker, lambda3, nakayama_rad2
+from tests.conftest import (CENSUS_ALGEBRAS, LAMBDA3_TEXT, auslander_linear, d4, e7_linear, kronecker, lambda3,
+                            nakayama_rad2)
 from tests.test_tautilt import CYCLE2_RAD3, TRUNCATED_X3
 
 
@@ -283,18 +284,6 @@ def test_orbit_walk_yields_each_orbit_minimum_once_in_order(build, dims):
 
 
 # -- pinned census bytes, the rad^2 oracle, and work done once -------------------
-
-# E7 with the chain 1 -> ... -> 6 oriented linearly and the branch arrow 7 -> 3
-CENSUS_ALGEBRAS = {
-    "E7-2": lambda: e7_linear(p=2),
-    "D4-2": lambda: d4(p=2),
-    "D4-101": lambda: d4(p=101),
-    "A3": lambda: lambda3(p=101),
-    "A5rad2-2": lambda: nakayama_rad2(5, p=2),
-    "A5rad2-101": lambda: nakayama_rad2(5, p=101),
-    "A7rad2-2": lambda: nakayama_rad2(7, p=2),
-    "A7rad2-101": lambda: nakayama_rad2(7, p=101),
-}
 
 # sha256 of the `ar` and `ar --dot` stdout bytes: a change to knitting must
 # leave every byte of the census, its AR arrows and its translate as it is
@@ -774,6 +763,45 @@ def test_knitting_flags_the_projective_and_injective_member_of_each_vertex(name)
     assert len(projective) == len(injective) == len(A.vertices)
     assert {i for i in range(n) if idx.is_projective(i)} == projective
     assert {i for i in range(n) if idx.is_injective(i)} == injective
+
+
+# -- seeds: P(v), I(v) and S(v) go in as they are, rad P and I/soc I are decomposed --
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_projective_injective_and_simple_seeds_are_indecomposable(name):
+    A = HOM_ALGEBRAS[name]()
+    for v in A.vertices:
+        for build in (mc.projective, mc.injective, mc.simple):
+            assert mc.is_indecomposable(build(A, v)), (build.__name__, v)
+
+
+def _every_seed(A):
+    """All seeds to be decomposed: P(v), I(v), S(v), then rad P(v) and I(v)/soc I(v) for each v."""
+    seeds = [build(A, v) for build in (mc.projective, mc.injective, mc.simple) for v in A.vertices]
+    for v in A.vertices:
+        I = mc.injective(A, v)
+        seeds += [mc.radical_submodule(mc.projective(A, v))[0],
+                  mc.cokernel(mc.submodule_from_columns(I, mc.socle_columns(I))[1])[0]]
+    return [], [X for X in seeds if not X.is_zero()]
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_census_equals_a_knit_that_decomposes_every_seed(monkeypatch, name):
+    A = HOM_ALGEBRAS[name]()
+    idx = arknit.knit_indecomposables(A)
+    monkeypatch.setattr(arknit, "_seed_modules", _every_seed)
+    ref = arknit.knit_indecomposables(A)
+    assert [X.to_json() for X in idx.modules] == [X.to_json() for X in ref.modules]
+    assert (idx.ar_arrows, idx.tau_map) == (ref.ar_arrows, ref.tau_map)
+
+
+# `perfbench/test_perfbench.py` reads decompose time off knitting these two algebras
+@pytest.mark.parametrize("text", [LAMBDA3_TEXT.format(p=101), "field 101\nvertices 1 2 3\narrow a: 1 -> 2\n"
+                                  "arrow b: 2 -> 3\n"], ids=["A3rad2-101", "A3-101"])
+def test_knitting_still_decomposes_a_seed(monkeypatch, text):
+    calls = _record_calls(monkeypatch, ["decompose"])
+    arknit.knit_indecomposables(parse_algebra(text))
+    assert calls["decompose"]
 
 
 # -- Ext on the census: one resolution per member and length, bitmask tables ------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -143,6 +144,22 @@ def test_ctfind_builds_one_resolution_per_member_and_length(a7r2_file, capsys, m
     assert code == 0
     # 13 indecomposables, each resolved once to length 2 for Ext^1
     assert len(built) == 13 and set(built.values()) == {1}
+
+
+def test_ctfind_checks_every_subset_once_in_order(a7r2_file, capsys, monkeypatch):
+    # the benchmark's ctfind workloads count one check per subset of the 13 members
+    checked = []
+    check = cli.is_d_cluster_tilting
+
+    def counted(C, d):
+        checked.append(sorted(C.members))
+        return check(C, d)
+
+    monkeypatch.setattr(cli, "is_d_cluster_tilting", counted)
+    code, out = run_cli(capsys, a7r2_file, "ctfind", "--d", "2")
+    assert code == 0 and json.loads(out) == {"d": 2, "subcategories": [A7R2_CT]}
+    assert len(checked) == 2 ** 13
+    assert checked == [list(S) for r in range(14) for S in itertools.combinations(range(13), r)]
 
 
 @pytest.mark.parametrize("argv", [("ctfind", "--d", "0"),

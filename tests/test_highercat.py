@@ -9,7 +9,7 @@ import pytest
 from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
 from taukit.algebra import parse_algebra
 from taukit.exactlin import Mat, rank, solve
-from tests.conftest import auslander_linear, lambda3, nakayama_rad2, ss3
+from tests.conftest import CENSUS_ALGEBRAS, auslander_linear, lambda3, nakayama_rad2, ss3
 from tests.test_acceptance import _split_family, _two_exact_family
 from tests.test_d3 import A4_RAD2, _projective_resolution_sequence
 
@@ -555,6 +555,8 @@ CT_SCAN_CASES = {
     "A5rad2-2-d2": (lambda: nakayama_rad2(5, p=2), 2, 1),
     "A5rad2-101-d2": (lambda: nakayama_rad2(5, p=101), 2, 1),
     "A5rad2-101-d3": (lambda: nakayama_rad2(5, p=101), 3, 0),
+    # 2^13 subsets, 2^5 of them holding every projective and injective member
+    "A7rad2-2-d2": (lambda: nakayama_rad2(7, p=2), 2, 1),
 }
 
 
@@ -571,3 +573,12 @@ def test_bitmask_ct_check_matches_the_scan_on_every_subset(case):
             assert rep == _scan_is_d_cluster_tilting(C, d), S
             found += rep.ok
     assert found == count
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_ALGEBRAS))
+def test_members_required_at_d2_are_the_projectives_and_injectives(name):
+    idx = arknit.knit_indecomposables(CENSUS_ALGEBRAS[name]())
+    n = len(idx.modules)
+    assert idx.ct_required(2) == sum(1 << x for x in range(n) if idx.is_projective(x) or idx.is_injective(x))
+    # d = 1 requires every member: mod A is the one 1-CT subcategory
+    assert idx.ct_required(1) == (1 << n) - 1
