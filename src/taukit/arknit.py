@@ -7,8 +7,11 @@ translate in both directions.  The loop takes one minimal presentation of
 each M and one of D M: tau M = D Tr M and tau^-1 M = Tr D M are their
 transposes, M is projective (injective) when the one of M (D M) has no P1
 term, and M's presentation stays with it through the sort as the top
-generators that census Hom is solved on.  Each translate is placed by the
-one iso scan that registers it, and its index is carried through the sort.
+generators that census Hom is solved on.  A translate placed as a new member
+brings one of its two presentations from the transpose that made it (a new
+tau^-1 M its own, a new tau M that of D tau M = Tr M), so only the other goes
+through `minimal_presentation`.  Each translate is placed by the one iso scan
+that registers it, and its index is carried through the sort.
 Completeness is certified afterwards by mesh additivity: for every
 non-projective Z with almost split sequence 0 -> tau Z -> E -> Z -> 0, the
 middle term recomputed from irreducible-map multiplicities must match
@@ -28,7 +31,8 @@ vectors in more than one piece (then it is the sum of their spans).
 Summand multiplicities are read off the certified mesh, with no search:
 Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
-AssertionError.  Knitting solves Hom once per pair on the source's top generators;
+AssertionError.  Knitting solves Hom once per pair on the source's top generators,
+placing each element's cached action on the target into the source's compiled stencil;
 hom_dim counts solutions, and hom_basis reads a canonical basis back from them when first asked.
 A pair is zero with no elimination when X_j is zero at X_i's tops, or when no
 vertex of soc X_j lies in supp X_i: a nonzero image of X_i is a submodule of
@@ -102,6 +106,7 @@ class IndecIndex:
         self._generators = {}  # i -> _Generators of X_i
         self._socles = {}  # i -> the vertices of soc X_i, kept by knitting or read by _socle
         self._actions = {}  # (j, v, word) -> path action on X_j
+        self._elements = {}  # (j, v, terms) -> rows of that element's action on X_j, None when zero
 
     def find_iso(self, M) -> int | None:
         """Index of the entry isomorphic to the indecomposable M, if any."""
@@ -136,24 +141,25 @@ class IndecIndex:
 
     def _solve_on_generators(self, i: int, j: int) -> list:
         """`_solutions` of (i, j), with no elimination when N = X_j is zero at X_i's tops or
-        no vertex of soc N is in supp X_i: a nonzero image of X_i has its socle in soc N."""
+        no vertex of soc N is in supp X_i: a nonzero image of X_i has its socle in soc N.
+
+        The rows are X_i's stencil with each block the action on N of its element, kept per (j, element)."""
         gens, N, p = self._generator_data(i), self.modules[j], self.algebra.field.p
         at = [0]
         for v in gens.verts0:
             at.append(at[-1] + N.dims[v])
         if not at[-1] or not any(self.modules[i].dims[v] for v in self._socle(j)):
             return []
-        rows = [[0] * at[-1] for v in gens.verts1 for _ in range(N.dims[v])]
-        row_at = 0
-        for r, u in enumerate(gens.verts1):
-            for k, terms in gens.relations[r]:
-                for c, word in terms:
-                    for t, entries in enumerate(self._path_action(j, gens.verts0[k], word).data):
-                        out = rows[row_at + t]
-                        for q, y in enumerate(entries, at[k]):
-                            out[q] += c * y
-            row_at += N.dims[u]
-        rows = [[x % p for x in row] for row in rows]
+        row_at = [0]
+        for u in gens.verts1:
+            row_at.append(row_at[-1] + N.dims[u])
+        rows = [[0] * at[-1] for _ in range(row_at[-1])]
+        for r, k, v, terms in gens.stencil:
+            block = self._element_action(j, v, terms)
+            if block:
+                start, end = at[k], at[k + 1]
+                for out, entries in zip(rows[row_at[r]:row_at[r + 1]], block):
+                    out[start:end] = entries
         return [tuple(x[at[k]:at[k + 1]] for k in range(len(gens.verts0)))
                 for x in kernel_of_rows(rows, at[-1], p)]
 
@@ -183,10 +189,31 @@ class IndecIndex:
         return self._socles[j]
 
     def _path_action(self, j: int, v, word) -> Mat:
+        """The action on X_j of the path word from v, one `Mat.mul` onto its cached prefix."""
         key = (j, v, word)
         if key not in self._actions:
-            self._actions[key] = mc.path_action(self.modules[j], v, word)
+            X = self.modules[j]
+            if len(word) > 1:
+                self._actions[key] = X.action[word[-1]].mul(self._path_action(j, v, word[:-1]))
+            else:
+                self._actions[key] = X.action[word[0]] if word else Mat.identity(self.algebra.field, X.dims[v])
         return self._actions[key]
+
+    def _element_action(self, j: int, v, terms) -> tuple | None:
+        """The rows of the combination terms of paths from v acting on X_j, None when it is zero."""
+        key = (j, v, terms)
+        if key not in self._elements:
+            if len(terms) == 1 and terms[0][0] == 1:
+                rows = self._path_action(j, v, terms[0][1]).data
+            else:
+                p, acc = self.algebra.field.p, None
+                for c, word in terms:
+                    data = self._path_action(j, v, word).data
+                    acc = [[c * y for y in row] for row in data] if acc is None else \
+                        [[a + c * y for a, y in zip(out, row)] for out, row in zip(acc, data)]
+                rows = tuple(tuple(y % p for y in row) for row in acc)
+            self._elements[key] = rows if any(map(any, rows)) else None
+        return self._elements[key]
 
     def compose(self, i: int, j: int, k: int) -> list:
         """Structure constants of Hom(X_j, X_k) x Hom(X_i, X_j) -> Hom(X_i, X_k).
@@ -406,30 +433,30 @@ class IndecIndex:
 class _Generators:
     """The top generators of a module X, from its minimal presentation P1 -> P0 ->> X.
 
-    Generator k is tops[k] = (v, j), basis vector j of X at v = verts0[k].  relations[r]
-    lists, for the r-th summand P(verts1[r]) of P1, the (k, terms) of its image in P0.
-    sections[w] is a right inverse of the cover at vertex w, as its nonzero rows
-    (k, path, row) over the basis path * g_k of (P0)_w.
+    Generator k is tops[k] = (v, j), basis vector j of X at v = verts0[k].  stencil
+    lists the nonzero blocks of the relations: (r, k, verts0[k], terms) when the r-th
+    summand P(verts1[r]) of P1 has the element terms of paths from verts0[k] in its
+    image at summand k of P0.  sections[w] is a right inverse of the cover at
+    vertex w, as its nonzero rows (k, path, row) over the basis path * g_k of (P0)_w.
     """
 
-    def __init__(self, tops: list, verts1: list, relations: list, sections: dict):
+    def __init__(self, tops: list, verts1: list, stencil: list, sections: dict):
         self.tops = tops
         self.verts0 = [v for v, _ in tops]
         self.verts1 = verts1
-        self.relations = relations
+        self.stencil = stencil
         self.sections = sections
 
     @classmethod
     def of(cls, A: Algebra, pres) -> "_Generators":
-        relations = [[(k, terms) for (k, r), terms in sorted(pres.elements.items()) if r == row]
-                     for row in range(len(pres.verts1))]
+        stencil = [(r, k, pres.verts0[k], terms) for (k, r), terms in pres.elements.items()]
         sections = {}
         for w in A.vertices:
             labels = [(k, pth.arrows) for k, v in enumerate(pres.verts0)
                       for pth in A.paths_from(v) if pth.target == w]
             right = solve_matrix(pres.cover[w], Mat.identity(A.field, pres.cover[w].rows))
             sections[w] = [(k, word, row) for (k, word), row in zip(labels, right.data) if any(row)]
-        return cls(list(zip(pres.verts0, pres.generators)), list(pres.verts1), relations, sections)
+        return cls(list(zip(pres.verts0, pres.generators)), list(pres.verts1), stencil, sections)
 
 
 def _iso_index(modules, M, dim_vectors=None) -> int | None:
@@ -474,9 +501,12 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         raise ValueError("limits must be positive")
     found: list = []
     found_dims: list = []  # found_dims[i] is the dim vector of found[i]
+    carried: dict = {}  # i -> (presentation of found[i], of D found[i]), read off the transpose that placed it
 
-    def register(M) -> int | None:
-        """The index in found of the member isomorphic to M, placing M if it is new."""
+    def register(M, presentations=(None, None)) -> int | None:
+        """The index in found of the member isomorphic to M, placing M if it is new.
+
+        presentations are the ones of M and of D M that a new M keeps, None where there is none."""
         if M.is_zero():
             return None
         if M.total_dim > max_dim:
@@ -487,6 +517,7 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
             return k
         found.append(M)
         found_dims.append(M.dim_vector())
+        carried[len(found) - 1] = presentations
         if len(found) > max_count:
             raise LimitExceededError(f"more than max_count={max_count} indecomposables", partial=found)
         return len(found) - 1
@@ -501,16 +532,25 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
             register(X)
 
     # for each M in found: its presentation, D M's (its tops are soc M, and M is injective
-    # when it has no P1), and the indices in found of tau M and tau^-1 M, None when not taken
+    # when it has no P1), and the indices in found of tau M and tau^-1 M, None when not taken.
+    # M and D M are indecomposable and not projective when transposed, so the presentation
+    # each transpose carries is minimal: a new tau M = D Tr M keeps it for D tau M = Tr M,
+    # and a new tau^-1 M = Tr D M for itself
     records = []
     while len(records) < len(found):
         M = found[len(records)]
-        pres = mc.minimal_presentation(M)
+        pres, dual_pres = carried.pop(len(records))
+        pres = pres or mc.minimal_presentation(M)
         DM = mc.dual(M)
-        dual_pres = mc.minimal_presentation(DM)
-        records.append((pres, dual_pres,
-                        register(mc.dual(mc.transpose(M, pres))) if pres.verts1 else None,
-                        register(mc.transpose(DM, dual_pres)) if dual_pres.verts1 else None))
+        dual_pres = dual_pres or mc.minimal_presentation(DM)
+        t = s = None
+        if pres.verts1:
+            Tr = mc.transpose(M, pres)
+            t = register(mc.dual(Tr), (None, Tr.presentation))
+        if dual_pres.verts1:
+            TrD = mc.transpose(DM, dual_pres)
+            s = register(TrD, (TrD.presentation, None))
+        records.append((pres, dual_pres, t, s))
 
     order = sorted(range(len(found)), key=lambda i: (found[i].total_dim, found_dims[i]))
     place = {i: z for z, i in enumerate(order)}
@@ -537,9 +577,11 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
     A map out of X_i is read as the images of X_i's top generators g_k: off the
     diagonal g(g_k) is a slice of g's solution, and h o g sends g_k to h's matrix at
     v_k, read back once per (z, j, v_k), applied to it; rad End is `idx.radical`.
-    The composites through X_z are added one z at a time, each reduced against
-    the echelon rows of the span so far (`extend_echelon`), since only its rank
-    is read; the scan stops once the span fills rad(X, Y).  All of one z's
+    The composites through X_z are added one z at a time, z ascending over the
+    bits of a mask of the z with rad(X_i, X_z) != 0 ANDed with one of the z with
+    rad(X_z, X_j) != 0, each reduced against the echelon rows of the span so far
+    (`extend_echelon`), since only its rank is read; the scan stops once the
+    span fills rad(X, Y).  All of one z's
     composites go in before the rank is compared, so a span larger than
     rad(X, Y), which means a composite left the radical, is a defect that is
     still seen.  Hom(X_i, X_z) is zero with no elimination when soc X_z misses
@@ -556,17 +598,21 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
             read_back[(z, j, v)] = [h[v].data for h in endos[z]] if z == j else idx._maps_at(z, j, v)
         return read_back[(z, j, v)]
 
+    into = [sum(1 << z for z in range(n) if dims[z][j]) for j in range(n)]
     out = {}
     for i in range(n):
         tops = idx._generator_data(i).tops
         images = [[[tuple(row[j] for row in g[v].data) for v, j in tops] for g in endos[i]] if z == i
                   else idx._solutions(i, z) for z in range(n)]
+        reach = sum(1 << z for z in range(n) if images[z])  # the z with rad(X_i, X_z) != 0
         for j in range(n):
             dim = dims[i][j]
             if dim == 0:
                 continue
-            echelon, sq_rank = {}, 0
-            for z in [z for z in range(n) if images[z] and dims[z][j]]:
+            echelon, sq_rank, through = {}, 0, reach & into[j]
+            while through:
+                z = (through & -through).bit_length() - 1
+                through &= through - 1
                 hs = [at(z, j, v) for v, _ in tops]
                 for gz in images[z]:
                     for h in range(dims[z][j]):

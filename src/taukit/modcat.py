@@ -38,10 +38,11 @@ class DecompositionError(Exception):
 class Module:
     """A finite-dimensional representation of a bound quiver algebra."""
 
-    __slots__ = ("algebra", "dims", "action", "total_dim")
+    __slots__ = ("algebra", "dims", "action", "total_dim", "presentation")
 
     def __init__(self, A: Algebra, dims: dict, action: dict, check: bool = True):
         self.algebra = A
+        self.presentation = None  # a projective presentation its maker read off, if any (see `transpose`)
         self.dims = {v: int(dims.get(v, 0)) for v in A.vertices}
         self.action = {}
         for a in A.arrows:
@@ -433,8 +434,7 @@ def cokernel(f: ModMap):
     N = f.target
     complement, reduce, action = _cokernel(A, N.action, f.mats)
     Q = Module(A, {v: len(complement[v]) for v in A.vertices}, action, check=False)
-    proj = {v: Mat.from_columns(A.field, map(reduce[v], Mat.identity(A.field, N.dims[v]).data),
-                                rows=len(complement[v])) for v in A.vertices}
+    proj = {v: _projection(A.field, complement[v], reduce[v], N.dims[v]) for v in A.vertices}
     return Q, ModMap(N, Q, proj, check=False)
 
 
@@ -450,6 +450,18 @@ def _cokernel(A: Algebra, action: dict, image: dict):
         cols = [reduce[a.target](action[a.name].col(c)) for c in complement[a.source]]
         quotient[a.name] = Mat.from_columns(A.field, cols, rows=len(complement[a.target]))
     return complement, reduce, quotient
+
+
+def _projection(field, complement: list, reduce, n: int) -> Mat:
+    """The matrix of F^n ->> F^n / U on the coordinates of `quotient_coordinates`: column c is the
+    unit vector of c's place in complement when c is there, else e_c reduced modulo U."""
+    rows = [[0] * n for _ in complement]
+    for q, c in enumerate(complement):
+        rows[q][c] = 1
+    for c in set(range(n)).difference(complement):
+        for row, y in zip(rows, reduce(tuple(int(r == c) for r in range(n)))):
+            row[c] = y
+    return Mat(field, len(rows), n, tuple(map(tuple, rows)))
 
 
 def map_parts(f: ModMap) -> MapParts:
@@ -660,12 +672,21 @@ def _kernel_action(A: Algebra, verts: list, kbas: dict) -> dict:
     verts, acting block-diagonally by the cached projectives.  Free column f is the last nonzero
     entry of its basis vector and zero in the others, so those entries are the coordinates."""
     free = {w: [max(q for q, x in enumerate(vec) if x) for vec in kbas[w]] for w in A.vertices}
-    action = {}
+    action, acts = {}, _projective_sum_action(A, verts)
     for a in A.arrows:
-        act = Mat.block_diag(A.field, [projective(A, v).action[a.name] for v in verts])
-        cols = [[y[f] for f in free[a.target]] for y in map(act.apply, kbas[a.source])]
+        cols = [[y[f] for f in free[a.target]] for y in map(acts[a.name].apply, kbas[a.source])]
         action[a.name] = Mat.from_columns(A.field, cols, rows=len(kbas[a.target]))
     return action
+
+
+def _projective_sum_action(A: Algebra, verts) -> dict:
+    """Each arrow's action on the sum of the P(v), v in verts, block-diagonal; kept per algebra and verts."""
+    cache = A.__dict__.setdefault("_taukit_sum_cache", {})
+    key = tuple(verts)
+    if key not in cache:
+        cache[key] = {a.name: Mat.block_diag(A.field, [projective(A, v).action[a.name] for v in verts])
+                      for a in A.arrows}
+    return cache[key]
 
 
 def _element_form(tops: list, kbas: dict, labels: dict) -> dict:
@@ -730,7 +751,12 @@ def minimal_presentation(M: Module) -> Presentation:
 def transpose(M: Module, pres: Presentation | None = None) -> Module:
     """Tr M over the opposite algebra: the cokernel of P0* -> P1* for M's minimal presentation,
     where an element P(verts1[i]) -> P(verts0[j]) dualizes to right multiplication by it on
-    opposite projectives.  Each block is built once, straight from pres.elements."""
+    opposite projectives.  Each block is built once, straight from pres.elements.
+
+    The result carries P0* -> P1* ->> Tr M as its `presentation`: the elements reversed,
+    the cover read off the cokernel, and as generators the trivial paths of P1*, which lie
+    outside the image (it is in rad P1*) and so are basis vectors of Tr M.  This
+    presentation is minimal when M has no projective summand (Auslander-Reiten-Smalo, IV.1)."""
     Aop = opposite(M.algebra)
     if pres is None:
         pres = minimal_presentation(M)
@@ -742,16 +768,29 @@ def transpose(M: Module, pres: Presentation | None = None) -> Module:
             for r, row in enumerate(block, tgt[w][i]):
                 grid[w][r][src[w][j]:src[w][j + 1]] = row
     image = {w: Mat.from_rows(Aop.field, grid[w], cols=src[w][-1]) for w in Aop.vertices}
-    action = {a.name: Mat.block_diag(Aop.field, [projective(Aop, v).action[a.name] for v in pres.verts1])
-              for a in Aop.arrows}
-    complement, _, quotient = _cokernel(Aop, action, image)
-    return Module(Aop, {w: len(complement[w]) for w in Aop.vertices}, quotient, check=False)
+    complement, reduce, quotient = _cokernel(Aop, _projective_sum_action(Aop, pres.verts1), image)
+    Tr = Module(Aop, {w: len(complement[w]) for w in Aop.vertices}, quotient, check=False)
+    cover = {w: _projection(Aop.field, complement[w], reduce[w], tgt[w][-1]) for w in Aop.vertices}
+    # the basis is breadth-first, so the trivial path is the first basis vector of P_op(v) at v
+    generators = [complement[v].index(tgt[v][i]) for i, v in enumerate(pres.verts1)]
+    Tr.presentation = Presentation(list(pres.verts1), list(pres.verts0),
+                                   {(i, j): tuple((c, tuple(reversed(word))) for c, word in terms)
+                                    for (j, i), terms in pres.elements.items()}, cover, generators)
+    return Tr
 
 
 def _right_mult_map(Aop: Algebra, v_from, v_to, terms) -> dict:
     """Right multiplication P_op(v_from) -> P_op(v_to) by an element of paths v_to -> v_from
     of the original algebra (so an element of opposite paths v_to -> v_from reversed),
-    as the rows of its matrix over the opposite path bases at each vertex."""
+    as the rows of its matrix over the opposite path bases at each vertex; kept per algebra."""
+    cache = Aop.__dict__.setdefault("_taukit_right_mult_cache", {})
+    key = (v_from, v_to, terms)
+    if key not in cache:
+        cache[key] = _right_mult_rows(Aop, v_from, v_to, terms)
+    return cache[key]
+
+
+def _right_mult_rows(Aop: Algebra, v_from, v_to, terms) -> dict:
     p = Aop.field.p
     pos, col = {}, dict.fromkeys(Aop.vertices, 0)
     for pth in Aop.paths_from(v_to):
@@ -771,8 +810,9 @@ def _right_mult_map(Aop: Algebra, v_from, v_to, terms) -> dict:
 
 
 def tau(M: Module) -> Module:
-    """The Auslander-Reiten translate D Tr M."""
-    return dual(transpose(M))
+    """The Auslander-Reiten translate D Tr M; zero on a projective, with no opposite algebra built."""
+    pres = minimal_presentation(M)
+    return dual(transpose(M, pres)) if pres.verts1 else zero_module(M.algebra)
 
 
 def tau_inv(M: Module) -> Module:

@@ -9,7 +9,7 @@ import pytest
 from taukit import arknit, modcat as mc
 from taukit.algebra import parse_algebra, quotient_by_idempotent
 from taukit.cli import emit_report
-from taukit.exactlin import Mat, rank, solve, solve_matrix
+from taukit.exactlin import Mat, kernel_of_rows, rank, solve, solve_matrix
 from tests.conftest import (CENSUS_ALGEBRAS, LAMBDA3_TEXT, auslander_linear, d4, e7_linear, kronecker, lambda3,
                             nakayama_rad2)
 from tests.test_tautilt import CYCLE2_RAD3, TRUNCATED_X3
@@ -385,31 +385,101 @@ def _record_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("build", [lambda: lambda3(p=101), lambda: nakayama_rad2(5, p=2)],
-                         ids=["A3", "A5rad2-2"])
-def test_knitting_computes_each_translate_once(monkeypatch, build):
-    A = build()
-    calls = _record_calls(monkeypatch, ["minimal_presentation", "transpose", "tau", "tau_inv"])
-    idx = arknit.knit_indecomposables(A)
+def _record_knit_sources(monkeypatch):
+    """Log of a knit: each minimal_presentation as (module, result), each transpose as
+    (module, presentation passed, result), each dual as (module, result), and each
+    _Generators with the presentation it was compiled from.  Every object is kept, so no id is reused."""
+    log = {"minimal_presentation": [], "transpose": [], "dual": [], "compiled": []}
+    presentation, transpose, dual, of = mc.minimal_presentation, mc.transpose, mc.dual, arknit._Generators.of
+
+    def presented(M):
+        log["minimal_presentation"].append((M, presentation(M)))
+        return log["minimal_presentation"][-1][1]
+
+    def transposed(M, pres=None):
+        log["transpose"].append((M, pres, transpose(M, pres)))
+        return log["transpose"][-1][2]
+
+    def dualized(M):
+        log["dual"].append((M, dual(M)))
+        return log["dual"][-1][1]
+
+    def compiled(cls, A, pres):
+        log["compiled"].append((of(A, pres), pres))
+        return log["compiled"][-1][0]
+
+    monkeypatch.setattr(mc, "minimal_presentation", presented)
+    monkeypatch.setattr(mc, "transpose", transposed)
+    monkeypatch.setattr(mc, "dual", dualized)
+    monkeypatch.setattr(arknit._Generators, "of", classmethod(compiled))
+    return log, dual
+
+
+# the members placed as tau M and as tau^-1 M: on A3 and A5/rad^2 every member is a seed
+@pytest.mark.parametrize("build, translates", [(lambda: lambda3(p=101), (0, 0)), (lambda: nakayama_rad2(5, p=2), (0, 0)),
+                                           (lambda: d4(p=101), (0, 4)), (lambda: e7_linear(p=2), (20, 25))],
+                         ids=["A3", "A5rad2-2", "D4-101", "E7-2"])
+def test_knitting_computes_each_translate_once(monkeypatch, build, translates):
+    log, dual = _record_knit_sources(monkeypatch)
+    calls = _record_calls(monkeypatch, ["tau", "tau_inv"])
+    idx = arknit.knit_indecomposables(build())
+    n = len(idx.modules)
     position = {id(X): i for i, X in enumerate(idx.modules)}
     # D M is built in the loop, so it is known by its contents: D D M has M's matrices
     by_content = {json.dumps(X.to_json(), sort_keys=True): i for i, X in enumerate(idx.modules)}
 
-    def members(name, dual):
-        return Counter(by_content.get(json.dumps(mc.dual(M).to_json(), sort_keys=True)) if dual
-                       else position[id(M)] for M in calls[name] if (id(M) in position) != dual)
+    def member_of(M, is_dual):
+        """The member that M is (is_dual False) or that M is the dual of, else None."""
+        if not is_dual:
+            return position.get(id(M))
+        return None if id(M) in position else by_content.get(json.dumps(dual(M).to_json(), sort_keys=True))
+
+    # the translates placed as new members: tau^-1 M = Tr D M is the transpose's result itself,
+    # and tau M = D Tr M the dual of one, whose presentation it carries for D tau M
+    results = {id(Tr): Tr for _, _, Tr in log["transpose"]}
+    placed_inv = {position[id(Tr)]: Tr for Tr in results.values() if id(Tr) in position}
+    placed_tau = {position[id(D)]: results[id(M)] for M, D in log["dual"]
+                  if id(D) in position and id(M) in results}
+    compiled = {id(gens): pres for gens, pres in log["compiled"]}
+    for is_dual, placed in ((False, placed_inv), (True, placed_tau)):
+        computed = {}
+        for M, pres in log["minimal_presentation"]:
+            i = member_of(M, is_dual)
+            if i is not None:
+                computed.setdefault(i, []).append(pres)
+        passed = {}  # the presentation each transpose of a member (or of its dual) was given
+        for M, pres, _ in log["transpose"]:
+            i = member_of(M, is_dual)
+            if i is not None:
+                passed.setdefault(i, []).append(pres)
+        for i in range(n):
+            # one source each: a carried presentation, or one minimal_presentation call
+            if i in placed:
+                assert i not in computed, (is_dual, i)
+                used = placed[i].presentation
+            else:
+                assert len(computed.get(i, [])) == 1, (is_dual, i)
+                used = computed[i][0]
+            assert used is not None
+            if is_dual:
+                assert passed.get(i, []) == ([] if idx.is_injective(i) else [used]), i
+            else:
+                assert compiled[id(idx._generators[i])] is used, i
+                assert passed.get(i, []) == ([] if idx.is_projective(i) else [used]), i
+    assert len(log["minimal_presentation"]) == 2 * n - len(placed_inv) - len(placed_tau)
+
+    def members(is_dual):
+        return Counter(i for i in (member_of(M, is_dual) for M, _, _ in log["transpose"]) if i is not None)
 
     def once(keep):
-        return Counter(i for i in range(len(idx.modules)) if keep(i))
+        return Counter(i for i in range(n) if keep(i))
 
-    # one presentation of M and one of D M per member; tau M = D Tr M and tau^-1 M = Tr D M
-    # each come from one transpose of that presentation, and no other translate is taken
-    assert members("minimal_presentation", dual=False) == once(lambda i: True)
-    assert members("minimal_presentation", dual=True) == once(lambda i: True)
-    assert members("transpose", dual=False) == once(lambda i: not idx.is_projective(i))
-    assert members("transpose", dual=True) == once(lambda i: not idx.is_injective(i))
-    assert len(calls["minimal_presentation"]) == 2 * len(idx.modules)
+    # tau M = D Tr M and tau^-1 M = Tr D M each come from one transpose, and no other translate is taken
+    assert members(is_dual=False) == once(lambda i: not idx.is_projective(i))
+    assert members(is_dual=True) == once(lambda i: not idx.is_injective(i))
+    assert len(log["transpose"]) == sum(members(False).values()) + sum(members(True).values())
     assert calls["tau"] == calls["tau_inv"] == []
+    assert (len(placed_tau), len(placed_inv)) == translates
 
 
 @pytest.mark.parametrize("build", [lambda: e7_linear(p=2), lambda: nakayama_rad2(5, p=101)],
@@ -871,6 +941,117 @@ def test_tau2_row_rejects_a_member_that_does_not_vanish_on_e():
     assert idx.tau2_row(frozenset({"3"}), j)[1] == idx.tau2_row(frozenset({"3", "4", "5"}), j)[1]
 
 
+def _check_minimal_presentation(X, pres):
+    """Assert that pres is a minimal presentation P1 -> P0 ->> X, against `mc.minimal_presentation(X)`.
+
+    The vertex multisets are those of the minimal one; the cover is onto X at every
+    vertex and sends the trivial path of the k-th summand of P0 to basis vector
+    generators[k] of X at verts0[k]; and at every vertex the image of P1 under the
+    elements is killed by the cover and has the rank of its kernel.
+    """
+    A, ref = X.algebra, mc.minimal_presentation(X)
+    assert (Counter(pres.verts0), Counter(pres.verts1)) == (Counter(ref.verts0), Counter(ref.verts1))
+    P0 = mc.direct_sum(A, [mc.projective(A, v) for v in pres.verts0])
+    for w in A.vertices:
+        assert (pres.cover[w].rows, pres.cover[w].cols) == (X.dims[w], P0.module.dims[w]), w
+        assert rank(pres.cover[w]) == X.dims[w], w
+    for k, (v, g) in enumerate(zip(pres.verts0, pres.generators)):
+        # the basis is breadth-first: the trivial path is the first basis vector of P(v) at v
+        trivial = P0.inclusions[k].mats[v].col(0)
+        assert pres.cover[v].apply(trivial) == tuple(int(r == g) for r in range(X.dims[v])), k
+    images = {w: [] for w in A.vertices}
+    for r, u in enumerate(pres.verts1):
+        # the generator of P(u) goes to the element that P1's r-th summand names in P0
+        y = (0,) * P0.module.dims[u]
+        for (k, row), terms in pres.elements.items():
+            if row == r:
+                P = mc.projective(A, pres.verts0[k])
+                for c, word in terms:
+                    z = P0.inclusions[k].mats[u].apply(mc.path_action(P, pres.verts0[k], word).col(0))
+                    y = tuple(a + c * b for a, b in zip(y, z))
+        for q in A.paths_from(u):
+            images[q.target].append(mc.path_action(P0.module, u, q.arrows).apply(y))
+    for w in A.vertices:
+        image = Mat.from_columns(A.field, images[w], rows=P0.module.dims[w])
+        assert pres.cover[w].mul(image).is_zero(), w
+        assert rank(image) == P0.module.dims[w] - X.dims[w], w
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_carried_presentations_are_minimal(monkeypatch, name):
+    # every transpose in a knit is of an indecomposable non-projective, so the presentation
+    # it carries is minimal; each member's own presentation, carried or computed, is too
+    log, _ = _record_knit_sources(monkeypatch)
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    monkeypatch.undo()
+    for _, _, Tr in log["transpose"]:
+        _check_minimal_presentation(Tr, Tr.presentation)
+    compiled = {id(gens): pres for gens, pres in log["compiled"]}
+    for i, X in enumerate(idx.modules):
+        _check_minimal_presentation(X, compiled[id(idx._generators[i])])
+
+
+def _padded(pres):
+    """pres with its last relation repeated: a presentation that is not minimal."""
+    r = len(pres.verts1) - 1
+    extra = {(k, r + 1): terms for (k, q), terms in pres.elements.items() if q == r}
+    return mc.Presentation(pres.verts0, pres.verts1 + pres.verts1[r:], {**pres.elements, **extra},
+                           pres.cover, pres.generators)
+
+
+def test_a_carried_presentation_that_is_not_minimal_fails(monkeypatch):
+    # the check rejects each padded presentation; and a knit whose transposes carry one
+    # transposes it again into a sum with projective summands, which cannot close
+    log, _ = _record_knit_sources(monkeypatch)
+    arknit.knit_indecomposables(d4(p=101))
+    monkeypatch.undo()
+    assert log["transpose"]
+    for _, _, Tr in log["transpose"]:
+        with pytest.raises(AssertionError):
+            _check_minimal_presentation(Tr, _padded(Tr.presentation))
+    transpose = mc.transpose
+
+    def padded(M, pres=None):
+        Tr = transpose(M, pres)
+        Tr.presentation = _padded(Tr.presentation)
+        return Tr
+
+    monkeypatch.setattr(mc, "transpose", padded)
+    with pytest.raises((arknit.LimitExceededError, arknit.KnitIncompleteError)):
+        arknit.knit_indecomposables(d4(p=101))
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_tau_of_a_projective_is_zero_and_builds_no_opposite(monkeypatch, name):
+    # over A and over A/<e> for the last vertex e (x3-3 has one vertex: only A); the
+    # tau2_row rows equal those of tau taken as D Tr on every module, projectives too
+    A = HOM_ALGEBRAS[name]()
+    idx = arknit.knit_indecomposables(A)
+    quotients = [frozenset()] + ([frozenset(A.vertices[-1:])] if len(A.vertices) > 1 else [])
+    opposites = []
+    opposite = mc.opposite
+    monkeypatch.setattr(mc, "opposite", lambda B: opposites.append(B) or opposite(B))
+    projectives = 0
+    for e in quotients:
+        Aq = quotient_by_idempotent(A, e) if e else A
+        for X in idx.modules:
+            if any(X.dims[v] for v in e):
+                continue
+            Y = mc.restrict_module(X, Aq)
+            if not mc.minimal_presentation(Y).verts1:
+                del opposites[:]
+                t = mc.tau(Y)
+                assert t.is_zero() and t.algebra is Aq and not opposites
+                projectives += 1
+    assert projectives >= len(A.vertices)
+    monkeypatch.undo()
+    members = {e: [j for j, X in enumerate(idx.modules) if not any(X.dims[v] for v in e)] for e in quotients}
+    rows = {e: [idx.tau2_row(e, j)[1] for j in members[e]] for e in quotients}
+    monkeypatch.setattr(mc, "tau", lambda M: mc.dual(mc.transpose(M)))
+    ref = arknit.IndecIndex(A, idx.modules)
+    assert rows == {e: [ref.tau2_row(e, j)[1] for j in members[e]] for e in quotients}
+
+
 def _record_eliminations(monkeypatch):
     """{(i, j): whether solving Hom(X_i, X_j) ran an elimination}, filled as pairs are solved."""
     eliminations, pairs = [], {}
@@ -927,3 +1108,47 @@ def test_hand_built_index_reads_socles_and_skips_only_zero_hom_spaces(monkeypatc
     skipped = [pair for pair, eliminated in pairs.items() if not eliminated]
     assert any(not _zero_at_tops(idx, i, j) for i, j in skipped)
     assert all(mc.hom_dim(idx.modules[i], idx.modules[j]) == 0 for i, j in skipped)
+
+
+def _relation_walk(idx, pres, i, j):
+    """Hom(X_i, X_j) on the generators of pres, solved as before the stencils: the relations
+    walked term by term for every pair, each path action built up from the identity."""
+    N, p = idx.modules[j], idx.algebra.field.p
+    relations = [[(k, terms) for (k, r), terms in sorted(pres.elements.items()) if r == row]
+                 for row in range(len(pres.verts1))]
+    at = [0]
+    for v in pres.verts0:
+        at.append(at[-1] + N.dims[v])
+    if not at[-1] or not any(idx.modules[i].dims[v] for v in idx._socle(j)):
+        return []
+    rows = [[0] * at[-1] for v in pres.verts1 for _ in range(N.dims[v])]
+    row_at = 0
+    for r, u in enumerate(pres.verts1):
+        for k, terms in relations[r]:
+            for c, word in terms:
+                for t, entries in enumerate(mc.path_action(N, pres.verts0[k], word).data):
+                    out = rows[row_at + t]
+                    for q, y in enumerate(entries, at[k]):
+                        out[q] += c * y
+        row_at += N.dims[u]
+    rows = [[x % p for x in row] for row in rows]
+    return [tuple(x[at[k]:at[k + 1]] for k in range(len(pres.verts0)))
+            for x in kernel_of_rows(rows, at[-1], p)]
+
+
+@pytest.mark.parametrize("name", sorted(set(CENSUS_ALGEBRAS) | set(HOM_ALGEBRAS)))
+def test_stencil_solves_match_the_relation_walk(monkeypatch, name):
+    log, _ = _record_knit_sources(monkeypatch)
+    idx = arknit.knit_indecomposables({**CENSUS_ALGEBRAS, **HOM_ALGEBRAS}[name]())
+    monkeypatch.undo()
+    compiled = {id(gens): pres for gens, pres in log["compiled"]}
+    n = len(idx.modules)
+    for i in range(n):
+        pres = compiled[id(idx._generator_data(i))]
+        for j in range(n):
+            expected = _relation_walk(idx, pres, i, j)
+            assert idx._solutions(i, j) == idx._solve_on_generators(i, j) == expected, (i, j)
+    # each cached path action, built on its cached prefix, is the one built from the identity
+    assert idx._actions
+    for (j, v, word), action in idx._actions.items():
+        assert action == mc.path_action(idx.modules[j], v, word), (j, v, word)
