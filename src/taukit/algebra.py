@@ -315,7 +315,7 @@ class Algebra:
         return f"Algebra(dim={self.dim}, vertices={list(self.vertices)}, p={self.spec.p})"
 
 
-def _enumerate_paths(spec: QuiverSpec, max_len: int, budget: int = 200000):
+def _enumerate_paths(spec: QuiverSpec, max_len: int):
     """Paths by length, each as a Path, in deterministic generation order."""
     by_source: dict = {v: [] for v in spec.vertices}
     for a in spec.arrows:
@@ -328,7 +328,7 @@ def _enumerate_paths(spec: QuiverSpec, max_len: int, budget: int = 200000):
             for a in by_source.get(pth.target, ()):
                 nxt.append(Path(pth.source, a.target, pth.arrows + (a.name,)))
         total += len(nxt)
-        if total > budget:
+        if total > 200000:
             raise NotAdmissibleError("path count exceeded budget; ideal is likely not admissible")
         levels.append(nxt)
         if not nxt:
@@ -365,9 +365,9 @@ def _relation_elements(spec: QuiverSpec, levels, bound, use_min: bool):
     return out
 
 
-def build_algebra(spec: QuiverSpec, max_len: int = 64) -> Algebra:
-    """Construct KQ/I; raises NotAdmissibleError if no path length dies below max_len."""
-    for bound in range(2, max_len + 1):
+def build_algebra(spec: QuiverSpec) -> Algebra:
+    """Construct KQ/I; raises NotAdmissibleError if no path length dies below 64."""
+    for bound in range(2, 65):
         levels = _enumerate_paths(spec, bound)
         if len(levels) <= bound:
             # path enumeration itself died out: quiver has no paths this long
@@ -393,7 +393,7 @@ def build_algebra(spec: QuiverSpec, max_len: int = 64) -> Algebra:
             if nil is None:
                 continue
         return _finish_build(spec, nil)
-    raise NotAdmissibleError(f"no path length dies below {max_len}; ideal not certified admissible")
+    raise NotAdmissibleError("no path length dies below 64; ideal not certified admissible")
 
 
 def _in_row_span(echelon, col: int, ncols: int, p: int) -> bool:
@@ -452,8 +452,8 @@ def _finish_build(spec: QuiverSpec, nil: int) -> Algebra:
     return alg
 
 
-def parse_algebra(text: str, max_len: int = 64) -> Algebra:
-    return build_algebra(parse_spec(text), max_len=max_len)
+def parse_algebra(text: str) -> Algebra:
+    return build_algebra(parse_spec(text))
 
 
 _OPPOSITE_CACHE: dict = {}

@@ -71,10 +71,11 @@ def _load_algebra(args):
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read spec file: {exc}") from None
-    spec = parse_spec(text)
-    if getattr(args, "field", None):
-        spec = type(spec)(args.field, spec.vertices, spec.arrows, spec.relations)
-    return build_algebra(spec)
+    if args.field is not None:
+        # read the text as if its field line said args.field, so coefficients reduce mod it
+        text = "".join(f"field {args.field}\n" if line.split("#", 1)[0].split()[:1] == ["field"]
+                       else line for line in text.splitlines(keepends=True))
+    return build_algebra(parse_spec(text))
 
 
 def _index(A, args):
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="taukit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("spec_path", help="algebra spec file")
-    parser.add_argument("--field", type=int, default=None, help="override the field order")
+    parser.add_argument("--field", type=int, default=None, help="read the spec as if its field line said this prime")
     parser.add_argument("--max-indec", dest="max_indec", type=int, default=64)
     parser.add_argument("--max-dim", dest="max_dim", type=int, default=64)
     parser.add_argument("--subset-budget", dest="subset_budget", type=int, default=20)

@@ -206,9 +206,6 @@ class Mat:
             c0 += m.cols
         return cls(field, rows, cols, tuple(tuple(r) for r in out))
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and rank(self) == self.rows
-
 
 class RrefResult(namedtuple("RrefResult", "matrix rank pivots")):
     __slots__ = ()
@@ -353,13 +350,6 @@ def column_space_basis(m: Mat) -> Mat:
     """Deterministic basis of the column space: the pivot columns of m."""
     piv = _pivots(m)
     return Mat.from_columns(m.field, [m.col(j) for j in piv], rows=m.rows)
-
-
-def complement_basis(basis: Mat) -> Mat:
-    """Standard basis vectors completing the (full-column-rank) basis to all of F_p^n."""
-    n = basis.rows
-    return Mat.from_columns(basis.field, [tuple(int(r == c) for r in range(n))
-                                          for c in quotient_coordinates(basis)[0]], rows=n)
 
 
 def quotient_coordinates(m: Mat):

@@ -351,29 +351,7 @@ def _check_c_exactness(seq: ExactSeq, members):
         raise FailedResolutionError("hom-exactness probe failed")
 
 
-# -- pullbacks and the d-pullback construction --------------------------------------
-
-
-class Pullback:
-    def __init__(self, module, proj_left: mc.ModMap, proj_right: mc.ModMap, inclusion: mc.ModMap):
-        self.module = module
-        self.proj_left = proj_left
-        self.proj_right = proj_right
-        self.inclusion = inclusion  # into left source + right source
-
-
-def pullback(g: mc.ModMap, h: mc.ModMap) -> Pullback:
-    """Pullback of g: A -> C <- B : h."""
-    if g.target.dims != h.target.dims:
-        raise ValueError("pullback targets disagree")
-    A = g.source.algebra
-    ds = mc.direct_sum(A, [g.source, h.source])
-    diff = mc.map_from_sum(ds, [g, h.scale(-1)])
-    K, inc = mc.kernel(diff)
-    return Pullback(K,
-                    ds.projections[0].compose(inc),
-                    ds.projections[1].compose(inc),
-                    inc)
+# -- the d-pullback construction --------------------------------------------------
 
 
 def _stage(C: Subcat, phi: mc.ModMap) -> mc.ModMap:

@@ -22,7 +22,6 @@ from .exactlin import (
     kernel_basis,
     quotient_coordinates,
     rank,
-    rref,
     solve,
     solve_matrix,
 )
@@ -72,9 +71,6 @@ class Module:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def support(self):
-        return [v for v in self.algebra.vertices if self.dims[v] > 0]
-
     def __repr__(self) -> str:
         return f"Module{self.dim_vector()}"
 
@@ -83,17 +79,6 @@ class Module:
             "dims": {v: self.dims[v] for v in self.algebra.vertices},
             "action": {a.name: [list(r) for r in self.action[a.name].data] for a in self.algebra.arrows},
         }
-
-    @classmethod
-    def from_json(cls, A: Algebra, data: dict) -> "Module":
-        dims = {v: int(n) for v, n in data.get("dims", {}).items()}
-        action = {}
-        for name, rows in data.get("action", {}).items():
-            arrow = A.arrow_by_name.get(name)
-            if arrow is None:
-                raise ValueError(f"unknown arrow {name!r}")
-            action[name] = Mat.from_rows(A.field, rows, cols=dims.get(arrow.source, 0))
-        return cls(A, dims, action)
 
 
 class ModMap:
@@ -898,11 +883,11 @@ def proj_dim(M: Module, cap: int = 32) -> int | None:
     return len(verts) - 1 if last is None else None
 
 
-def global_dimension(A: Algebra, cap: int = 32) -> int | None:
-    """Max projective dimension of the simples, or None past the cap."""
+def global_dimension(A: Algebra) -> int | None:
+    """Max projective dimension of the simples, or None past `proj_dim`'s cap."""
     best = 0
     for v in A.vertices:
-        d = proj_dim(simple(A, v), cap)
+        d = proj_dim(simple(A, v))
         if d is None:
             return None
         best = max(best, d)
@@ -962,15 +947,6 @@ def annihilator_basis(modules) -> list:
 
 def annihilator_is_zero(M: Module) -> bool:
     return not annihilator_basis([M])
-
-
-def annihilator_vertices(modules) -> set:
-    """Vertices whose trivial paths annihilate every module in the family."""
-    modules = list(modules)
-    if not modules:
-        raise ValueError("need at least one module")
-    A = modules[0].algebra
-    return {v for v in A.vertices if all(M.dims[v] == 0 for M in modules)}
 
 
 # -- transport along idempotent quotients --------------------------------------
@@ -1090,28 +1066,6 @@ def radical_of_endos(field, flat_basis) -> list:
     return coords
 
 
-def _endo_quotient_structure(field, flat_basis, rad_coords):
-    """Complement basis of the radical and multiplication on the quotient."""
-    k = len(flat_basis)
-    rad_mat = Mat.from_rows(field, rad_coords, cols=k) if rad_coords else Mat.zeros(field, 0, k)
-    echelon = rref(rad_mat)
-    pivot = set(echelon.pivots)
-    comp_idx = [j for j in range(k) if j not in pivot]
-    # quotient coordinates: full coordinate vector reduced by echelon rows, then restricted
-    mat = echelon.matrix
-
-    def reduce_vec(vec):
-        vec = list(vec)
-        for r, c in enumerate(echelon.pivots):
-            f = vec[c] % field.p
-            if f:
-                row = mat.row(r)
-                vec = [(x - f * y) % field.p for x, y in zip(vec, row)]
-        return tuple(vec[j] for j in comp_idx)
-
-    return comp_idx, reduce_vec
-
-
 def is_indecomposable(M: Module) -> bool:
     """Local-endomorphism-ring test via the radical of End(M)."""
     if M.is_zero():
@@ -1122,7 +1076,7 @@ def is_indecomposable(M: Module) -> bool:
     field = M.algebra.field
     flat = [flatten_endo(f) for f in endos]
     rad_coords = radical_of_endos(field, flat)
-    comp_idx, reduce_vec = _endo_quotient_structure(field, flat, rad_coords)
+    comp_idx, reduce_vec = quotient_coordinates(Mat.from_columns(field, rad_coords, rows=len(flat)))
     q = len(comp_idx)
     if q == 1:
         return True
@@ -1264,9 +1218,6 @@ def _split_once(M: Module, rng):
             split = _fitting_split(M, shifted)
             if split is not None:
                 return split
-        split = _fitting_split(M, f)
-        if split is not None:
-            return split
     raise DecompositionError("no splitting found for a decomposable module")
 
 

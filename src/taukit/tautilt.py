@@ -330,12 +330,12 @@ def annihilator_quotient(A: Algebra, modules) -> Algebra:
 
 
 class CorrespondenceReport:
-    def __init__(self, tilting: list, pairs: list, phi: dict, psi: dict, mismatches: list | None = None):
+    def __init__(self, tilting: list, pairs: list, phi: dict, psi: dict, mismatches: list):
         self.tilting = tilting  # (member tuple, SupportTau2Cert)
         self.pairs = pairs      # TorsPair2FF
         self.phi = phi          # member tuple -> torsion-class key
         self.psi = psi          # torsion-class key -> member tuple
-        self.mismatches = [] if mismatches is None else mismatches
+        self.mismatches = mismatches
 
     @property
     def ok(self) -> bool:
@@ -344,10 +344,8 @@ class CorrespondenceReport:
     def counts(self):
         return len(self.tilting), len(self.pairs)
 
-    def to_json(self, host=None) -> dict:
+    def to_json(self, host) -> dict:
         def name(indices):
-            if host is None:
-                return list(indices)
             return [list(host.modules[i].dim_vector()) for i in indices]
 
         return {

@@ -15,6 +15,7 @@ from taukit.algebra import (
     parse_algebra,
     parse_spec,
     quotient_by_idempotent,
+    quotient_by_monomial_ideal,
     serialize_spec,
 )
 from tests.conftest import (
@@ -152,6 +153,23 @@ def test_quotient_composition_matches_union(L3):
     via_union = quotient_by_idempotent(L3, {"1", "3"})
     via_steps = quotient_by_idempotent(quotient_by_idempotent(L3, {"1"}), {"3"})
     assert via_union == via_steps
+
+
+A3_TEXT = "field 101\nvertices 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+
+
+@pytest.mark.parametrize("killed, dim, rest", [
+    (("1", ("a",)), 4, "arrow b: 2 -> 3\n"),
+    (("2", ("b",)), 4, "arrow a: 1 -> 2\n"),
+    (("1", ("a", "b")), 5, "arrow a: 1 -> 2\narrow b: 2 -> 3\nrelation b*a\n"),
+], ids=["a", "b", "b*a"])
+def test_quotient_by_monomial_ideal_on_hereditary_a3(killed, dim, rest):
+    # killing an arrow saturates the ideal with b*a and leaves no relation;
+    # killing b*a alone writes it as the relation of A3/rad^2
+    A = parse_algebra(A3_TEXT)
+    Q = quotient_by_monomial_ideal(A, [A.basis[A.basis_index[killed]]])
+    assert Q.dim == dim
+    assert Q.spec == parse_spec("field 101\nvertices 1 2 3\n" + rest)
 
 
 def test_opposite_involution(L3):

@@ -61,6 +61,39 @@ def test_indecs_with_oracle(lambda3_file, capsys):
     assert data["oracle"]["matches_knitting"] is True
 
 
+SQUARE_TEXT = """\
+field {p}
+vertices 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 2 -> 4
+arrow c: 1 -> 3
+arrow d: 3 -> 4
+relation b*a + {coeff}*d*c
+"""
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_field_option_reads_the_spec_over_that_field(tmp_path, capsys, q):
+    # -1 is 100 mod 101 but 1 mod 2: the commutativity relation must keep both terms
+    over_101 = tmp_path / "square101.alg"
+    over_101.write_text(SQUARE_TEXT.format(p=101, coeff=-1))
+    over_q = tmp_path / f"square{q}.alg"
+    over_q.write_text(SQUARE_TEXT.format(p=q, coeff=-1))
+    for argv in (("indecs",), ("info", "--echo-spec")):
+        assert run_cli(capsys, str(over_101), "--field", str(q), *argv) == \
+            run_cli(capsys, str(over_q), *argv)
+    assert json.loads(run_cli(capsys, str(over_101), "--field", "2", "indecs")[1])["count"] == 11
+
+
+def test_field_option_rejects_a_coefficient_that_vanishes(tmp_path, capsys):
+    path = tmp_path / "square.alg"
+    path.write_text(SQUARE_TEXT.format(p=101, coeff=3))
+    code, out = run_cli(capsys, str(path), "--field", "3", "info")
+    assert code == 4
+    assert json.loads(out) == {"error": "SpecError",
+                               "detail": "line 7, col 1: zero coefficient in relation"}
+
+
 def test_indecs_oracle_over_f101(tmp_path, capsys):
     path = tmp_path / "a5r2.alg"
     path.write_text(nakayama_rad2_text(5, p=101))

@@ -6,7 +6,6 @@ from taukit.exactlin import (
     Mat,
     PrimeField,
     column_space_basis,
-    complement_basis,
     kernel_basis,
     quotient_coordinates,
     rank,
@@ -128,14 +127,6 @@ def test_solve_matrix_and_column_space():
         x = solve_matrix(cs, m)
         assert x is not None
         assert cs.mul(x) == m
-
-
-def test_complement_basis_spans():
-    m = Mat.from_columns(F5, [(1, 2, 0)], rows=3)
-    comp = complement_basis(m)
-    full = Mat.hstack(F5, [m, comp])
-    assert rank(full) == 3
-    assert comp.cols == 2
 
 
 def test_zero_shape_matrices():

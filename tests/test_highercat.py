@@ -225,19 +225,6 @@ def test_hom_exactness_probe_negative(L3idx):
         assert hc.hom_exactness_probe(seq, [P2], side)
 
 
-def test_pullback_universal_property(L3idx):
-    vecs = by_vec(L3idx)
-    P1 = L3idx.modules[vecs[(1, 1, 0)]]
-    S1 = L3idx.modules[vecs[(1, 0, 0)]]
-    cover = mc.projective_cover(S1)
-    iso = mc.iso_between_indecomposables(P1, cover.source)
-    g = cover.compose(iso)
-    pb = hc.pullback(g, g)
-    # pullback of an epi along itself has dimension dim P1 + dim ker
-    assert pb.module.total_dim == P1.total_dim + 1
-    assert g.compose(pb.proj_left).sub(g.compose(pb.proj_right)).is_zero()
-
-
 def test_d_pullback_identity(L3idx, Cstar):
     seq = seq_P3_to_S1(L3idx, Cstar)
     f = mc.ModMap.identity(seq.modules[-1])

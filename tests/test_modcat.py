@@ -4,7 +4,7 @@ import pytest
 
 from taukit import highercat as hc, modcat as mc
 from taukit.algebra import opposite, parse_algebra, quotient_by_idempotent
-from taukit.exactlin import Mat, column_space_basis, complement_basis, rank
+from taukit.exactlin import Mat, quotient_coordinates, rank
 from tests.conftest import auslander_linear, d4, e7_linear, lambda3, nakayama_rad2
 from tests.test_arknit import CYCLE3_RAD2, DUAL_NUMBERS
 from tests.test_highercat import census_and_ct_members
@@ -173,7 +173,7 @@ def test_decompose_with_multiplicity_and_base_change(L3, L3mods):
         n = M.dims[v]
         while True:
             m = Mat.from_rows(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)], cols=n)
-            if m.is_invertible():
+            if rank(m) == n:
                 mats[v] = m
                 break
     action = {a.name: mats[a.target].mul(M.action[a.name]).mul(
@@ -329,7 +329,6 @@ def test_annihilators(L3, L3mods):
     P, S = L3mods
     reg = mc.regular_module(L3).module
     assert mc.annihilator_is_zero(reg)
-    assert mc.annihilator_vertices([S["3"]]) == {"1", "2"}
     # P1 + P2 is already faithful: x*e_2 = c_b*b forces c_b = 0
     T = mc.direct_sum(L3, [P["1"], P["2"], S["1"]]).module
     assert mc.annihilator_is_zero(T)
@@ -348,14 +347,6 @@ def test_proj_dim_and_global_dimension(L3, SS3, A2):
     S1 = mc.simple(L3, "1")
     assert mc.proj_dim(S1) == 2
     assert mc.proj_dim(mc.simple(L3, "2")) == 1
-
-
-def test_module_json_round_trip(L3, L3mods):
-    P, _ = L3mods
-    data = P["1"].to_json()
-    M = mc.Module.from_json(L3, data)
-    assert M.dims == P["1"].dims
-    assert all(M.action[a.name] == P["1"].action[a.name] for a in L3.arrows)
 
 
 def test_module_rejects_relation_violation(L3):
@@ -461,8 +452,8 @@ def _module_cover(M):
     A = M.algebra
     gens = []
     for v, cols in mc.radical_columns(M).items():
-        comp = complement_basis(column_space_basis(cols))
-        gens += [(v, comp.col(j)) for j in range(comp.cols)]
+        gens += [(v, tuple(int(r == c) for r in range(cols.rows)))
+                 for c in quotient_coordinates(cols)[0]]
     ds = mc.direct_sum(A, [mc.projective(A, v) for v, _ in gens])
     components = []
     for (v, vec), inc in zip(gens, ds.inclusions):
