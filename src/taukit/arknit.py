@@ -37,8 +37,8 @@ hom_dim counts solutions, and hom_basis reads a canonical basis back from them w
 A pair is zero with no elimination when X_j is zero at X_i's tops, or when no
 vertex of soc X_j lies in supp X_i: a nonzero image of X_i is a submodule of
 X_j supported in supp X_i, and its socle lies in soc X_j.  The socle vertices
-are the tops of D X_j, which knitting presents anyway; they are kept on the
-census, and an index built by hand reads each member's socle once when first asked.
+are the tops of D X_j, which knitting presents anyway; knitting keeps them, and whether
+X_j is injective, on the census, and an index built by hand reads both when first asked.
 `hom_masks` keeps which Hom spaces are nonzero as one bitmask row and column per member.
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
 reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading.
@@ -101,8 +101,7 @@ class IndecIndex:
         self._coresolutions = {}  # (p, R(p), maxlen, mono_start) -> X_p's coresolution terms, or None
         self._finiteness = {}  # (C, side, M, N1, X & N(N1)) as bitmasks -> (ok, M's FinitenessCert)
         self._approximation_kernels = {}  # (side, M, N1, y) -> ker Hom(y, X1) -> Hom(y, M), X1 -> M from N1
-        self._proj_flags = []
-        self._inj_flags = []
+        self._injective = {}  # i -> whether D X_i's minimal presentation has no P1 term
         self._generators = {}  # i -> _Generators of X_i
         self._socles = {}  # i -> the vertices of soc X_i, kept by knitting or read by _socle
         self._actions = {}  # (j, v, word) -> path action on X_j
@@ -341,8 +340,8 @@ class IndecIndex:
             if (rest, j) not in self._tau2:
                 Aq = quotient_by_idempotent(A, rest) if rest else A
                 t = mc.induce_module(mc.tau_d(mc.restrict_module(X, Aq), 2), A)
-                row = sum(1 << i for i, Y in enumerate(self.modules)
-                          if not any(Y.dims[v] for v in rest) and mc.hom_dim(Y, t))
+                row = _mask(i for i, Y in enumerate(self.modules)
+                            if not any(Y.dims[v] for v in rest) and mc.hom_dim(Y, t))
                 self._tau2[(rest, j)] = (t, row)
             self._tau2[(e, j)] = self._tau2[(rest, j)]
         return self._tau2[(e, j)]
@@ -362,17 +361,13 @@ class IndecIndex:
     def hom_masks(self) -> tuple:
         """Bitmask rows[x] of the m with Hom(X_x, X_m) != 0, and columns[m] of those x."""
         if self._hom_masks is None:
-            ids = range(len(self.modules))
-            rows = [sum(1 << m for m in ids if self.hom_dim(x, m)) for x in ids]
-            self._hom_masks = (rows, [sum(1 << x for x in ids if rows[x] >> m & 1) for m in ids])
+            self._hom_masks = _masks(len(self.modules), self.hom_dim)
         return self._hom_masks
 
     def ext_masks(self, k: int) -> tuple:
         """Bitmask rows[x] of the m with Ext^k(X_x, X_m) != 0, and columns[m] of those x."""
         if k not in self._ext_masks:
-            ids = range(len(self.modules))
-            rows = [sum(1 << m for m in ids if self.ext_dim(k, x, m)) for x in ids]
-            self._ext_masks[k] = (rows, [sum(1 << x for x in ids if rows[x] >> m & 1) for m in ids])
+            self._ext_masks[k] = _masks(len(self.modules), lambda x, m: self.ext_dim(k, x, m))
         return self._ext_masks[k]
 
     def ext_masks_below(self, d: int) -> tuple:
@@ -393,14 +388,21 @@ class IndecIndex:
         """
         if d not in self._ct_required:
             rows, cols = self.ext_masks_below(d)
-            self._ct_required[d] = sum(1 << x for x, (r, c) in enumerate(zip(rows, cols)) if not r or not c)
+            self._ct_required[d] = _mask(x for x, (r, c) in enumerate(zip(rows, cols)) if not r or not c)
         return self._ct_required[d]
 
     def is_projective(self, i: int) -> bool:
-        return self._proj_flags[i]
+        return not self._generator_data(i).verts1
 
     def is_injective(self, i: int) -> bool:
-        return self._inj_flags[i]
+        """Whether D X_i's minimal presentation has no P1 term: kept by knitting, else read once."""
+        if i not in self._injective:
+            self._injective[i] = not mc.minimal_presentation(mc.dual(self.modules[i])).verts1
+        return self._injective[i]
+
+    def at_vertices(self, F, src, mid) -> list:
+        """The `precompose` of F into each injective member I(v): D of F's matrix at v, v in turn."""
+        return [self.precompose(F, src, mid, k) for k in range(len(self.modules)) if self.is_injective(k)]
 
     def summand_indices(self, M) -> list:
         """Index (with multiplicity) of each indecomposable summand of M, sorted.
@@ -428,6 +430,43 @@ class IndecIndex:
             "ar_arrows": [list(a) for a in self.ar_arrows],
             "tau": {str(k): v for k, v in sorted(self.tau_map.items())},
         }
+
+
+def _mask(indices) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _indices(mask: int) -> list:
+    """The census indices set in a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _union(table: list, mask: int) -> int:
+    """The OR of table[m] over the m in the mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _perp(table: list, within: int, mask: int) -> int:
+    """The members in `within` outside table[m] for each m in the mask.
+
+    On the `IndecIndex.hom_masks` rows this is S^perp, the y with Hom(S, y) = 0;
+    on its columns, perp S, the x with Hom(x, S) = 0.
+    """
+    return within & ~_union(table, mask)
+
+
+def _masks(n: int, nonzero) -> tuple:
+    """Bitmask rows[x] of the m < n with nonzero(x, m), and columns[m] of those x."""
+    rows = [_mask(m for m in range(n) if nonzero(x, m)) for x in range(n)]
+    return rows, [_mask(x for x in range(n) if rows[x] >> m & 1) for m in range(n)]
 
 
 class _Generators:
@@ -558,8 +597,7 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
     inverses = []
     for z, i in enumerate(order):
         pres, dual_pres, t, s = records[i]
-        idx._proj_flags.append(not pres.verts1)
-        idx._inj_flags.append(not dual_pres.verts1)
+        idx._injective[z] = not dual_pres.verts1
         idx._generators[z] = _Generators.of(A, pres)
         idx._socles[z] = set(dual_pres.verts0)
         if pres.verts1:
@@ -598,13 +636,13 @@ def irreducible_multiplicities(idx: IndecIndex) -> dict:
             read_back[(z, j, v)] = [h[v].data for h in endos[z]] if z == j else idx._maps_at(z, j, v)
         return read_back[(z, j, v)]
 
-    into = [sum(1 << z for z in range(n) if dims[z][j]) for j in range(n)]
+    into = [_mask(z for z in range(n) if dims[z][j]) for j in range(n)]
     out = {}
     for i in range(n):
         tops = idx._generator_data(i).tops
         images = [[[tuple(row[j] for row in g[v].data) for v, j in tops] for g in endos[i]] if z == i
                   else idx._solutions(i, z) for z in range(n)]
-        reach = sum(1 << z for z in range(n) if images[z])  # the z with rad(X_i, X_z) != 0
+        reach = _mask(z for z in range(n) if images[z])  # the z with rad(X_i, X_z) != 0
         for j in range(n):
             dim = dims[i][j]
             if dim == 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from . import modcat as mc
-from .arknit import IndecIndex
+from .arknit import IndecIndex, _mask
 from .exactlin import Mat, rank
 
 
@@ -223,9 +223,7 @@ def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
     if d < 1:
         raise ValueError("d must be >= 1")
     idx = C.host
-    mask = 0
-    for m in C.members:
-        mask |= 1 << m
+    mask = _mask(C.members)
     required = idx.ct_required(d)
     if mask & required == required:
         rows, cols = idx.ext_masks_below(d)

@@ -36,9 +36,9 @@ from . import highercat as hc
 from . import modcat as mc
 from . import torsion as tn
 from .algebra import Algebra
+from .arknit import _indices, _mask, _union
 from .exactlin import Mat, kernel_basis, rank, rref
 from .highercat import ExactSeq, Subcat
-from .torsion import TooLargeError  # raised here through tn.member_subsets
 
 DEFINITIONS = ("ambient", "quotient")
 
@@ -125,12 +125,12 @@ def _reach(idx, p, members) -> tuple:
 
     A breadth-first search over the `IndecIndex.hom_masks` rows, one frontier at a time.
     """
-    rows, inside = idx.hom_masks()[0], sum(1 << i for i in members)
+    rows, inside = idx.hom_masks()[0], _mask(members)
     reached = frontier = rows[p] & inside
     while frontier:
-        frontier = tn._union(rows, frontier) & inside & ~reached
+        frontier = _union(rows, frontier) & inside & ~reached
         reached |= frontier
-    return tuple(tn._indices(reached))
+    return tuple(_indices(reached))
 
 
 def _coresolve(idx, p, members, maxlen: int, mono_start: bool) -> list | None:
@@ -148,10 +148,9 @@ def _coresolve(idx, p, members, maxlen: int, mono_start: bool) -> list | None:
     nonzero G o F at some v is an AssertionError.
     """
     field = idx.algebra.field
-    cogen = [k for k in range(len(idx.modules)) if idx.is_injective(k)]
     terms: list = []
     prev, cur, F = [], [p], [()]
-    F_at, F_ranks = [], [0] * len(cogen)  # the empty map has no composite to check
+    F_at, F_ranks = [], [0] * len(idx.modules)  # the empty map: rank 0 at each v, no composite to check
     for step in range(maxlen + 1):
         K = {i: kernel_basis(idx.precompose(F, prev, cur, i)) for i in members}
         nxt, G = [], []
@@ -166,7 +165,7 @@ def _coresolve(idx, p, members, maxlen: int, mono_start: bool) -> list | None:
             pivots = rref(Mat.from_columns(field, rad + K[i])).pivots
             G += [K[i][c - len(rad)] for c in pivots if c >= len(rad)]
             nxt += [i] * (len(G) - len(nxt))
-        G_at = [idx.precompose(G, cur, nxt, k) for k in cogen]
+        G_at = idx.at_vertices(G, cur, nxt)
         ranks = [rank(g) for g in G_at]
         if any(not f.mul(g).is_zero() for f, g in zip(F_at, G_at)):
             raise AssertionError("coresolution failed its own exactness check")
@@ -219,7 +218,7 @@ def is_support_tau2_tilting(T, idx, definition: str = "ambient"):
     members = _members(T, idx)
     e = frozenset(v for v in idx.algebra.vertices
                   if all(idx.modules[i].dims[v] == 0 for i in members))
-    mask = sum(1 << i for i in members)
+    mask = _mask(members)
 
     def rigid(kill):
         return not any(idx.tau2_row(kill, j)[1] & mask for j in members)
@@ -271,7 +270,7 @@ def fac_cap_C(T, C: Subcat) -> Subcat:
     """
     idx = C.host
     members = _members(T, idx)
-    field, mask, cols = idx.algebra.field, sum(1 << i for i in members), idx.hom_masks()[1]
+    field, mask, cols = idx.algebra.field, _mask(members), idx.hom_masks()[1]
     keep = []
     for k in C.member_list():
         X = idx.modules[k]
@@ -284,7 +283,7 @@ def fac_cap_C(T, C: Subcat) -> Subcat:
 
 def _ext_projective_members(Tclass: Subcat) -> tuple:
     """Sorted indices of the members X of the class with Ext^2(X, class) = 0."""
-    mask = sum(1 << j for j in Tclass.members)
+    mask = _mask(Tclass.members)
     return tuple(i for i in Tclass.member_list() if not Tclass.host.ext_masks(2)[0][i] & mask)
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from . import highercat as hc
 from . import modcat as mc
+from .arknit import _indices, _mask, _perp, _union
 from .exactlin import Mat, kernel_basis, rank
 from .highercat import ExactSeq, Subcat
 
@@ -49,34 +49,6 @@ def member_subsets(C: Subcat, max_members: int):
 def _check_budget(C: Subcat, max_members: int):
     if len(C.members) > max_members:
         raise TooLargeError(f"{len(C.members)} members exceeds the subset budget {max_members}")
-
-
-def _mask(indices) -> int:
-    return sum(1 << i for i in indices)
-
-
-def _indices(mask: int) -> list:
-    """The census indices set in a bitmask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _union(table: list, mask: int) -> int:
-    """The OR of table[m] over the m in the mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= table[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _perp(table: list, within: int, mask: int) -> int:
-    """The members in `within` outside table[m] for each m in the mask.
-
-    On the `IndecIndex.hom_masks` rows this is S^perp, the y with Hom(S, y) = 0;
-    on its columns, perp S, the x with Hom(x, S) = 0.
-    """
-    return within & ~_union(table, mask)
 
 
 class SequenceFailedError(Exception):
@@ -221,25 +193,37 @@ class TorsPair2FF:
             "torsion_free": self.F.dim_vectors(),
         }
         if include_certs:
-            def chain(seq):
-                return [list(m.dim_vector()) for m in seq.modules]
-
-            all_certs = {}
-            for X, name in ((self.T, "T"), (self.F, "F")):
-                for side in ("contra", "co"):
-                    ok, certs = is_2_finite(X, self.C, side)
-                    if not ok:
-                        raise SequenceFailedError(f"{name} is not 2-{side}variantly finite")
-                    all_certs[f"{name}_{side}"] = certs
+            witness = _halves_not_2_finite(self.T, self.F, self.C)
+            if witness is not None:
+                raise SequenceFailedError(witness)
+            all_certs = {f"{name}_{side}": is_2_finite(X, self.C, side)[1]
+                         for X, name in ((self.T, "T"), (self.F, "F")) for side in ("contra", "co")}
             out["finiteness_certificates"] = {
                 name: {str(mi): cert.chain(self.C) for mi, cert in sorted(certs.items())}
                 for name, certs in sorted(all_certs.items())
             }
             out["canonical_sequences"] = {
-                str(mi): chain(canonical_sequence(self, self.C.host.modules[mi]))
+                str(mi): _canonical_sequence(self.C, all_certs["T_contra"][mi], all_certs["F_co"][mi])
                 for mi in self.C.member_list()
             }
         return out
+
+
+def _canonical_sequence(C: Subcat, t_cert: FinitenessCert, f_cert: FinitenessCert) -> list:
+    """The dim vectors of T_M -> M -> F_M, checked exact at M, from M's T_contra and F_co certificates.
+
+    phi: T_M -> M and psi: M -> F_M are the full approximations they count, one copy of x per
+    basis map.  Hom(-, I(v)) = D(-)_v for the injective member I(v), so exactness at M is rank phi
+    + rank psi = dim M_v at each v, the ranks read off `precompose` into I(v); psi o phi = 0 as Hom(T, F) = 0.
+    """
+    idx, cs, M = C.host, C.member_list(), t_cert.member
+    t_m, f_m = ([t for t, n in zip(cs, cert.x1) for _ in range(n)] for cert in (t_cert, f_cert))
+    phi = [tuple(int(c == b) for n in t_cert.x1 for b in range(n) for c in range(n))]  # one row: M is one summand
+    psi = [tuple(int(c == b) for c in range(n)) for n in f_cert.x1 for b in range(n)]  # one row per copy in F_M
+    for at_phi, at_psi in zip(idx.at_vertices(phi, t_m, [M]), idx.at_vertices(psi, [M], f_m)):
+        if rank(at_phi) + rank(at_psi) != at_phi.cols:
+            raise SequenceFailedError("sequence not exact at the middle term")
+    return t_cert.chain(C)[1:] + f_cert.chain(C)[1:2]
 
 
 def is_torsion_pair_2ff(T: Subcat, F: Subcat, C: Subcat):
@@ -269,20 +253,6 @@ def _halves_not_2_finite(T: Subcat, F: Subcat, C: Subcat) -> str | None:
             if not is_2_finite(X, C, side)[0]:
                 return f"{name} not 2-{side}variantly finite"
     return None
-
-
-def canonical_sequence(pair: TorsPair2FF, M) -> ExactSeq:
-    """T_M -> M -> F_M with the approximation maps, exact at M."""
-    t_ap = hc.right_full_approximation(pair.T.modules(), M)
-    f_ap = hc.left_full_approximation(M, pair.F.modules())
-    comp = f_ap.map.compose(t_ap.map)
-    if not comp.is_zero():
-        raise SequenceFailedError("composite T_M -> M -> F_M is nonzero")
-    A = M.algebra
-    for v in A.vertices:
-        if rank(t_ap.map.mats[v]) + rank(f_ap.map.mats[v]) != M.dims[v]:
-            raise SequenceFailedError("sequence not exact at the middle term")
-    return ExactSeq([t_ap.source, M, f_ap.target], [t_ap.map, f_ap.map])
 
 
 class PushoutLift:
@@ -356,24 +326,28 @@ def _find_u(T2p, Ym, T3, w3, rng):
     hom_u = mc.hom_basis(T2p, Ym)
     if not hom_u:
         return None
-    targets = {v: T3.dims[v] for v in A.vertices}
 
     def hits(cand):
         comp = w3.compose(cand)
-        return all(rank(comp.mats[v]) == targets[v] for v in A.vertices)
+        return all(rank(comp.mats[v]) == T3.dims[v] for v in A.vertices)
 
     for b in hom_u:
         if hits(b):
             return b
     for _ in range(LIFT_TRIES):
-        cand = mc.ModMap.zero(T2p, Ym)
-        for b in hom_u:
-            c = rng.randrange(A.field.p)
-            if c:
-                cand = cand.add(b.scale(c))
+        cand = _combination([rng.randrange(A.field.p) for _ in hom_u], hom_u, T2p, Ym)
         if hits(cand):
             return cand
     return None
+
+
+def _combination(coeffs, basis: list, source, target) -> mc.ModMap:
+    """The sum of c * b over the coefficients c and the maps b: source -> target of the basis."""
+    out = mc.ModMap.zero(source, target)
+    for c, b in zip(coeffs, basis):
+        if c:
+            out = out.add(b.scale(c))
+    return out
 
 
 def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng):
@@ -399,17 +373,6 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng):
     if not sols:
         return None
 
-    def build(coeffs):
-        w = mc.ModMap.zero(T1p, T2p)
-        d = mc.ModMap.zero(T1p, Xm)
-        for c, b in zip(coeffs[:len(basis_w)], basis_w):
-            if c:
-                w = w.add(b.scale(c))
-        for c, b in zip(coeffs[len(basis_w):], basis_d):
-            if c:
-                d = d.add(b.scale(c))
-        return w, d
-
     candidates = list(sols)[:LIFT_TRIES]
     rng_combo = []
     for _ in range(LIFT_TRIES):
@@ -420,7 +383,7 @@ def _solve_middle_stage(T, seq, T2p, u, v_map, ker_v, T1p, rng):
                 coeffs = [(x + c * y) % field.p for x, y in zip(coeffs, kv)]
         rng_combo.append(tuple(coeffs))
     for coeffs in candidates + rng_combo:
-        w, d1 = build(coeffs)
+        w, d1 = _combination(coeffs, basis_w, T1p, T2p), _combination(coeffs[len(basis_w):], basis_d, T1p, Xm)
         if not all(rank(w.mats[v]) == ker_v[v] for v in A.vertices):
             continue
         T0p, iota = mc.kernel(w)

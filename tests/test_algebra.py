@@ -10,7 +10,6 @@ from taukit.algebra import (
     Algebra,
     NotAdmissibleError,
     SpecError,
-    build_algebra,
     opposite,
     parse_algebra,
     parse_spec,

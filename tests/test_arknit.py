@@ -833,6 +833,9 @@ def test_knitting_flags_the_projective_and_injective_member_of_each_vertex(name)
     assert len(projective) == len(injective) == len(A.vertices)
     assert {i for i in range(n) if idx.is_projective(i)} == projective
     assert {i for i in range(n) if idx.is_injective(i)} == injective
+    hand = arknit.IndecIndex(A, list(idx.modules))  # no knitting: each flag is read off the member
+    assert {i for i in range(n) if hand.is_projective(i)} == projective
+    assert {i for i in range(n) if hand.is_injective(i)} == injective
 
 
 # -- seeds: P(v), I(v) and S(v) go in as they are, rad P and I/soc I are decomposed --

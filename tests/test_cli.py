@@ -10,7 +10,8 @@ import pytest
 
 from taukit import arknit, cli, modcat as mc
 from taukit.cli import main
-from tests.conftest import KRONECKER_TEXT, LAMBDA3_TEXT, LOOP_TEXT, SS3_TEXT, nakayama_rad2_text
+from tests.conftest import (KRONECKER_TEXT, LAMBDA3_TEXT, LOOP_TEXT, SS3_TEXT, auslander_linear_text,
+                            nakayama_rad2_text)
 
 CSTAR = "1-1-0,0-1-1,0-0-1,1-0-0"
 
@@ -414,3 +415,41 @@ def test_torsion_enum_with_certificates(lambda3_file, capsys):
     pair = data["pairs"][0]
     assert set(pair["finiteness_certificates"]) == {"T_contra", "T_co", "F_contra", "F_co"}
     assert len(pair["canonical_sequences"]) == 4
+
+
+def _rad2_ct(n):
+    """The --ct names of the 2-CT subcategory of A_n/rad^2 (n odd): the length-2 modules and the odd simples."""
+    unit = [[int(j == i) for j in range(n)] for i in range(n)]
+    dims = [[a + b for a, b in zip(unit[i], unit[i + 1])] for i in range(n - 1)] + unit[::2]
+    return ",".join("-".join(map(str, d)) for d in dims)
+
+
+# the 2-CT subcategory of kA_3's Auslander algebra: add of the tau_2^-k of the projectives
+KA3_CT = ("0-0-0-0-0-1,0-0-0-1-0-0,1-0-0-0-0-0,0-0-0-0-1-1,0-0-0-1-1-0,0-1-0-1-0-0,"
+          "1-1-0-0-0-0,0-0-1-0-1-1,1-1-1-0-0-0,0-1-1-1-1-0")
+A5R2_CERTS = "657a1c7a574fe2ac345858f7c44d06acba4e80954130a007dc032bd0e6911a4f"
+A7R2_CERTS = "1d815fb78eebf2509bbfa37a61e3657075bee23cf4664459b107e2039299c892"
+KA3_CERTS = "52bef2214184bd5e25273eb908e7c6fccff970c216b31fa106aedf6ff0114fc7"
+CERTS_CASES = {
+    "A3-fixture": (None, CSTAR, "c464dbf6546fee9f3909ed63b721fddbabaf48c3f65a25ae98e29aa7a41c8e4e"),
+    "A5rad2-2": (nakayama_rad2_text(5, 2), _rad2_ct(5), A5R2_CERTS),
+    "A5rad2-101": (nakayama_rad2_text(5, 101), _rad2_ct(5), A5R2_CERTS),
+    "A7rad2-2": (nakayama_rad2_text(7, 2), _rad2_ct(7), A7R2_CERTS),
+    "A7rad2-101": (nakayama_rad2_text(7, 101), _rad2_ct(7), A7R2_CERTS),
+    "kA3-2": (auslander_linear_text(3, 2), KA3_CT, KA3_CERTS),
+    "kA3-101": (auslander_linear_text(3, 101), KA3_CT, KA3_CERTS),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTS_CASES))
+def test_torsion_enum_certs_bytes(case, tmp_path, capsys):
+    """The sha256 of `torsion enum --certs` stdout, pinned from the release before the canonical
+    sequences were read off the finiteness certificates."""
+    text, ct, digest = CERTS_CASES[case]
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "a3_zero_relation.alg")
+    if text is not None:
+        path = tmp_path / "a.alg"
+        path.write_text(text)
+    code, out = run_cli(capsys, str(path), "torsion", "enum", "--certs", "--ct", ct)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -308,7 +308,7 @@ def test_verify_theorem1_zero_algebra(L3):
 
 
 def test_verify_theorem1_budget(L3idx, L3, Cstar):
-    with pytest.raises(tt.TooLargeError):
+    with pytest.raises(tn.TooLargeError):
         tt.verify_theorem1(L3, Cstar, max_members=2)
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from taukit import arknit, highercat as hc, modcat as mc, torsion as tn
+from taukit import arknit, highercat as hc, modcat as mc, tautilt as tt, torsion as tn
 from taukit.algebra import parse_algebra
 from taukit.exactlin import Mat, kernel_basis, rank
 from tests.conftest import auslander_linear, lambda3, nakayama_rad2
@@ -151,12 +151,27 @@ def test_enumeration_budget(L3idx, Cstar):
         tn.enumerate_2ff_torsion_pairs(Cstar, max_members=2)
 
 
-def test_canonical_sequences_all_pairs(L3idx, Cstar):
-    pairs = tn.enumerate_2ff_torsion_pairs(Cstar)
-    for pair in pairs:
-        for mi in Cstar.member_list():
-            seq = tn.canonical_sequence(pair, L3idx.modules[mi])
-            assert len(seq.modules) == 3
+def _canonical_oracle(pair, M):
+    """T_M -> M -> F_M built from the module-level full approximations by T and by F."""
+    t_ap = hc.right_full_approximation(pair.T.modules(), M)
+    f_ap = hc.left_full_approximation(M, pair.F.modules())
+    return hc.ExactSeq([t_ap.source, M, f_ap.target], [t_ap.map, f_ap.map])
+
+
+def test_canonical_sequences_all_pairs():
+    for case in ("A3", "A3-2", "A5rad2-101"):
+        C = _ct_case(case)
+        for pair in tn.enumerate_2ff_torsion_pairs(C):
+            sequences = pair.to_json(include_certs=True)["canonical_sequences"]
+            assert list(sequences) == [str(mi) for mi in C.member_list()]
+            for mi in C.member_list():
+                seq = _canonical_oracle(pair, C.host.modules[mi])
+                assert sequences[str(mi)] == [list(X.dim_vector()) for X in seq.modules], (case, mi)
+                assert seq.is_exact(mono_start=False, epi_end=False)
+                if mi in pair.T.members:
+                    assert seq.maps[0].is_epi() and seq.modules[2].is_zero()  # T_M ->> M, and F_M = 0
+                if mi in pair.F.members:
+                    assert seq.modules[0].is_zero() and seq.maps[1].is_mono()  # T_M = 0, and M >-> F_M
 
 
 def test_canonical_sequence_member_cases(L3idx, Cstar):
@@ -164,14 +179,61 @@ def test_canonical_sequence_member_cases(L3idx, Cstar):
     pairs = tn.enumerate_2ff_torsion_pairs(Cstar)
     pair = next(p for p in pairs
                 if p.T.members == frozenset({vecs[(1, 1, 0)], vecs[(0, 1, 1)], vecs[(1, 0, 0)]}))
-    P2 = L3idx.modules[vecs[(0, 1, 1)]]
-    seq = tn.canonical_sequence(pair, P2)
-    assert seq.maps[0].is_epi()       # T_M ->> M for M in the torsion class
-    assert seq.maps[1].is_zero() or seq.maps[1].source.dims != {}
-    S3 = L3idx.modules[vecs[(0, 0, 1)]]
-    seq = tn.canonical_sequence(pair, S3)
-    assert seq.maps[0].source.is_zero()   # T_M = 0 for M in the torsion-free class
-    assert seq.maps[1].is_mono()
+    sequences = pair.to_json(include_certs=True)["canonical_sequences"]
+    P2, S3 = vecs[(0, 1, 1)], vecs[(0, 0, 1)]
+    assert sequences[str(P2)] == [[0, 1, 1], [0, 1, 1], [0, 0, 0]]
+    assert _canonical_oracle(pair, L3idx.modules[P2]).maps[0].is_epi()  # T_M ->> M for M in the torsion class
+    assert sequences[str(S3)] == [[0, 0, 0], [0, 0, 1], [0, 0, 1]]  # T_M = 0 for M in the torsion-free class
+    assert _canonical_oracle(pair, L3idx.modules[S3]).maps[1].is_mono()
+
+
+def test_canonical_sequence_rejects_a_certificate_with_t_m_zeroed(monkeypatch):
+    C = _ct_case("A5rad2-101")
+    is_2_finite, tampered = tn.is_2_finite, 0
+    for pair in tn.enumerate_2ff_torsion_pairs(C):
+        for mi, cert in is_2_finite(pair.T, C, "contra")[1].items():
+            if not any(cert.x1):
+                continue
+
+            def zeroed(X, C_, side, pair=pair, mi=mi):
+                ok, certs = is_2_finite(X, C_, side)
+                if X is pair.T and side == "contra":
+                    certs = {**certs, mi: tn.FinitenessCert(side, mi, [0] * len(certs[mi].x1), certs[mi].x2)}
+                return ok, certs
+
+            monkeypatch.setattr(tn, "is_2_finite", zeroed)
+            with pytest.raises(tn.SequenceFailedError):
+                pair.to_json(include_certs=True)
+            monkeypatch.setattr(tn, "is_2_finite", is_2_finite)
+            tampered += 1
+    assert tampered == 92
+
+
+@pytest.mark.parametrize("case", ["A5rad2-101", "kA3-101"])
+def test_certificates_build_no_modules(case, monkeypatch):
+    pairs = tn.enumerate_2ff_torsion_pairs(_ct_case(case))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    for module, name in ((mc, "direct_sum"), (mc, "dual"),
+                         (hc, "right_full_approximation"), (hc, "left_full_approximation")):
+        monkeypatch.setattr(module, name, refuse)
+    for pair in pairs:
+        pair.to_json(include_certs=True)
+
+
+@pytest.mark.parametrize("case", ["A3", "A5rad2-101"])
+def test_hand_built_index_gives_the_knitted_verdicts_and_certificates(case):
+    # an index with no AR data reads each member's projective and injective flags off its presentations
+    C = _ct_case(case)
+    census = C.host
+    hand = arknit.IndecIndex(census.algebra, list(census.modules))
+    H = hc.Subcat.of(hand, C.members)
+    assert (tt.verify_theorem1(hand.algebra, H).to_json(hand)
+            == tt.verify_theorem1(census.algebra, C).to_json(census))
+    assert ([p.to_json(include_certs=True) for p in tn.enumerate_2ff_torsion_pairs(H)]
+            == [p.to_json(include_certs=True) for p in tn.enumerate_2ff_torsion_pairs(C)])
 
 
 def test_pushout_lift_split_case(L3idx, Cstar):
@@ -388,9 +450,9 @@ def test_members_of_x_get_the_certificate_of_the_kernel_ranks(case):
 
 
 def _ct_case(name):
-    """A freshly knitted 2-CT subcategory: "A3", "A<n>rad2-<p>", "kA3-<p>" or "x3"."""
-    if name == "A3":
-        idx = arknit.knit_indecomposables(lambda3())
+    """A freshly knitted 2-CT subcategory: "A3" (over F_101), "A3-2", "A<n>rad2-<p>", "kA3-<p>" or "x3"."""
+    if name in ("A3", "A3-2"):
+        idx = arknit.knit_indecomposables(lambda3(2 if name == "A3-2" else 101))
         vecs = by_vec(idx)
         return hc.Subcat.of(idx, [vecs[v] for v in ((1, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0))])
     if name == "x3":  # not 2-CT, but End of a member has dimension > 1
@@ -427,7 +489,7 @@ def _subset_scan(C):
 @pytest.mark.parametrize("case", ["A3", "A5rad2-2", "A5rad2-101", "A7rad2-101", "kA3-2", "kA3-101"])
 def test_closure_enumeration_matches_the_subset_scan(case):
     C, fresh = _ct_case(case), _ct_case(case)
-    classes = [(tuple(tn._indices(T)), tuple(tn._indices(F))) for T, F in tn._torsion_classes(C)]
+    classes = [(tuple(arknit._indices(T)), tuple(arknit._indices(F))) for T, F in tn._torsion_classes(C)]
     assert len(classes) == len(set(classes))
     assert sorted(classes) == sorted(_closed_subsets(fresh))
     pairs, expected = tn.enumerate_2ff_torsion_pairs(C), _subset_scan(fresh)
