@@ -33,7 +33,7 @@ Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
 AssertionError.  Knitting solves Hom once per pair on the source's top generators,
 placing each element's cached action on the target into the source's compiled stencil;
-hom_dim counts solutions, and hom_basis reads a canonical basis back from them when first asked.
+hom_dim counts solutions, hom_basis reads each back as a map, and compose solves nothing.
 A pair is zero with no elimination when X_j is zero at X_i's tops, or when no
 vertex of soc X_j lies in supp X_i: a nonzero image of X_i is a submodule of
 X_j supported in supp X_i, and its socle lies in soc X_j.  The socle vertices
@@ -54,7 +54,7 @@ import itertools
 
 from . import modcat as mc
 from .algebra import Algebra, quotient_by_idempotent
-from .exactlin import Mat, extend_echelon, free_variable_basis, kernel_of_rows, solve_matrix
+from .exactlin import Mat, extend_echelon, free_columns, kernel_of_rows, solve_matrix
 
 
 class LimitExceededError(Exception):
@@ -87,7 +87,7 @@ class IndecIndex:
         self.ar_arrows = [] if ar_arrows is None else ar_arrows  # (source, target, multiplicity)
         self.tau_map = {} if tau_map is None else tau_map  # index -> index, non-projectives only
         self._hom_cache = {}  # (i, j) -> Hom(X_i, X_j) solved on X_i's top generators
-        self._hom_bases = {}  # (i, j) -> canonical Hom basis, read back from _hom_cache
+        self._hom_bases = {}  # (i, j) -> the maps of the solutions in _hom_cache
         self._ext_cache = {}
         self._resolutions = {}  # (i, length) -> resolution of X_i
         self._hom_masks = None  # (rows, columns) of the nonzero Hom spaces
@@ -115,15 +115,13 @@ class IndecIndex:
         return len(self._solutions(i, j))
 
     def hom_basis(self, i: int, j: int) -> list:
-        """The `mc.hom_basis` of Hom(X_i, X_j): the `_maps_at` of its solutions, in free-variable form."""
+        """A basis of Hom(X_i, X_j) as maps: each solution, in turn, read back through `_maps_at`."""
         if (i, j) not in self._hom_bases:
-            X, N, A = self.modules[i], self.modules[j], self.algebra
-            per_vertex = [self._maps_at(i, j, w) for w in A.vertices if X.dims[w] * N.dims[w]]
-            vectors = [[y for mats in per_vertex for row in mats[s] for y in row]
-                       for s in range(self.hom_dim(i, j))]
-            length = sum(X.dims[w] * N.dims[w] for w in A.vertices)
-            self._hom_bases[(i, j)] = [mc.vector_to_hom(X, N, vec)
-                                       for vec in free_variable_basis(A.field, vectors, length)]
+            X, N, field = self.modules[i], self.modules[j], self.algebra.field
+            at = {w: self._maps_at(i, j, w) for w in self.algebra.vertices if X.dims[w] * N.dims[w]}
+            self._hom_bases[(i, j)] = [mc.ModMap(X, N, {w: Mat.from_rows(field, m[s], cols=X.dims[w])
+                                                        for w, m in at.items()}, check=False)
+                                       for s in range(self.hom_dim(i, j))]
         return self._hom_bases[(i, j)]
 
     def _solutions(self, i: int, j: int) -> list:
@@ -226,19 +224,23 @@ class IndecIndex:
         return self._compose_cache[key]
 
     def _composition_table(self, i: int, j: int, k: int) -> list:
-        first, second = self.hom_basis(i, j), self.hom_basis(j, k)
-        products = [mc.hom_to_vector(a.compose(b)) for a in second for b in first]
-        if not products:
+        """a o b sends each top generator g of X_i to a(b(g)): a solution of (i, k), read at its `free_columns`."""
+        first, second, p = self._solutions(i, j), self._solutions(j, k), self.algebra.field.p
+        if not first or not second:
             return [[] for _ in second]
-        target = self.hom_basis(i, k)
-        field_ = self.algebra.field
-        rows = len(products[0])
-        span = Mat.from_columns(field_, [mc.hom_to_vector(h) for h in target], rows=rows)
-        coords = solve_matrix(span, Mat.from_columns(field_, products, rows=rows))
-        if coords is None:
-            raise AssertionError(f"a composite X_{i} -> X_{k} left the span of its Hom basis")
-        cols = coords.columns()
-        return [cols[a * len(first):(a + 1) * len(first)] for a in range(len(second))]
+        verts0 = self._generator_data(i).verts0
+        at = {v: self._maps_at(j, k, v) for v in set(verts0)}
+        target = [[y for x in h for y in x] for h in self._solutions(i, k)]
+        free = free_columns(target)
+
+        def coordinates(a: int, b: tuple) -> tuple:
+            image = [sum(r * y for r, y in zip(row, x)) % p for v, x in zip(verts0, b) for row in at[v][a]]
+            coords = tuple(image[f] for f in free)
+            if any((y - sum(c * h[q] for c, h in zip(coords, target))) % p for q, y in enumerate(image)):
+                raise AssertionError(f"a composite X_{i} -> X_{k} left the span of its Hom basis")
+            return coords
+
+        return [[coordinates(a, b) for b in first] for a in range(len(second))]
 
     def radical(self, i: int, j: int) -> list:
         """Coordinates over hom_basis(i, j) of a basis of rad(X_i, X_j), all of Hom for i != j."""
@@ -347,15 +349,15 @@ class IndecIndex:
         return self._tau2[(e, j)]
 
     def ext_dim(self, k: int, i: int, j: int) -> int:
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        if k == 0:
+            return self.hom_dim(i, j)
         key = (k, i, j)
         if key not in self._ext_cache:
-            if k <= 0:
-                self._ext_cache[key] = mc.ext_dim(k, self.modules[i], self.modules[j])
-            else:
-                if (i, k + 1) not in self._resolutions:
-                    self._resolutions[(i, k + 1)] = mc.projective_resolution(self.modules[i], k + 1)
-                res = self._resolutions[(i, k + 1)]
-                self._ext_cache[key] = mc.resolution_ext_dim(res, k, self.modules[j])
+            if (i, k + 1) not in self._resolutions:
+                self._resolutions[(i, k + 1)] = mc.projective_resolution(self.modules[i], k + 1)
+            self._ext_cache[key] = mc.resolution_ext_dim(self._resolutions[(i, k + 1)], k, self.modules[j])
         return self._ext_cache[key]
 
     def hom_masks(self) -> tuple:

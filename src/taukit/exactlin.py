@@ -283,6 +283,12 @@ def kernel_basis(m: Mat) -> list:
     return kernel_of_rows([list(r) for r in m.data], m.cols, m.field.p)
 
 
+def free_columns(basis) -> list:
+    """The free column of each `kernel_of_rows` vector: its last nonzero entry, where every other
+    vector of the basis is 0, so a vector of the span has its coordinates there."""
+    return [max(q for q, x in enumerate(vec) if x) for vec in basis]
+
+
 def extend_echelon(echelon: dict, row: list, p: int) -> bool:
     """Reduce row in place against echelon and keep what is left; True when it was independent.
 
@@ -299,19 +305,6 @@ def extend_echelon(echelon: dict, row: list, p: int) -> bool:
             return True
         row[c:] = [(y - x * z) % p for y, z in zip(row[c:], tail)]
     return False
-
-
-def free_variable_basis(field: PrimeField, vectors, length: int) -> list:
-    """The basis of span(vectors) that `kernel_basis` gives any matrix with that null space.
-
-    Its vector for free column f has a 1 at f, a 0 at every other free column
-    and zeros after f.  So it is the reduced echelon form of the independent
-    vectors with the column order reversed, sorted by last nonzero column.
-    """
-    p = field.p
-    work = [[x % p for x in reversed(v)] for v in vectors]
-    rank_ = len(eliminate(work, length, p))
-    return [tuple(reversed(row)) for row in reversed(work[:rank_])]
 
 
 def _solved_rows(m: Mat, work: list, width: int):

@@ -19,6 +19,7 @@ from .algebra import Algebra, opposite
 from .exactlin import (
     Mat,
     column_space_basis,
+    free_columns,
     kernel_basis,
     quotient_coordinates,
     rank,
@@ -654,9 +655,8 @@ def _word_image(action: dict, images: dict, word: tuple) -> tuple:
 
 def _kernel_action(A: Algebra, verts: list, kbas: dict) -> dict:
     """The action on ker(P ->> X) in its `kernel_basis` kbas[w], P the sum of the P(v), v in
-    verts, acting block-diagonally by the cached projectives.  Free column f is the last nonzero
-    entry of its basis vector and zero in the others, so those entries are the coordinates."""
-    free = {w: [max(q for q, x in enumerate(vec) if x) for vec in kbas[w]] for w in A.vertices}
+    verts, acting block-diagonally by the cached projectives; coordinates are read at the `free_columns`."""
+    free = {w: free_columns(kbas[w]) for w in A.vertices}
     action, acts = {}, _projective_sum_action(A, verts)
     for a in A.arrows:
         cols = [[y[f] for f in free[a.target]] for y in map(acts[a.name].apply, kbas[a.source])]

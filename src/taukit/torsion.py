@@ -157,8 +157,7 @@ def _outside_member(idx, cs: list, side: str, M: int, n1: int, kernels_at: int, 
     """
     op = side == "contra"
     counts = {x: idx.hom_dim(x, M) if op else idx.hom_dim(M, x) for x in _indices(n1)}
-    x1 = [x for x, n in counts.items() for _ in range(n)]
-    phi = [tuple(int(c == b) for c in range(n)) for n in counts.values() for b in range(n)]
+    x1, phi = _copies(counts.items())
 
     def kernel(y):
         """ker F_y, kept on the census under (side, M, N1, y): phi and X1 depend on nothing else."""
@@ -176,6 +175,12 @@ def _outside_member(idx, cs: list, side: str, M: int, n1: int, kernels_at: int, 
         if kernel_dim and rank(idx.precompose(psi, x1, x2, C0, op)) != kernel_dim:
             return False, cert
     return True, cert
+
+
+def _copies(counts) -> tuple:
+    """n copies of x for each (x, n) in counts, and the unit row of each: copy b is x's b-th basis map."""
+    copies = [(x, n, b) for x, n in counts for b in range(n)]
+    return [x for x, _, _ in copies], [tuple(int(c == b) for c in range(n)) for _, n, b in copies]
 
 
 class TorsPair2FF:
@@ -217,9 +222,8 @@ def _canonical_sequence(C: Subcat, t_cert: FinitenessCert, f_cert: FinitenessCer
     + rank psi = dim M_v at each v, the ranks read off `precompose` into I(v); psi o phi = 0 as Hom(T, F) = 0.
     """
     idx, cs, M = C.host, C.member_list(), t_cert.member
-    t_m, f_m = ([t for t, n in zip(cs, cert.x1) for _ in range(n)] for cert in (t_cert, f_cert))
-    phi = [tuple(int(c == b) for n in t_cert.x1 for b in range(n) for c in range(n))]  # one row: M is one summand
-    psi = [tuple(int(c == b) for c in range(n)) for n in f_cert.x1 for b in range(n)]  # one row per copy in F_M
+    (t_m, t_rows), (f_m, psi) = (_copies(zip(cs, cert.x1)) for cert in (t_cert, f_cert))
+    phi = [tuple(y for row in t_rows for y in row)]  # one row: M is one summand
     for at_phi, at_psi in zip(idx.at_vertices(phi, t_m, [M]), idx.at_vertices(psi, [M], f_m)):
         if rank(at_phi) + rank(at_psi) != at_phi.cols:
             raise SequenceFailedError("sequence not exact at the middle term")

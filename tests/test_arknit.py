@@ -604,16 +604,20 @@ def _invertible(field_, n, rng):
             return g
 
 
-def _scrambled_sum(idx, rng):
-    """A sum of up to 4 census members, conjugated at every vertex by an
-    invertible matrix, so no summand sits on its own coordinates."""
-    A = idx.algebra
-    parts = [rng.choice(idx.modules) for _ in range(rng.randint(1, 4))]
-    M = mc.direct_sum(A, parts).module
+def _conjugated(M, rng):
+    """M with its action conjugated at every vertex by a random invertible matrix."""
+    A = M.algebra
     g = {v: _invertible(A.field, M.dims[v], rng) for v in A.vertices}
     g_inv = {v: solve_matrix(g[v], Mat.identity(A.field, M.dims[v])) for v in A.vertices}
     action = {a.name: g[a.target].mul(M.action[a.name]).mul(g_inv[a.source]) for a in A.arrows}
     return mc.Module(A, M.dims, action)
+
+
+def _scrambled_sum(idx, rng):
+    """A sum of up to 4 census members, conjugated at every vertex by an
+    invertible matrix, so no summand sits on its own coordinates."""
+    parts = [rng.choice(idx.modules) for _ in range(rng.randint(1, 4))]
+    return _conjugated(mc.direct_sum(idx.algebra, parts).module, rng)
 
 
 def _decompose_oracle(idx, M):
@@ -653,16 +657,25 @@ HOM_ALGEBRAS = {
 }
 
 
-def _same_maps(first, second):
-    return [f.mats for f in first] == [f.mats for f in second]
+def _spans_module_hom(idx, i, j):
+    """Whether idx.hom_basis(i, j) is hom_dim(i, j) maps spanning what mc.hom_basis spans, by ranks."""
+    X, Y = idx.modules[i], idx.modules[j]
+    basis, oracle = idx.hom_basis(i, j), mc.hom_basis(X, Y)
+    length = sum(X.dims[v] * Y.dims[v] for v in idx.algebra.vertices)
+
+    def rank_of(maps):
+        return rank(Mat.from_rows(idx.algebra.field, [mc.hom_to_vector(f) for f in maps], cols=length))
+
+    return len(basis) == idx.hom_dim(i, j) == len(oracle) == rank_of(basis) == rank_of(oracle) \
+        == rank_of(basis + oracle)
 
 
 @pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
 def test_census_hom_basis_matches_module_hom_basis(name):
     idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
-    for i, X in enumerate(idx.modules):
-        for j, Y in enumerate(idx.modules):
-            assert _same_maps(idx.hom_basis(i, j), mc.hom_basis(X, Y)), (i, j)
+    for i in range(len(idx.modules)):
+        for j in range(len(idx.modules)):
+            assert _spans_module_hom(idx, i, j), (i, j)
 
 
 @pytest.mark.parametrize("name", ["A5rad2-101", "auslander3-2", "x3-3"])
@@ -674,9 +687,9 @@ def test_unknitted_index_hom_basis_matches_module_hom_basis(monkeypatch, name):
     mods = [_scrambled_sum(census, rng) for _ in range(5)] + [P, P, mc.zero_module(A)]
     idx = arknit.IndecIndex(A, mods)
     calls = _record_calls(monkeypatch, ["minimal_presentation"])
-    for i, X in enumerate(mods):
-        for j, Y in enumerate(mods):
-            assert _same_maps(idx.hom_basis(i, j), mc.hom_basis(X, Y)), (i, j)
+    for i in range(len(mods)):
+        for j in range(len(mods)):
+            assert _spans_module_hom(idx, i, j), (i, j)
     # the generators of each member are found once, from its presentation
     assert len(calls["minimal_presentation"]) == len(mods)
 
@@ -785,6 +798,50 @@ def test_precompose_matches_composed_maps(name, op):
         assert got == _precompose_oracle(idx, F, src, mid, k, op), (src, mid, k)
         nonzero += not got.is_zero()
     assert nonzero >= 20
+
+
+@pytest.mark.parametrize("name", ["x3-3", "A5rad2-2", "auslander3-2"])
+def test_composition_tables_solve_nothing_and_compose_no_maps(monkeypatch, name):
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    n = len(idx.modules)
+
+    def refuse(*args):
+        raise AssertionError("a composition table solved a system or composed two maps")
+
+    monkeypatch.setattr(arknit, "solve_matrix", refuse)
+    monkeypatch.setattr(mc.ModMap, "compose", refuse)
+    tables = {(i, j, k): idx.compose(i, j, k) for i in range(n) for j in range(n) for k in range(n)}
+    monkeypatch.undo()
+    # entry [a][b] holds the coordinates of a o b over hom_basis(i, k)
+    for (i, j, k), table in tables.items():
+        assert len(table) == idx.hom_dim(j, k)
+        for a, row in zip(idx.hom_basis(j, k), table):
+            assert len(row) == idx.hom_dim(i, j)
+            for b, coords in zip(idx.hom_basis(i, j), row):
+                assert _combination(idx, i, k, coords).mats == a.compose(b).mats, (i, j, k)
+
+
+def test_a_composite_off_its_hom_basis_is_a_defect(monkeypatch):
+    # solution 0 of End(X) for the largest X of k[x]/(x^3), shifted by 1 in every entry as it is read back:
+    # a composite through it leaves the span of the solutions it should be a combination of
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS["x3-3"]())
+    n, p, maps_at = len(idx.modules), idx.algebra.field.p, arknit.IndecIndex._maps_at
+
+    def shifted(self, i, j, w):
+        mats = maps_at(self, i, j, w)
+        if (i, j) == (n - 1, n - 1):
+            mats[0] = [[(y + 1) % p for y in row] for row in mats[0]]
+        return mats
+
+    monkeypatch.setattr(arknit.IndecIndex, "_maps_at", shifted)
+    tripped = 0
+    for i in range(n):
+        try:
+            idx.compose(i, n - 1, n - 1)
+        except AssertionError as exc:
+            assert "left the span of its Hom basis" in str(exc)
+            tripped += 1
+    assert tripped
 
 
 def _matrix_at(idx, F, src, mid, v):

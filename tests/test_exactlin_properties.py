@@ -18,7 +18,7 @@ from taukit.exactlin import (
     PrimeField,
     RrefResult,
     extend_echelon,
-    free_variable_basis,
+    free_columns,
     kernel_basis,
     quotient_coordinates,
     rank,
@@ -111,13 +111,6 @@ def _ref_solve_matrix(m: Mat, bmat: Mat):
     return Mat.from_columns(m.field, cols, rows=m.cols)
 
 
-def _ref_free_variable_basis(field, vectors, length: int) -> list:
-    if not vectors:
-        return []
-    res = _ref_rref(Mat.from_rows(field, [v[::-1] for v in vectors], cols=length))
-    return [row[::-1] for row in reversed(res.matrix.data[:res.rank])]
-
-
 # -- strategies ---------------------------------------------------------------
 
 
@@ -175,8 +168,11 @@ def test_solve_and_solve_matrix_match_the_reference(system):
 @PROPERTY
 @given(matrices())
 def test_free_variable_basis_and_quotient_coordinates_match_the_reference(m):
-    assert free_variable_basis(m.field, list(m.data), m.cols) == \
-        _ref_free_variable_basis(m.field, list(m.data), m.cols)
+    # a kernel basis vector is 1 at its free column and every other one is 0 there
+    basis = kernel_basis(m)
+    free = free_columns(basis)
+    assert free == [c for c in range(m.cols) if c not in _ref_echelon(m).pivots]
+    assert [[v[f] for f in free] for v in basis] == [[int(a == b) for b in free] for a in free]
     complement, reduce = quotient_coordinates(m)
     echelon = _ref_echelon(Mat.from_rows(m.field, [c[::-1] for c in m.columns()], cols=m.rows))
     assert complement == [c for c in range(m.rows) if m.rows - 1 - c not in echelon.pivots]

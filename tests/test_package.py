@@ -70,3 +70,25 @@ def test_tracer_reads_the_census_caches():
     report = t.report()
     assert report["hom_cache_entries"] > 0
     assert report["ext_cache_entries"] > 0
+
+
+def _unused_imports(path: Path) -> list:
+    """The names that the imports of a module bind and that the module never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports only to re-export
+    init = ROOT / "src" / "taukit" / "__init__.py"
+    paths = [*sorted((ROOT / "src" / "taukit").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    unused = {path.relative_to(ROOT).as_posix(): names for path in paths
+              if path != init and (names := _unused_imports(path))}
+    assert unused == {}

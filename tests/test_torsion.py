@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from taukit import arknit, highercat as hc, modcat as mc, tautilt as tt, torsion
 from taukit.algebra import parse_algebra
 from taukit.exactlin import Mat, kernel_basis, rank
 from tests.conftest import auslander_linear, lambda3, nakayama_rad2
+from tests.test_arknit import _conjugated
 from tests.test_highercat import A5R2_CT, _nakayama_rad2_ct, auslander_ct
 from tests.test_tautilt import TRUNCATED_X3
 
@@ -223,15 +225,20 @@ def test_certificates_build_no_modules(case, monkeypatch):
         pair.to_json(include_certs=True)
 
 
-@pytest.mark.parametrize("case", ["A3", "A5rad2-101"])
-def test_hand_built_index_gives_the_knitted_verdicts_and_certificates(case):
-    # an index with no AR data reads each member's projective and injective flags off its presentations
+@pytest.mark.parametrize("case, conjugated", [("A3", False), ("A5rad2-101", False), ("A3", True),
+                                              ("A5rad2-101", True), ("x3", True)],
+                         ids=["A3", "A5rad2-101", "A3-conjugated", "A5rad2-101-conjugated", "x3-conjugated"])
+def test_hand_built_index_gives_the_knitted_verdicts_and_certificates(case, conjugated):
+    # an index with no AR data reads each member's projective and injective flags off its presentations;
+    # with each member conjugated at every vertex, its Hom basis changes (on x3 its solutions too, as its
+    # members are not thin), and no verdict or certificate may change with it
     C = _ct_case(case)
-    census = C.host
-    hand = arknit.IndecIndex(census.algebra, list(census.modules))
+    census, rng = C.host, random.Random(case)
+    hand = arknit.IndecIndex(census.algebra, [_conjugated(X, rng) if conjugated else X for X in census.modules])
     H = hc.Subcat.of(hand, C.members)
-    assert (tt.verify_theorem1(hand.algebra, H).to_json(hand)
-            == tt.verify_theorem1(census.algebra, C).to_json(census))
+    for definition in ("ambient", "quotient"):
+        assert (tt.verify_theorem1(hand.algebra, H, definition=definition).to_json(hand)
+                == tt.verify_theorem1(census.algebra, C, definition=definition).to_json(census)), definition
     assert ([p.to_json(include_certs=True) for p in tn.enumerate_2ff_torsion_pairs(H)]
             == [p.to_json(include_certs=True) for p in tn.enumerate_2ff_torsion_pairs(C)])
 
