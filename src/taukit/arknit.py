@@ -8,18 +8,23 @@ each M and one of D M: tau M = D Tr M and tau^-1 M = Tr D M are their
 transposes, M is projective (injective) when the one of M (D M) has no P1
 term, and M's presentation stays with it through the sort as the top
 generators that census Hom is solved on.  A translate placed as a new member
-brings one of its two presentations from the transpose that made it (a new
-tau^-1 M its own, a new tau M that of D tau M = Tr M), so only the other goes
-through `minimal_presentation`.  Each translate is placed by the one iso scan
+brings one of its two presentations from the transpose that made it, which
+builds it only then (a new tau^-1 M its own, a new tau M that of D tau M = Tr M),
+so only the other goes through `minimal_presentation`.  Each translate is placed by the one iso scan
 that registers it, and its index is carried through the sort.
-Completeness is certified afterwards by mesh additivity: for every
-non-projective Z with almost split sequence 0 -> tau Z -> E -> Z -> 0, the
-middle term recomputed from irreducible-map multiplicities must match
-dimension-wise, and the kept tau^-1 of tau Z must be Z again.  The
-irreducible multiplicity a(X, Y) is dim rad(X, Y) minus the rank of the
-composites through rad^2, read as the images of X's top generators, with
-rad End(X) from `IndecIndex.radical`; each span is kept as echelon rows that
-each new composite is reduced against, and stops growing once it fills rad(X, Y).
+The irreducible multiplicities a(X, Y) are knitted (Auslander-Reiten-Smalo,
+V.1 and VII.1): the arrows into P(v) are the summands of rad P(v), read off
+its seed decomposition, and a(X, Y) = a(tau Y, X) for Y not projective, so
+each Y reads them off tau Y, down its tau-orbit to a projective.  That needs
+End(X)/rad = k, checked on each member with `IndecIndex.radical`.  When a
+tau-orbit is periodic (k[x]/(x^3), cyclic Nakayama algebras) the census counts
+them by definition instead: a(X, Y) is dim rad(X, Y) minus the rank of the
+composites through rad^2, read as the images of X's top generators; each span is
+kept as echelon rows that each new composite is reduced against, and stops
+growing once it fills rad(X, Y).  Completeness is certified afterwards by mesh
+additivity: for every non-projective Z with almost split sequence
+0 -> tau Z -> E -> Z -> 0, the middle term read off the multiplicities must
+match dimension-wise, and the kept tau^-1 of tau Z must be Z again.
 The brute-force enumerator is the independent oracle the tests compare
 against.  It walks one candidate per orbit of the basis rescalings, the
 orbit's least member in lex order, and so returns the list a walk over every
@@ -31,7 +36,7 @@ vectors in more than one piece (then it is the sum of their spans).
 Summand multiplicities are read off the certified mesh, with no search:
 Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
-AssertionError.  Knitting solves Hom once per pair on the source's top generators,
+AssertionError.  Census Hom is solved once per pair, when first asked, on the source's top generators,
 placing each element's cached action on the target into the source's compiled stencil;
 hom_dim counts solutions, hom_basis reads each back as a map, and compose solves nothing.
 A pair is zero with no elimination when X_j is zero at X_i's tops, or when no
@@ -516,23 +521,24 @@ def _iso_index(modules, M, dim_vectors=None) -> int | None:
 
 
 def _seed_modules(A: Algebra) -> tuple:
-    """The seeds that are indecomposable, and those that may split.
+    """The seeds that are indecomposable, and those that may split, as (v, seed).
 
     P(v), I(v) and S(v) are indecomposable: the endomorphism rings of P(v)
     and I(v) are e_v A e_v or its opposite, local as e_v is primitive, and
-    S(v) is simple.  rad P(v) and I(v)/soc I(v) can be sums, and are decomposed.
+    S(v) is simple.  rad P(v) and I(v)/soc I(v) can be sums, and are decomposed;
+    v is the vertex of the seed rad P(v), and None for I(v)/soc I(v).
     """
     projectives = [mc.projective(A, v) for v in A.vertices]
     injectives = [mc.injective(A, v) for v in A.vertices]
     layers = []
-    for P, I in zip(projectives, injectives):
+    for v, P, I in zip(A.vertices, projectives, injectives):
         radP, _ = mc.radical_submodule(P)
         if not radP.is_zero():
-            layers.append(radP)
+            layers.append((v, radP))
         soc, inc = mc.submodule_from_columns(I, mc.socle_columns(I))
         quot, _ = mc.cokernel(inc)
         if not quot.is_zero():
-            layers.append(quot)
+            layers.append((None, quot))
     return projectives + injectives + [mc.simple(A, v) for v in A.vertices], layers
 
 
@@ -542,12 +548,13 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         raise ValueError("limits must be positive")
     found: list = []
     found_dims: list = []  # found_dims[i] is the dim vector of found[i]
-    carried: dict = {}  # i -> (presentation of found[i], of D found[i]), read off the transpose that placed it
+    carried: dict = {}  # i -> the transposes carrying the presentations of found[i] and of D found[i]
 
-    def register(M, presentations=(None, None)) -> int | None:
+    def register(M, carriers=(None, None)) -> int | None:
         """The index in found of the member isomorphic to M, placing M if it is new.
 
-        presentations are the ones of M and of D M that a new M keeps, None where there is none."""
+        carriers are the transposes whose `presentation` a new M keeps, for M and for D M,
+        None where there is none; it is read only once M is placed."""
         if M.is_zero():
             return None
         if M.total_dim > max_dim:
@@ -558,7 +565,7 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
             return k
         found.append(M)
         found_dims.append(M.dim_vector())
-        carried[len(found) - 1] = presentations
+        carried[len(found) - 1] = carriers
         if len(found) > max_count:
             raise LimitExceededError(f"more than max_count={max_count} indecomposables", partial=found)
         return len(found) - 1
@@ -568,9 +575,11 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
     whole, layers = _seed_modules(A)
     for X in whole:
         register(X)
-    for seed in layers:
-        for X, _ in mc.decompose(seed).summands:
-            register(X)
+    radicals = {}  # v -> {index in found: multiplicity of that summand of rad P(v)}
+    for v, seed in layers:
+        summands = {register(X): m for X, m in mc.decompose(seed).summands}
+        if v is not None:
+            radicals[v] = summands
 
     # for each M in found: its presentation, D M's (its tops are soc M, and M is injective
     # when it has no P1), and the indices in found of tau M and tau^-1 M, None when not taken.
@@ -580,17 +589,17 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
     records = []
     while len(records) < len(found):
         M = found[len(records)]
-        pres, dual_pres = carried.pop(len(records))
-        pres = pres or mc.minimal_presentation(M)
+        own, of_dual = carried.pop(len(records))
+        pres = own.presentation if own else mc.minimal_presentation(M)
         DM = mc.dual(M)
-        dual_pres = dual_pres or mc.minimal_presentation(DM)
+        dual_pres = of_dual.presentation if of_dual else mc.minimal_presentation(DM)
         t = s = None
         if pres.verts1:
             Tr = mc.transpose(M, pres)
-            t = register(mc.dual(Tr), (None, Tr.presentation))
+            t = register(mc.dual(Tr), (None, Tr))
         if dual_pres.verts1:
             TrD = mc.transpose(DM, dual_pres)
-            s = register(TrD, (TrD.presentation, None))
+            s = register(TrD, (TrD, None))
         records.append((pres, dual_pres, t, s))
 
     order = sorted(range(len(found)), key=lambda i: (found[i].total_dim, found_dims[i]))
@@ -607,7 +616,8 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
                 raise KnitIncompleteError("tau image missing from index")
             idx.tau_map[z] = place[t]
         inverses.append(place.get(s))
-    _certify_and_mesh(idx, inverses)
+    _certify_and_mesh(idx, inverses, {v: {place[x]: m for x, m in summands.items()}
+                                      for v, summands in radicals.items()})
     return idx
 
 
@@ -676,9 +686,57 @@ def _radical_endos(idx: IndecIndex, i: int) -> list:
             for coords in rad]
 
 
-def _certify_and_mesh(idx: IndecIndex, inverses: list):
-    """Mesh additivity and the tau round trip; inverses[i] is the index of tau^-1 X_i or None."""
-    mult = irreducible_multiplicities(idx)
+def _knitted_multiplicities(idx: IndecIndex, inverses: list, radicals: dict) -> dict | None:
+    """a(X, Y) knitted from rad P and tau, None when some tau-orbit never reaches a projective.
+
+    With End/rad = k on every member (Auslander-Reiten-Smalo, V.1 and VII.1): the
+    arrows into P(v) are the summands of rad P(v), radicals[v] as {index: multiplicity};
+    for Y not projective, the almost split sequence 0 -> tau Y -> E -> Y -> 0 has as
+    E the successors of T = tau Y, so a(X, Y) = a(T, X).  Those are the projectives P
+    with T in rad P, a(P, Y) its multiplicity there, and the tau^-1 W for W -> T with W
+    not injective, a(tau^-1 W, Y) = a(W, T).  So each Y reads tau Y's arrows, down its
+    tau-orbit to a projective.  A rad P(v) whose summands' dims do not add up to
+    P(v)'s less the top is a KnitIncompleteError.
+    """
+    n, vertices = len(idx.modules), idx.algebra.vertices
+    into = {}  # y -> {x: a(X_x, X_y)}
+    above = {}  # x -> {projective z: multiplicity of X_x in rad X_z}
+    for z in range(n):
+        if not idx.is_projective(z):
+            continue
+        (v,) = idx._generator_data(z).verts0
+        into[z] = radicals.get(v, {})
+        dims = [d - (w == v) for w, d in zip(vertices, idx.modules[z].dim_vector())]
+        for x, m in into[z].items():
+            above.setdefault(x, {})[z] = m
+            dims = [d - m * e for d, e in zip(dims, idx.modules[x].dim_vector())]
+        if any(dims):
+            raise KnitIncompleteError(f"the summands of rad P({v}) do not add up to it")
+    for y in range(n):
+        orbit = []
+        while y not in into:
+            if y in orbit:
+                return None
+            orbit.append(y)
+            y = idx.tau_map[y]
+        for y in reversed(orbit):
+            t = idx.tau_map[y]
+            into[y] = dict(above.get(t, {}))
+            into[y].update((inverses[w], a) for w, a in into[t].items() if inverses[w] is not None)
+    return {(x, y): a for y, arrows in into.items() for x, a in arrows.items()}
+
+
+def _certify_and_mesh(idx: IndecIndex, inverses: list, radicals: dict):
+    """Mesh additivity and the tau round trip; inverses[i] is the index of tau^-1 X_i or None.
+
+    The arrows are knitted (`_knitted_multiplicities`) when every tau-orbit reaches a
+    projective, else counted by `irreducible_multiplicities`; either way End(X)/rad = k
+    is checked on every member, one `idx.radical` each."""
+    for i in range(len(idx.modules)):
+        idx.radical(i, i)
+    mult = _knitted_multiplicities(idx, inverses, radicals)
+    if mult is None:
+        mult = irreducible_multiplicities(idx)
     idx.ar_arrows = sorted((i, j, a) for (i, j), a in mult.items())
     # mesh additivity: dims(tau Z) + dims(Z) = sum of middle-term dims
     for z, M in enumerate(idx.modules):

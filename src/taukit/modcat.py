@@ -38,11 +38,11 @@ class DecompositionError(Exception):
 class Module:
     """A finite-dimensional representation of a bound quiver algebra."""
 
-    __slots__ = ("algebra", "dims", "action", "total_dim", "presentation")
+    __slots__ = ("algebra", "dims", "action", "total_dim", "_presentation")
 
     def __init__(self, A: Algebra, dims: dict, action: dict, check: bool = True):
         self.algebra = A
-        self.presentation = None  # a projective presentation its maker read off, if any (see `transpose`)
+        self._presentation = None  # see `presentation`
         self.dims = {v: int(dims.get(v, 0)) for v in A.vertices}
         self.action = {}
         for a in A.arrows:
@@ -65,6 +65,19 @@ class Module:
                 raise ValueError(f"matrix shape mismatch for arrow {a.name}")
         if not relations_hold(A, self.dims, {name: m.data for name, m in self.action.items()}):
             raise ValueError("module does not satisfy the algebra relations")
+
+    @property
+    def presentation(self):
+        """A projective presentation its maker read off, if any (see `transpose`).
+
+        The maker may set a function of no arguments instead; it is called on the first read."""
+        if callable(self._presentation):
+            self._presentation = self._presentation()
+        return self._presentation
+
+    @presentation.setter
+    def presentation(self, pres):
+        self._presentation = pres
 
     def dim_vector(self) -> tuple:
         return tuple(self.dims[v] for v in self.algebra.vertices)
@@ -741,7 +754,8 @@ def transpose(M: Module, pres: Presentation | None = None) -> Module:
     The result carries P0* -> P1* ->> Tr M as its `presentation`: the elements reversed,
     the cover read off the cokernel, and as generators the trivial paths of P1*, which lie
     outside the image (it is in rad P1*) and so are basis vectors of Tr M.  This
-    presentation is minimal when M has no projective summand (Auslander-Reiten-Smalo, IV.1)."""
+    presentation is minimal when M has no projective summand (Auslander-Reiten-Smalo, IV.1).
+    It is built on its first read: knitting reads it only off a translate that it places."""
     Aop = opposite(M.algebra)
     if pres is None:
         pres = minimal_presentation(M)
@@ -755,12 +769,16 @@ def transpose(M: Module, pres: Presentation | None = None) -> Module:
     image = {w: Mat.from_rows(Aop.field, grid[w], cols=src[w][-1]) for w in Aop.vertices}
     complement, reduce, quotient = _cokernel(Aop, _projective_sum_action(Aop, pres.verts1), image)
     Tr = Module(Aop, {w: len(complement[w]) for w in Aop.vertices}, quotient, check=False)
-    cover = {w: _projection(Aop.field, complement[w], reduce[w], tgt[w][-1]) for w in Aop.vertices}
-    # the basis is breadth-first, so the trivial path is the first basis vector of P_op(v) at v
-    generators = [complement[v].index(tgt[v][i]) for i, v in enumerate(pres.verts1)]
-    Tr.presentation = Presentation(list(pres.verts1), list(pres.verts0),
-                                   {(i, j): tuple((c, tuple(reversed(word))) for c, word in terms)
-                                    for (j, i), terms in pres.elements.items()}, cover, generators)
+
+    def carried() -> Presentation:
+        cover = {w: _projection(Aop.field, complement[w], reduce[w], tgt[w][-1]) for w in Aop.vertices}
+        # the basis is breadth-first, so the trivial path is the first basis vector of P_op(v) at v
+        generators = [complement[v].index(tgt[v][i]) for i, v in enumerate(pres.verts1)]
+        return Presentation(list(pres.verts1), list(pres.verts0),
+                            {(i, j): tuple((c, tuple(reversed(word))) for c, word in terms)
+                             for (j, i), terms in pres.elements.items()}, cover, generators)
+
+    Tr.presentation = carried
     return Tr
 
 

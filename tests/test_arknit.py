@@ -304,6 +304,17 @@ PINNED_CENSUS = {
                  "3e35f6219c273ea508db4cd184ad43abd55e11ec4a26a9ac2214db06720a5380"),
     "A7rad2-101": ("772f80eba2aaa1930ba4c6be6151a3afdb35b62a59992993fdae1ab1d83a8c86",
                    "3e35f6219c273ea508db4cd184ad43abd55e11ec4a26a9ac2214db06720a5380"),
+    # both fields of E7, an Auslander algebra, and three algebras whose tau-orbits are periodic
+    "E7-101": ("94aecb0a45c039b58ad6deeeac6ee7db25c442c3c0367a18e3f959645930ae65",
+               "d8591750073901a64ff282f6e69b4efa8cccf3313964565e2a43ad38fe24d9c7"),
+    "auslander3-2": ("b051a2ae34fc39b5d28de99d3e42e89acb2f9339f5fee37b567e45278ff0c0b5",
+                     "7706d19b835d06ba4bff3f48093f479eb86f6e21a18b1a708559e5e9f5ab20a8"),
+    "x3-3": ("f797e79da73402a1f558d0811d4de9235d31246d8ce7ea116d81ca83ed48bdb4",
+             "fcdeb2899da22d5442c4da952dd3bd773c5438e1c387f24d78166f574696bdcf"),
+    "cycle2rad3-3": ("9b8abf083fbff9e12ebb113fb8c0862bf17b2c8fe4d3aa1d3e4146de6eebba6a",
+                     "4d0bc348429156292b07f4810afbce8a78362aa9291fc903e9d2b0764a029118"),
+    "cycle3rad2-3": ("c28c8b83ddee7a9028c7ca0fbf7aa58e379e4cee1073a409560765f1cb4f7d75",
+                     "5238be28394dbeadfe77b8f95dd77fec88e52d20e54b15de80f8b16642fd9e23"),
 }
 
 
@@ -316,9 +327,10 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CENSUS_ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(PINNED_CENSUS))
 def test_census_bytes_are_pinned(censuses, name):
-    idx = censuses[name]
+    idx = censuses[name] if name in censuses else arknit.knit_indecomposables(
+        {"E7-101": lambda: e7_linear(p=101), **HOM_ALGEBRAS}[name]())
     assert (_sha(emit_report(idx.to_json())), _sha(arknit.ar_quiver_dot(idx))) == PINNED_CENSUS[name]
 
 
@@ -709,13 +721,17 @@ def _record_solves(monkeypatch):
 def test_hom_dim_then_hom_basis_compute_once(monkeypatch, L3):
     solved = _record_solves(monkeypatch)
     idx = arknit.knit_indecomposables(L3)
-    knitted = list(solved)
+    n = len(idx.modules)
+    for i in range(n):
+        for j in range(n):
+            idx.hom_dim(i, j)
+    requested = list(solved)
     calls = _record_calls(monkeypatch, ["hom_basis"])
-    i, j = 0, len(idx.modules) - 1
+    i, j = 0, n - 1
     assert idx.hom_dim(i, j) == len(idx.hom_basis(i, j))
-    # knitting solved the pair on X_i's generators, and the basis is read back from that solution
+    # hom_dim solved the pair on X_i's generators, and the basis is read back from that solution
     assert len(calls["hom_basis"]) == 0
-    assert knitted.count((i, j)) == 1 and solved == knitted
+    assert requested.count((i, j)) == 1 and solved == requested
 
 
 @pytest.mark.parametrize("name", ["E7-2", "A5rad2-101"])
@@ -723,15 +739,19 @@ def test_knitting_solves_each_pair_once_and_reads_back_no_basis(monkeypatch, nam
     solved = _record_solves(monkeypatch)
     idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
     n = len(idx.modules)
-    # each ordered pair's system is solved once; only an End of dimension > 1 is put in canonical form
+    for i in range(n):
+        for j in range(n):
+            idx.hom_dim(i, j)
+    # knitting and then hom_dim solve each ordered pair's system once; only an End of
+    # dimension > 1 is read back as maps
     assert sorted(solved) == [(i, j) for i in range(n) for j in range(n)]
     assert all(i == j and idx.hom_dim(i, i) > 1 for i, j in idx._hom_bases)
-    knitted = list(solved)
+    requested = list(solved)
     calls = _record_calls(monkeypatch, ["hom_basis"])
     for i in range(n):
         for j in range(n):
             assert len(idx.hom_basis(i, j)) == idx.hom_dim(i, j)
-    assert solved == knitted and not calls["hom_basis"]
+    assert solved == requested and not calls["hom_basis"]
 
 
 def test_knitting_checks_that_each_end_modulo_its_radical_is_k(monkeypatch):
@@ -739,6 +759,82 @@ def test_knitting_checks_that_each_end_modulo_its_radical_is_k(monkeypatch):
     monkeypatch.setattr(mc, "radical_of_endos", lambda field, flat: [])
     with pytest.raises(AssertionError, match="modulo its radical"):
         arknit.knit_indecomposables(HOM_ALGEBRAS["x3-3"]())
+
+
+@pytest.mark.parametrize("name", sorted(set(CENSUS_ALGEBRAS) | set(HOM_ALGEBRAS)) + ["auslander4-101"])
+def test_knitted_arrows_match_both_definitional_counts(censuses, name):
+    # the arrows knitted from rad P and tau are a(X, Y) = dim rad(X, Y)/rad^2(X, Y)
+    idx = censuses[name] if name in CENSUS_ALGEBRAS else arknit.knit_indecomposables(
+        {"auslander4-101": lambda: auslander_linear(4, p=101), **HOM_ALGEBRAS}[name]())
+    knitted = {(i, j): a for i, j, a in idx.ar_arrows}
+    assert knitted == arknit.irreducible_multiplicities(idx) == _full_span_multiplicities(idx)
+
+
+PERIODIC = ["x3-3", "cycle2rad3-3", "cycle3rad2-3"]
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_only_a_periodic_tau_orbit_counts_the_arrows_by_definition(monkeypatch, name):
+    # every tau-orbit of a directed census reaches a projective, so its arrows are knitted;
+    # k[x]/(x^3) and the cyclic Nakayama algebras have periodic orbits, and count them by rad/rad^2
+    counted, knitted = [], []
+    count, knit = arknit.irreducible_multiplicities, arknit._knitted_multiplicities
+
+    def counting(idx):
+        counted.append(idx)
+        return count(idx)
+
+    def knitting(*args):
+        knitted.append(knit(*args))
+        return knitted[-1]
+
+    monkeypatch.setattr(arknit, "irreducible_multiplicities", counting)
+    monkeypatch.setattr(arknit, "_knitted_multiplicities", knitting)
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    periodic = any(_tau_orbit_is_periodic(idx, z) for z in idx.tau_map)
+    assert periodic == (name in PERIODIC)
+    assert counted == ([idx] if periodic else []) and len(knitted) == 1
+    assert (knitted[0] is None) == periodic
+
+
+def _tau_orbit_is_periodic(idx, z):
+    seen = set()
+    while z in idx.tau_map and z not in seen:
+        seen.add(z)
+        z = idx.tau_map[z]
+    return z in seen
+
+
+def test_knitting_e7_solves_only_the_diagonal(monkeypatch):
+    # the End(X)/rad = k check solves End of each member; no other Hom space is solved
+    solved = _record_solves(monkeypatch)
+    idx = arknit.knit_indecomposables(e7_linear(p=2))
+    assert sorted(solved) == [(i, i) for i in range(63)] and len(idx.modules) == 63
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_seed_multiplicity_of_rad_p_off_by_one_is_incomplete(monkeypatch, shift):
+    # rad P(v) of A5/rad^2 is S(v+1); a decomposition that miscounts it breaks the base case
+    # sum a(X, P(v)) dim X = dim rad P(v) of the knitted arrows
+    seeds, decompose = arknit._seed_modules, mc.decompose
+    radicals = []
+
+    def tagged(A):
+        whole, layers = seeds(A)
+        radicals.extend(id(seed) for v, seed in layers if v is not None)
+        return whole, layers
+
+    def miscounted(M):
+        cert = decompose(M)
+        if id(M) == radicals[0]:
+            (X, m), *rest = cert.summands
+            cert.summands = ((X, m + shift), *rest)
+        return cert
+
+    monkeypatch.setattr(arknit, "_seed_modules", tagged)
+    monkeypatch.setattr(mc, "decompose", miscounted)
+    with pytest.raises(arknit.KnitIncompleteError, match="rad P"):
+        arknit.knit_indecomposables(nakayama_rad2(5, p=2))
 
 
 def _coordinates(idx, i, j, g):
@@ -906,13 +1002,14 @@ def test_projective_injective_and_simple_seeds_are_indecomposable(name):
 
 
 def _every_seed(A):
-    """All seeds to be decomposed: P(v), I(v), S(v), then rad P(v) and I(v)/soc I(v) for each v."""
-    seeds = [build(A, v) for build in (mc.projective, mc.injective, mc.simple) for v in A.vertices]
+    """All seeds to be decomposed, as (v, seed): P(v), I(v), S(v), then rad P(v) and I(v)/soc I(v)
+    for each v, with v given for rad P(v) only."""
+    seeds = [(None, build(A, v)) for build in (mc.projective, mc.injective, mc.simple) for v in A.vertices]
     for v in A.vertices:
         I = mc.injective(A, v)
-        seeds += [mc.radical_submodule(mc.projective(A, v))[0],
-                  mc.cokernel(mc.submodule_from_columns(I, mc.socle_columns(I))[1])[0]]
-    return [], [X for X in seeds if not X.is_zero()]
+        seeds += [(v, mc.radical_submodule(mc.projective(A, v))[0]),
+                  (None, mc.cokernel(mc.submodule_from_columns(I, mc.socle_columns(I))[1])[0])]
+    return [], [(v, X) for v, X in seeds if not X.is_zero()]
 
 
 @pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
@@ -1051,6 +1148,15 @@ def test_carried_presentations_are_minimal(monkeypatch, name):
         _check_minimal_presentation(X, compiled[id(idx._generators[i])])
 
 
+def test_knitting_builds_the_carried_presentation_only_of_a_placed_translate(monkeypatch):
+    # of the 112 transposes of an E7/F_2 knit, 45 place a new member (20 as tau M, 25 as
+    # tau^-1 M), and only those read, and so build, the presentation their transpose carries
+    log, _ = _record_knit_sources(monkeypatch)
+    arknit.knit_indecomposables(e7_linear(p=2))
+    built = [Tr for _, _, Tr in log["transpose"] if not callable(Tr._presentation)]
+    assert (len(log["transpose"]), len(built)) == (112, 45)
+
+
 def _padded(pres):
     """pres with its last relation repeated: a presentation that is not minimal."""
     r = len(pres.verts1) - 1
@@ -1145,6 +1251,9 @@ def test_socle_certificate_skips_only_zero_hom_spaces(monkeypatch, name):
     A = HOM_ALGEBRAS[name]()
     idx = arknit.knit_indecomposables(A)
     mods = idx.modules
+    for i in range(len(mods)):
+        for j in range(len(mods)):
+            idx.hom_dim(i, j)
     for j, N in enumerate(mods):
         assert idx._socles[j] == {v for v, cols in mc.socle_columns(N).items() if cols.cols}
     skipped = [pair for pair, eliminated in pairs.items() if not eliminated]
