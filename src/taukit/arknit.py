@@ -10,8 +10,13 @@ term, and M's presentation stays with it through the sort as the top
 generators that census Hom is solved on.  A translate placed as a new member
 brings one of its two presentations from the transpose that made it, which
 builds it only then (a new tau^-1 M its own, a new tau M that of D tau M = Tr M),
-so only the other goes through `minimal_presentation`.  Each translate is placed by the one iso scan
-that registers it, and its index is carried through the sort.
+so only the other goes through `minimal_presentation`; each member's presentation is
+kept once, carried or computed.  A translate M is placed by an iso test on top generators
+against each member X of its dim vector (Auslander-Reiten-Smalo, I.4 and III.2): Hom(X, M)
+is the kernel of Hom(P0, M) -> Hom(P1, M), solved on X's presentation with M's path actions,
+and X is isomorphic to M exactly when a solution maps X's tops onto M/rad M (Nakayama).  No
+module-level Hom system is built, and the index placed is carried through the sort;
+`IndecIndex.find_iso` tests a module against the census the same way.
 The irreducible multiplicities a(X, Y) are knitted (Auslander-Reiten-Smalo,
 V.1 and VII.1): the arrows into P(v) are the summands of rad P(v), read off
 its seed decomposition, and a(X, Y) = a(tau Y, X) for Y not projective, so
@@ -26,10 +31,10 @@ additivity: for every non-projective Z with almost split sequence
 0 -> tau Z -> E -> Z -> 0, the middle term read off the multiplicities must
 match dimension-wise, and the kept tau^-1 of tau Z must be Z again.
 The brute-force enumerator is the independent oracle the tests compare
-against.  It walks one candidate per orbit of the basis rescalings, the
-orbit's least member in lex order, and so returns the list a walk over every
-matrix would: the first member of an isomorphism class is least in its
-orbit.  It rejects a candidate on its raw entries, before building a
+against, and places its modules by module-level Hom.  It walks one candidate
+per orbit of the basis rescalings, the orbit's least member in lex order, and
+so returns the list a walk over every matrix would: the first member of an
+isomorphism class is least in its orbit.  It rejects a candidate on its raw entries, before building a
 module, when a relation fails or when its nonzero entries leave its basis
 vectors in more than one piece (then it is the sum of their spans).
 
@@ -38,7 +43,8 @@ Y occurs h(Y) - sum_X a(X, Y) h(X) + h(tau Y) times in M, h(Z) = dim Hom(M, Z),
 with no tau term for projective Y; a negative count or a dim mismatch is an
 AssertionError.  Census Hom is solved once per pair, when first asked, on the source's top generators,
 placing each element's cached action on the target into the source's compiled stencil;
-hom_dim counts solutions, hom_basis reads each back as a map, and compose solves nothing.
+hom_dim counts solutions, hom_basis reads each back as a map through sections of each
+member's cover, solved on their first read, and compose solves nothing.
 A pair is zero with no elimination when X_j is zero at X_i's tops, or when no
 vertex of soc X_j lies in supp X_i: a nonzero image of X_i is a submodule of
 X_j supported in supp X_i, and its socle lies in soc X_j.  The socle vertices
@@ -56,10 +62,11 @@ connected piece of the quiver of A/<e>, since A/<e> is the product of its pieces
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from . import modcat as mc
 from .algebra import Algebra, quotient_by_idempotent
-from .exactlin import Mat, extend_echelon, free_columns, kernel_of_rows, solve_matrix
+from .exactlin import Mat, eliminate, extend_echelon, free_columns, kernel_of_rows, solve_matrix
 
 
 class LimitExceededError(Exception):
@@ -113,8 +120,9 @@ class IndecIndex:
         self._elements = {}  # (j, v, terms) -> rows of that element's action on X_j, None when zero
 
     def find_iso(self, M) -> int | None:
-        """Index of the entry isomorphic to the indecomposable M, if any."""
-        return _iso_index(self.modules, M)
+        """Index of the entry isomorphic to M, if any, tested on each entry's top generators."""
+        return next((i for i, X in enumerate(self.modules)
+                     if X.dims == M.dims and _iso_on_generators(self._generator_data(i), M)), None)
 
     def hom_dim(self, i: int, j: int) -> int:
         return len(self._solutions(i, j))
@@ -145,25 +153,11 @@ class IndecIndex:
         """`_solutions` of (i, j), with no elimination when N = X_j is zero at X_i's tops or
         no vertex of soc N is in supp X_i: a nonzero image of X_i has its socle in soc N.
 
-        The rows are X_i's stencil with each block the action on N of its element, kept per (j, element)."""
-        gens, N, p = self._generator_data(i), self.modules[j], self.algebra.field.p
-        at = [0]
-        for v in gens.verts0:
-            at.append(at[-1] + N.dims[v])
-        if not at[-1] or not any(self.modules[i].dims[v] for v in self._socle(j)):
+        The blocks are the actions on N of the stencil's elements, kept per (j, element)."""
+        gens, N = self._generator_data(i), self.modules[j]
+        if not any(N.dims[v] for v in gens.verts0) or not any(self.modules[i].dims[v] for v in self._socle(j)):
             return []
-        row_at = [0]
-        for u in gens.verts1:
-            row_at.append(row_at[-1] + N.dims[u])
-        rows = [[0] * at[-1] for _ in range(row_at[-1])]
-        for r, k, v, terms in gens.stencil:
-            block = self._element_action(j, v, terms)
-            if block:
-                start, end = at[k], at[k + 1]
-                for out, entries in zip(rows[row_at[r]:row_at[r + 1]], block):
-                    out[start:end] = entries
-        return [tuple(x[at[k]:at[k + 1]] for k in range(len(gens.verts0)))
-                for x in kernel_of_rows(rows, at[-1], p)]
+        return _hom_on_generators(gens, N, partial(_element_action, N, self._elements, self._actions, j))
 
     def _maps_at(self, i: int, j: int, w) -> list:
         """Each solution x's matrix at w, as rows: path * g_k goes to path * x_k, through a section at w."""
@@ -173,7 +167,8 @@ class IndecIndex:
         for x in self._solutions(i, j):
             f = [[0] * cols for _ in range(rows)]
             for k, word, row in gens.sections[w]:
-                for f_r, y in zip(f, self._path_action(j, gens.verts0[k], word).apply(x[k])):
+                action = _path_action(self.modules[j], self._actions, j, gens.verts0[k], word)
+                for f_r, y in zip(f, action.apply(x[k])):
                     for c, s in enumerate(row if y else ()):
                         f_r[c] += y * s
             out.append([[y % p for y in f_r] for f_r in f])
@@ -189,33 +184,6 @@ class IndecIndex:
         if j not in self._socles:
             self._socles[j] = {v for v, c in mc.socle_columns(self.modules[j]).items() if c.cols}
         return self._socles[j]
-
-    def _path_action(self, j: int, v, word) -> Mat:
-        """The action on X_j of the path word from v, one `Mat.mul` onto its cached prefix."""
-        key = (j, v, word)
-        if key not in self._actions:
-            X = self.modules[j]
-            if len(word) > 1:
-                self._actions[key] = X.action[word[-1]].mul(self._path_action(j, v, word[:-1]))
-            else:
-                self._actions[key] = X.action[word[0]] if word else Mat.identity(self.algebra.field, X.dims[v])
-        return self._actions[key]
-
-    def _element_action(self, j: int, v, terms) -> tuple | None:
-        """The rows of the combination terms of paths from v acting on X_j, None when it is zero."""
-        key = (j, v, terms)
-        if key not in self._elements:
-            if len(terms) == 1 and terms[0][0] == 1:
-                rows = self._path_action(j, v, terms[0][1]).data
-            else:
-                p, acc = self.algebra.field.p, None
-                for c, word in terms:
-                    data = self._path_action(j, v, word).data
-                    acc = [[c * y for y in row] for row in data] if acc is None else \
-                        [[a + c * y for a, y in zip(out, row)] for out, row in zip(acc, data)]
-                rows = tuple(tuple(y % p for y in row) for row in acc)
-            self._elements[key] = rows if any(map(any, rows)) else None
-        return self._elements[key]
 
     def compose(self, i: int, j: int, k: int) -> list:
         """Structure constants of Hom(X_j, X_k) x Hom(X_i, X_j) -> Hom(X_i, X_k).
@@ -483,33 +451,124 @@ class _Generators:
     lists the nonzero blocks of the relations: (r, k, verts0[k], terms) when the r-th
     summand P(verts1[r]) of P1 has the element terms of paths from verts0[k] in its
     image at summand k of P0.  sections[w] is a right inverse of the cover at
-    vertex w, as its nonzero rows (k, path, row) over the basis path * g_k of (P0)_w.
+    vertex w, as its nonzero rows (k, path, row) over the basis path * g_k of (P0)_w;
+    it is solved on its first read, since only `IndecIndex._maps_at` reads it.
     """
 
-    def __init__(self, tops: list, verts1: list, stencil: list, sections: dict):
+    def __init__(self, A: Algebra, tops: list, verts1: list, stencil: list, cover: dict):
+        self.algebra = A
         self.tops = tops
         self.verts0 = [v for v, _ in tops]
         self.verts1 = verts1
         self.stencil = stencil
-        self.sections = sections
+        self.cover = cover
+        self._sections = None
 
     @classmethod
     def of(cls, A: Algebra, pres) -> "_Generators":
         stencil = [(r, k, pres.verts0[k], terms) for (k, r), terms in pres.elements.items()]
-        sections = {}
-        for w in A.vertices:
-            labels = [(k, pth.arrows) for k, v in enumerate(pres.verts0)
-                      for pth in A.paths_from(v) if pth.target == w]
-            right = solve_matrix(pres.cover[w], Mat.identity(A.field, pres.cover[w].rows))
-            sections[w] = [(k, word, row) for (k, word), row in zip(labels, right.data) if any(row)]
-        return cls(list(zip(pres.verts0, pres.generators)), list(pres.verts1), stencil, sections)
+        return cls(A, list(zip(pres.verts0, pres.generators)), list(pres.verts1), stencil, pres.cover)
+
+    @property
+    def sections(self) -> dict:
+        if self._sections is None:
+            A, self._sections = self.algebra, {}
+            for w in A.vertices:
+                labels = [(k, pth.arrows) for k, v in enumerate(self.verts0)
+                          for pth in A.paths_from(v) if pth.target == w]
+                right = solve_matrix(self.cover[w], Mat.identity(A.field, self.cover[w].rows))
+                self._sections[w] = [(k, word, row) for (k, word), row in zip(labels, right.data) if any(row)]
+        return self._sections
+
+
+def _path_action(X, paths: dict, j, v, word) -> Mat:
+    """The action on X of the path word from v, one `Mat.mul` onto its prefix's.
+
+    paths keeps each action by (j, v, word), j naming X."""
+    key = (j, v, word)
+    if key not in paths:
+        if len(word) > 1:
+            paths[key] = X.action[word[-1]].mul(_path_action(X, paths, j, v, word[:-1]))
+        else:
+            paths[key] = X.action[word[0]] if word else Mat.identity(X.algebra.field, X.dims[v])
+    return paths[key]
+
+
+def _element_action(X, elements: dict, paths: dict, j, v, terms) -> tuple | None:
+    """The rows of the combination terms of paths from v acting on X, None when it is zero.
+
+    elements keeps each by (j, v, terms), and paths the path actions, j naming X."""
+    key = (j, v, terms)
+    if key not in elements:
+        if len(terms) == 1 and terms[0][0] == 1:
+            rows = _path_action(X, paths, j, v, terms[0][1]).data
+        else:
+            p, acc = X.algebra.field.p, None
+            for c, word in terms:
+                data = _path_action(X, paths, j, v, word).data
+                acc = [[c * y for y in row] for row in data] if acc is None else \
+                    [[a + c * y for a, y in zip(out, row)] for out, row in zip(acc, data)]
+            rows = tuple(tuple(y % p for y in row) for row in acc)
+        elements[key] = rows if any(map(any, rows)) else None
+    return elements[key]
+
+
+def _hom_on_generators(gens: _Generators, N, block) -> list:
+    """A basis of Hom(X, N) as the images (x_k) in N of X's top generators gens, each a tuple.
+
+    0 -> Hom(X, N) -> Hom(P0, N) -> Hom(P1, N) is exact for the minimal
+    presentation P1 -> P0 -> X (Auslander-Reiten-Smalo, I.4 and III.2): the rows
+    are X's stencil, each block the rows block(v, terms) of that element's action
+    on N, None when it is zero."""
+    at = [0]
+    for v in gens.verts0:
+        at.append(at[-1] + N.dims[v])
+    row_at = [0]
+    for u in gens.verts1:
+        row_at.append(row_at[-1] + N.dims[u])
+    rows = [[0] * at[-1] for _ in range(row_at[-1])]
+    for r, k, v, terms in gens.stencil:
+        rows_of = block(v, terms)
+        if rows_of:
+            start, end = at[k], at[k + 1]
+            for out, entries in zip(rows[row_at[r]:row_at[r + 1]], rows_of):
+                out[start:end] = entries
+    return [tuple(x[at[k]:at[k + 1]] for k in range(len(gens.verts0)))
+            for x in kernel_of_rows(rows, at[-1], N.algebra.field.p)]
+
+
+def _iso_on_generators(gens: _Generators, M) -> bool:
+    """Whether the indecomposable X with top generators gens, of M's dim vector, is isomorphic to M.
+
+    Hom(X, M) is solved on gens (`_hom_on_generators`).  A solution whose images
+    span M/rad M at every vertex is onto M (Nakayama), so an isomorphism, the dims
+    being equal.  The non-isomorphisms form rad(X, M), a proper subspace when
+    X and M are isomorphic, so the basis holds an isomorphism when there is one.
+    """
+    A, p = M.algebra, M.algebra.field.p
+    solutions = _hom_on_generators(gens, M, partial(_element_action, M, {}, {}, None))
+    if not solutions:
+        return False
+    # rad M at v is spanned by the columns of the arrows into v
+    radical = {v: [c for a in A.arrows if a.target == v for c in zip(*M.action[a.name].data)]
+               for v in A.vertices if M.dims[v]}
+
+    def onto(x) -> bool:
+        for v, columns in radical.items():
+            rows = [list(c) for c in columns] + [list(y) for y, u in zip(x, gens.verts0) if u == v]
+            if len(eliminate(rows, M.dims[v], p)) < M.dims[v]:
+                return False
+        return True
+
+    return any(map(onto, solutions))
 
 
 def _iso_index(modules, M, dim_vectors=None) -> int | None:
-    """Index of the first of the indecomposables isomorphic to M, if any.
+    """Index of the first of the indecomposables isomorphic to M, if any, by module-level Hom.
 
-    dim_vectors[i] is the dim vector of modules[i]; a caller that scans a
-    growing list keeps it next to the list, else it is read off each module.
+    The brute-force oracle places its modules with it, so it shares no Hom code
+    with knitting.  dim_vectors[i] is the dim vector of modules[i]; a caller that
+    scans a growing list keeps it next to the list, else it is read off each module.
     """
     dims = M.dim_vector()
     if dim_vectors is None:
@@ -549,10 +608,24 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
     found: list = []
     found_dims: list = []  # found_dims[i] is the dim vector of found[i]
     carried: dict = {}  # i -> the transposes carrying the presentations of found[i] and of D found[i]
+    presentations: dict = {}  # i -> the presentation of found[i], carried or computed, once
+    generators: dict = {}  # i -> the _Generators of that presentation
+
+    def presentation_of(i: int):
+        if i not in presentations:
+            own = carried[i][0]
+            presentations[i] = own.presentation if own else mc.minimal_presentation(found[i])
+        return presentations[i]
+
+    def generators_of(i: int) -> _Generators:
+        if i not in generators:
+            generators[i] = _Generators.of(A, presentation_of(i))
+        return generators[i]
 
     def register(M, carriers=(None, None)) -> int | None:
         """The index in found of the member isomorphic to M, placing M if it is new.
 
+        A member of M's dim vector is tested on its top generators (`_iso_on_generators`).
         carriers are the transposes whose `presentation` a new M keeps, for M and for D M,
         None where there is none; it is read only once M is placed."""
         if M.is_zero():
@@ -560,11 +633,13 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         if M.total_dim > max_dim:
             raise LimitExceededError(
                 f"module of dimension {M.total_dim} exceeds max_dim={max_dim}", partial=found)
-        k = _iso_index(found, M, found_dims)
+        dims = M.dim_vector()
+        k = next((i for i, d in enumerate(found_dims)
+                  if d == dims and _iso_on_generators(generators_of(i), M)), None)
         if k is not None:
             return k
         found.append(M)
-        found_dims.append(M.dim_vector())
+        found_dims.append(dims)
         carried[len(found) - 1] = carriers
         if len(found) > max_count:
             raise LimitExceededError(f"more than max_count={max_count} indecomposables", partial=found)
@@ -581,16 +656,15 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         if v is not None:
             radicals[v] = summands
 
-    # for each M in found: its presentation, D M's (its tops are soc M, and M is injective
-    # when it has no P1), and the indices in found of tau M and tau^-1 M, None when not taken.
+    # for each M in found: D M's presentation (its tops are soc M, and M is injective when
+    # it has no P1), and the indices in found of tau M and tau^-1 M, None when not taken.
     # M and D M are indecomposable and not projective when transposed, so the presentation
     # each transpose carries is minimal: a new tau M = D Tr M keeps it for D tau M = Tr M,
     # and a new tau^-1 M = Tr D M for itself
     records = []
     while len(records) < len(found):
-        M = found[len(records)]
-        own, of_dual = carried.pop(len(records))
-        pres = own.presentation if own else mc.minimal_presentation(M)
+        i = len(records)
+        M, pres, of_dual = found[i], presentation_of(i), carried[i][1]
         DM = mc.dual(M)
         dual_pres = of_dual.presentation if of_dual else mc.minimal_presentation(DM)
         t = s = None
@@ -600,18 +674,18 @@ def knit_indecomposables(A: Algebra, max_count: int = 64, max_dim: int = 64) -> 
         if dual_pres.verts1:
             TrD = mc.transpose(DM, dual_pres)
             s = register(TrD, (TrD, None))
-        records.append((pres, dual_pres, t, s))
+        records.append((dual_pres, t, s))
 
     order = sorted(range(len(found)), key=lambda i: (found[i].total_dim, found_dims[i]))
     place = {i: z for z, i in enumerate(order)}
     idx = IndecIndex(A, [found[i] for i in order])
     inverses = []
     for z, i in enumerate(order):
-        pres, dual_pres, t, s = records[i]
+        dual_pres, t, s = records[i]
         idx._injective[z] = not dual_pres.verts1
-        idx._generators[z] = _Generators.of(A, pres)
+        idx._generators[z] = generators_of(i)
         idx._socles[z] = set(dual_pres.verts0)
-        if pres.verts1:
+        if not idx.is_projective(z):
             if t is None:
                 raise KnitIncompleteError("tau image missing from index")
             idx.tau_map[z] = place[t]

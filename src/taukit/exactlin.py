@@ -63,7 +63,7 @@ class Mat:
     @classmethod
     def from_rows(cls, field: PrimeField, rows, cols: int | None = None) -> "Mat":
         p = field.p
-        norm = tuple(tuple(int(x) % p for x in r) for r in rows)
+        norm = tuple(tuple([x % p for x in r]) for r in rows)
         if cols is None:
             if not norm:
                 raise ValueError("cols required for a matrix with no rows")
@@ -88,8 +88,7 @@ class Mat:
             if rows is None:
                 raise ValueError("rows required for a matrix with no columns")
             return cls.zeros(field, rows, 0)
-        n = len(cols[0])
-        return cls.from_rows(field, [[c[i] for c in cols] for i in range(n)], cols=len(cols))
+        return cls.from_rows(field, zip(*cols, strict=True), cols=len(cols))
 
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
@@ -348,8 +347,11 @@ def column_space_basis(m: Mat) -> Mat:
 def quotient_coordinates(m: Mat):
     """(complement, reduce): the c with e_c outside U + span(e_0 .. e_{c-1}), U the column
     space of m, and y's coordinates on those e_c modulo U.  The c left out are the last
-    nonzero entries of vectors of U: the pivots of its echelon form, coordinates reversed."""
+    nonzero entries of vectors of U: the pivots of its echelon form, coordinates reversed.
+    With no rows or no columns there is nothing to eliminate: U = 0."""
     n, p = m.rows, m.field.p
+    if not n or not m.cols:
+        return list(range(n)), tuple
     work = [[r[j] for r in reversed(m.data)] for j in range(m.cols)]
     pivots = eliminate(work, n, p)
     ends = {n - 1 - c for c in pivots}

@@ -639,9 +639,9 @@ def cosyzygy(M: Module, k: int = 1) -> Module:
 
 
 def _top(A: Algebra, dims: dict, action: dict) -> list:
-    """The top generators (v, j), basis vector j at v: at each vertex, the
-    standard basis vectors that complete a basis of the radical."""
-    return [(v, c) for v in A.vertices for c in quotient_coordinates(Mat.hstack(
+    """The top generators (v, j), basis vector j at v: at each vertex where X is nonzero,
+    the standard basis vectors that complete a basis of the radical."""
+    return [(v, c) for v in A.vertices if dims[v] for c in quotient_coordinates(Mat.hstack(
         A.field, [action[a.name] for a in A.arrows if a.target == v], rows=dims[v]))[0]]
 
 

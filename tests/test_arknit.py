@@ -545,18 +545,19 @@ def test_knitting_reads_translates_and_irreducible_maps_off_top_generators(monke
 
 @pytest.mark.parametrize("p", [2, 101])
 def test_knitting_compares_no_pair_twice(monkeypatch, p):
-    # each tau and tau^-1 image is placed by the iso scan that registers it:
-    # no later scan of the census, or round-trip check, compares it again
+    # each tau and tau^-1 image is placed by the iso tests of the register call that
+    # places it: no later scan of the census, or round-trip check, compares it again.
+    # A pair is (the member, by its generators, and the candidate translate)
     calls = []
-    iso = mc.iso_between_indecomposables
+    iso = arknit._iso_on_generators
 
-    def recorded(M, N):
-        calls.append((M, N))
-        return iso(M, N)
+    def recorded(gens, M):
+        calls.append((gens, M))
+        return iso(gens, M)
 
-    monkeypatch.setattr(mc, "iso_between_indecomposables", recorded)
+    monkeypatch.setattr(arknit, "_iso_on_generators", recorded)
     arknit.knit_indecomposables(nakayama_rad2(5, p=p))
-    pairs = Counter((id(M), id(N)) for M, N in calls)
+    pairs = Counter((id(gens), id(M)) for gens, M in calls)
     assert calls and max(pairs.values()) == 1
 
 
@@ -704,6 +705,93 @@ def test_unknitted_index_hom_basis_matches_module_hom_basis(monkeypatch, name):
             assert _spans_module_hom(idx, i, j), (i, j)
     # the generators of each member are found once, from its presentation
     assert len(calls["minimal_presentation"]) == len(mods)
+
+
+# -- placing a translate: the iso test on top generators, and sections solved on first read ---
+
+
+def _isomorphic(X, M):
+    return mc.iso_between_indecomposables(X, M) is not None
+
+
+@pytest.mark.parametrize("name", sorted(set(CENSUS_ALGEBRAS) | set(HOM_ALGEBRAS)))
+def test_generator_iso_test_agrees_with_the_module_level_one(name):
+    # every ordered pair of members with one dim vector, each member against a scrambled copy of
+    # every member of its dim vector, and sums of two members whose dims add up to a member's
+    A = {**CENSUS_ALGEBRAS, **HOM_ALGEBRAS}[name]()
+    idx, rng = arknit.knit_indecomposables(A), random.Random(name)
+    mods = idx.modules
+    dims = [X.dim_vector() for X in mods]
+    shared = sums = 0
+    for i, X in enumerate(mods):
+        gens = idx._generator_data(i)
+        for j, Y in enumerate(mods):
+            if dims[j] != dims[i]:
+                continue
+            shared += i != j
+            scrambled = _conjugated(Y, rng)
+            for M in (Y, scrambled):
+                assert arknit._iso_on_generators(gens, M) == _isomorphic(X, M) == (i == j), (i, j)
+            if i == j:
+                assert idx.find_iso(scrambled) == j
+        for x, y in itertools.combinations_with_replacement(range(len(mods)), 2):
+            if tuple(a + b for a, b in zip(dims[x], dims[y])) == dims[i]:
+                M = mc.direct_sum(A, [mods[x], mods[y]]).module
+                assert not arknit._iso_on_generators(gens, M) and not _isomorphic(X, M), (i, x, y)
+                sums += 1
+    # on the 2-cycle with rad^3 = 0, members that are not isomorphic share a dim vector:
+    # the two uniserials of length 2, with their tops at either vertex
+    assert (shared > 0) == (name == "cycle2rad3-3")
+    assert sums > 0
+
+
+def test_knitting_e7_presents_81_members_and_transposes_112(monkeypatch):
+    # the iso tests read each member's presentation from the one the knit keeps for it
+    log, _ = _record_knit_sources(monkeypatch)
+    idx = arknit.knit_indecomposables(e7_linear(p=2))
+    assert (len(log["minimal_presentation"]), len(log["transpose"])) == (81, 112)
+    assert len(log["compiled"]) == len(idx.modules)
+
+
+def test_knitting_e7_and_its_json_solve_no_section(monkeypatch):
+    # every End of an E7 member is k, so no Hom basis is read back as maps, and no section is solved
+    calls = []
+    solve = arknit.solve_matrix
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(arknit, "solve_matrix", recorded)
+    idx = arknit.knit_indecomposables(e7_linear(p=2))
+    idx.to_json()
+    assert calls == []
+    assert idx._generator_data(0).sections
+    assert len(calls) == len(idx.algebra.vertices)
+
+
+# sha256 of the matrices at each vertex of every hom_basis(i, j) map, as read through sections
+# solved for every member while knitting: solving each on its first read gives the same maps
+PINNED_HOM_BASES = {
+    "A3-101": "2a059ead7c31635c11ddc0b919ef71e35b34032ac1d75548ed38f7b3d465b56e",
+    "A3-2": "2a059ead7c31635c11ddc0b919ef71e35b34032ac1d75548ed38f7b3d465b56e",
+    "A5rad2-101": "77c060925c15e66e8c71b063364d67394f08a29e06053a163440af9ec9b52a31",
+    "A5rad2-2": "77c060925c15e66e8c71b063364d67394f08a29e06053a163440af9ec9b52a31",
+    "D4-101": "518ee5867e78e78d427b8c216b0a410ab22e9a002cfcf28deaa7592213908ae4",
+    "E7-2": "1fd27a67d575a05965c3f6656889b29ee4048b0119a1c2da91feac7477e8330f",
+    "auslander3-2": "fcf8ebde53a673ee25c059fb35fc594859e7ae0f490196b8ae84188daac013f3",
+    "cycle2rad3-3": "3d07cf9e697a6922ba502fdc6313c5a01c01ac329c7936da4c17e7a089c43b22",
+    "cycle3rad2-3": "39a678c3d9850069d0826c1101e64bce5a754416f449f55bbaad3e3e837de113",
+    "x3-3": "51c923ee98f52bf843c31b5c7cbede80fdfe7d7a83e23cd4c91f9345a454fbcd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ALGEBRAS))
+def test_hom_bases_read_through_sections_solved_on_first_read_are_pinned(name):
+    idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
+    n, vertices = len(idx.modules), idx.algebra.vertices
+    maps = [[[[f.mats[v].data for v in vertices] for f in idx.hom_basis(i, j)] for j in range(n)] for i in range(n)]
+    assert _sha(json.dumps(maps)) == PINNED_HOM_BASES[name]
 
 
 def _record_solves(monkeypatch):
@@ -900,6 +988,9 @@ def test_precompose_matches_composed_maps(name, op):
 def test_composition_tables_solve_nothing_and_compose_no_maps(monkeypatch, name):
     idx = arknit.knit_indecomposables(HOM_ALGEBRAS[name]())
     n = len(idx.modules)
+    # the sections are member data, solved on their first read: read them before the table
+    for i in range(n):
+        assert idx._generator_data(i).sections is not None
 
     def refuse(*args):
         raise AssertionError("a composition table solved a system or composed two maps")

@@ -180,6 +180,42 @@ def test_free_variable_basis_and_quotient_coordinates_match_the_reference(m):
         assert not any(reduce(y))
 
 
+def _reduces_into(m: Mat, complement: list, y, z) -> bool:
+    """Whether z, y's coordinates on the e_c, c in complement, is y modulo the column space of m."""
+    p, at = m.field.p, dict(zip(complement, z))
+    return _ref_solve(m, [(x - at.get(c, 0)) % p for c, x in enumerate(y)]) is not None
+
+
+@st.composite
+def reductions(draw):
+    """(m, y): m of any shape, 0 x n and n x 0 drawn explicitly too, and y of m's height."""
+    shape = draw(st.sampled_from(["any", "no rows", "no columns"]))
+    m = draw(matrices(rows=0 if shape == "no rows" else None, cols=0 if shape == "no columns" else None))
+    return m, draw(st.lists(st.integers(0, m.field.p - 1), min_size=m.rows, max_size=m.rows))
+
+
+@PROPERTY
+@given(reductions())
+def test_quotient_coordinates_match_the_reference_on_every_shape(system):
+    m, y = system
+    complement, reduce = quotient_coordinates(m)
+    echelon = _ref_echelon(Mat.from_rows(m.field, [c[::-1] for c in m.columns()], cols=m.rows))
+    assert complement == [c for c in range(m.rows) if m.rows - 1 - c not in echelon.pivots]
+    z = reduce(list(y))
+    assert isinstance(z, tuple) and len(z) == len(complement)
+    assert _reduces_into(m, complement, y, z)
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.integers(0, 5), st.data())
+def test_from_rows_reduces_unreduced_and_negative_entries(field, rows, cols, data):
+    entry = st.integers(-3 * field.p, 3 * field.p)
+    raw = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    got = Mat.from_rows(field, raw, cols=cols)
+    assert got == Mat(field, rows, cols, tuple(tuple(int(x) % field.p for x in row) for row in raw))
+    assert Mat.from_columns(field, [[row[c] for row in raw] for c in range(cols)], rows=rows) == got
+
+
 @PROPERTY
 @given(matrices())
 def test_extend_echelon_counts_the_rank_row_by_row(m):
