@@ -106,6 +106,8 @@ class IndecIndex:
         self._ext_masks = {}  # k -> (rows, columns)
         self._ext_masks_below = {}  # d -> (rows, columns) over 0 < k < d
         self._ct_required = {}  # d -> bitmask of the members in every d-CT subcategory
+        self._ct_required_members = {}  # d -> the same members as a frozenset
+        self._supports = None  # i -> bitmask of the vertex positions where X_i is nonzero
         self._compose_cache = {}
         self._radicals = {}  # i -> rad End(X_i) coordinates
         self._quotient_projectives = {}  # e -> indices
@@ -340,9 +342,14 @@ class IndecIndex:
         return self._hom_masks
 
     def ext_masks(self, k: int) -> tuple:
-        """Bitmask rows[x] of the m with Ext^k(X_x, X_m) != 0, and columns[m] of those x."""
+        """Bitmask rows[x] of the m with Ext^k(X_x, X_m) != 0, and columns[m] of those x.
+
+        Ext^k(-, I) = 0 for k > 0 and an injective member I, so its column is
+        read with no `ext_dim` call.
+        """
         if k not in self._ext_masks:
-            self._ext_masks[k] = _masks(len(self.modules), lambda x, m: self.ext_dim(k, x, m))
+            self._ext_masks[k] = _masks(len(self.modules),
+                                        lambda x, m: not (k and self.is_injective(m)) and self.ext_dim(k, x, m))
         return self._ext_masks[k]
 
     def ext_masks_below(self, d: int) -> tuple:
@@ -365,6 +372,19 @@ class IndecIndex:
             rows, cols = self.ext_masks_below(d)
             self._ct_required[d] = _mask(x for x, (r, c) in enumerate(zip(rows, cols)) if not r or not c)
         return self._ct_required[d]
+
+    def ct_required_members(self, d: int) -> frozenset:
+        """The indices of `ct_required(d)`, kept per d: a C holds them all by one set inclusion."""
+        if d not in self._ct_required_members:
+            self._ct_required_members[d] = frozenset(_indices(self.ct_required(d)))
+        return self._ct_required_members[d]
+
+    def supports(self) -> list:
+        """Bitmask of the vertex positions, in `algebra.vertices` order, where X_i is nonzero, per i."""
+        if self._supports is None:
+            vertices = self.algebra.vertices
+            self._supports = [_mask(k for k, v in enumerate(vertices) if X.dims[v]) for X in self.modules]
+        return self._supports
 
     def is_projective(self, i: int) -> bool:
         return not self._generator_data(i).verts1

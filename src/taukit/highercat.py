@@ -196,14 +196,23 @@ def left_min_approximation(M, members) -> Approximation:
 
 
 class CTReport:
-    def __init__(self, ok: bool, violations):
+    """The verdict of `is_d_cluster_tilting`, with violations as (degree, candidate, member, side).
+
+    A failing C keeps (C, d) instead, and lists its violations when they are first read.
+    """
+
+    __slots__ = ("ok", "_violations", "_failed")
+
+    def __init__(self, ok: bool, violations=None, failed=None):
         self.ok = ok
-        self._violations = violations  # (degree, candidate, member, side), or a function listing them
+        self._violations = violations
+        self._failed = failed  # (C, d) whose violations are still to list
 
     @property
     def violations(self) -> list:
-        if callable(self._violations):
-            self._violations = self._violations()
+        if self._violations is None:
+            C, d = self._failed
+            self._violations = _ct_violations(C.host, _mask(C.members), d)
         return self._violations
 
     def __eq__(self, other) -> bool:
@@ -213,24 +222,25 @@ class CTReport:
 def is_d_cluster_tilting(C: Subcat, d: int) -> CTReport:
     """Both Ext-orthogonality equalities, read off the census Ext bitmasks.
 
-    For each host index x, the members m with Ext^i(m, x) != 0 or Ext^i(x, m)
-    != 0 for some 0 < i < d are one AND with the member mask and the OR of the
-    degrees, kept per d.  A C that leaves out a member of `ct_required(d)`,
-    at d = 2 a projective or an injective, fails on one AND before that scan.
-    The verdict stops at the first failing x; violations are listed only when
-    read.  A witness is the lowest such member at its lowest such degree.
+    A C that leaves out a member of `ct_required(d)`, at d = 2 a projective or
+    an injective, fails on one inclusion of the kept `ct_required_members(d)`
+    in its member set, before any bitmask is built.  For the rest, the members
+    m with Ext^i(m, x) != 0 or Ext^i(x, m) != 0 for some 0 < i < d are, for
+    each host index x, one AND with the member mask and the OR of the
+    degrees, kept per d.  The verdict stops at the first failing x;
+    violations are listed only when read.  A witness is the lowest such
+    member at its lowest such degree.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     idx = C.host
-    mask = _mask(C.members)
-    required = idx.ct_required(d)
-    if mask & required == required:
+    if idx.ct_required_members(d) <= C.members:
+        mask = _mask(C.members)
         rows, cols = idx.ext_masks_below(d)
         if all(not (rows[x] | cols[x]) & mask if mask >> x & 1 else rows[x] & mask and cols[x] & mask
                for x in range(len(idx.modules))):
             return CTReport(True, [])
-    return CTReport(False, lambda: _ct_violations(idx, mask, d))
+    return CTReport(False, None, (C, d))
 
 
 def _ct_violations(idx, mask: int, d: int) -> list:

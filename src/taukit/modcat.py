@@ -1240,7 +1240,11 @@ def _split_once(M: Module, rng):
 
 
 def decompose(M: Module) -> DecompCert:
-    """Krull-Schmidt decomposition with an explicit isomorphism certificate."""
+    """Krull-Schmidt decomposition with an explicit isomorphism certificate.
+
+    An indecomposable M is its own one summand, certified by its inclusion
+    into the one-term direct sum.
+    """
     A = M.algebra
     rng = random.Random(DECOMPOSE_SEED)
 
@@ -1276,6 +1280,10 @@ def decompose(M: Module) -> DecompCert:
         return flat, spread.compose(iso_pair)
 
     flat, iso_flat = rec(M)
+    if len(flat) == 1:  # a split leaves two summands, so M is indecomposable: iso_flat is its inclusion
+        if not iso_flat.is_iso():
+            raise AssertionError("decomposition certificate is not an isomorphism")
+        return DecompCert(((M, 1),), iso_flat, iso_flat.target)
     # group isomorphic summands behind one representative each
     reps = []  # (Module, [flat indices])
     iso_to_rep = {}

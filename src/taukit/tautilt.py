@@ -211,13 +211,13 @@ def is_support_tau2_tilting(T, idx, definition: str = "ambient"):
     for tau_2-rigidity over A, read first, and over A/<e>, and lets the
     sequence start with a non-injective left add(T)-approximation;
     "quotient" checks rigidity over A/<e> only and asks for an injective start.
+    e is the complement of the union of the summands' `IndecIndex.supports`,
+    read after the rigidity over A.
     """
     if definition not in DEFINITIONS:
         raise ValueError(f"unknown definition {definition!r}; expected one of {DEFINITIONS}")
     ambient = definition == "ambient"
     members = _members(T, idx)
-    e = frozenset(v for v in idx.algebra.vertices
-                  if all(idx.modules[i].dims[v] == 0 for i in members))
     mask = _mask(members)
 
     def rigid(kill):
@@ -225,6 +225,7 @@ def is_support_tau2_tilting(T, idx, definition: str = "ambient"):
 
     if ambient and not rigid(frozenset()):
         return NotSupportTau2("not tau2-rigid over A: Hom_A(T, tau2 T) nonzero")
+    e = _support_complement(idx, mask)
     # with e empty the quotient is A, so an ambient check has already run over it
     if (e or not ambient) and not rigid(e):
         return NotSupportTau2("Hom(T, tau2 T) nonzero over the support quotient")
@@ -234,6 +235,12 @@ def is_support_tau2_tilting(T, idx, definition: str = "ambient"):
         start = "A/<e>" if ambient else "0 -> A/<e>"
         return NotSupportTau2(f"no add-T coresolution {start} -> T0 -> T1 -> T2 -> 0")
     return SupportTau2Cert(members, e, source, terms)
+
+
+def _support_complement(idx, mask: int) -> frozenset:
+    """The vertices where every member in the mask vanishes: off the union of their `supports`."""
+    support = _union(idx.supports(), mask)
+    return frozenset(v for k, v in enumerate(idx.algebra.vertices) if not support >> k & 1)
 
 
 def is_2_tilting(T, A: Algebra):

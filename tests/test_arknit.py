@@ -1146,6 +1146,23 @@ def test_census_ext_table_matches_modcat(name):
                 assert (rows[i] >> j & 1, cols[j] >> i & 1) == (bool(idx.ext_dim(k, i, j)),) * 2
 
 
+@pytest.mark.parametrize("name", sorted(EXT_ALGEBRAS))
+def test_ext_masks_solve_against_no_injective_member(name, monkeypatch):
+    # Ext^k(-, I) = 0 for k > 0, so an injective member's column needs no solve
+    idx = arknit.knit_indecomposables(EXT_ALGEBRAS[name]())
+    injective = [X for i, X in enumerate(idx.modules) if idx.is_injective(i)]
+    solve, targets = mc.resolution_ext_dim, []
+
+    def recorded(resolution, k, N):
+        targets.append(N)
+        return solve(resolution, k, N)
+
+    monkeypatch.setattr(mc, "resolution_ext_dim", recorded)
+    for k in range(1, 4):
+        idx.ext_masks(k)
+    assert targets and not any(N is I for N in targets for I in injective)
+
+
 # -- the support-quotient tables, read per connected piece of A/<e> -----------------
 
 # the (e, j) with X_j vanishing on e, over every e in Q_0

@@ -196,6 +196,23 @@ def test_ctfind_checks_every_subset_once_in_order(a7r2_file, capsys, monkeypatch
     assert checked == [list(S) for r in range(14) for S in itertools.combinations(range(13), r)]
 
 
+def test_ctfind_reads_the_ext_tables_only_for_subsets_holding_the_required_members(a7r2_file, capsys,
+                                                                                   monkeypatch):
+    # A7/rad^2 has 13 members, 8 of them projective or injective: 2^5 subsets hold all 8
+    read = []
+    below = arknit.IndecIndex.ext_masks_below
+
+    def counted(self, d):
+        read.append(d)
+        return below(self, d)
+
+    monkeypatch.setattr(arknit.IndecIndex, "ext_masks_below", counted)
+    code, out = run_cli(capsys, a7r2_file, "ctfind", "--d", "2")
+    assert code == 0 and json.loads(out) == {"d": 2, "subcategories": [A7R2_CT]}
+    # one more read builds ct_required(2) itself
+    assert read == [2] * (2 ** 5 + 1)
+
+
 @pytest.mark.parametrize("argv", [("ctfind", "--d", "0"),
                                   ("ctcheck", "--gens", "1-0-0", "--d", "0")])
 def test_d_below_one_is_a_usage_error(lambda3_file, capsys, monkeypatch, argv):

@@ -562,6 +562,19 @@ def test_bitmask_ct_check_matches_the_scan_on_every_subset(case):
     assert found == count
 
 
+def test_subsets_missing_a_required_member_list_the_scan_violations_when_read():
+    idx = arknit.knit_indecomposables(nakayama_rad2(7, p=2))
+    n, required = len(idx.modules), idx.ct_required_members(2)
+    assert required == frozenset(arknit._indices(idx.ct_required(2))) and len(required) == 8
+    cases = [frozenset(range(n)) - {x} for x in sorted(required)]
+    cases += [frozenset(S) for r in range(3) for S in itertools.combinations(range(n), r)]
+    reports = [(hc.Subcat.of(idx, S), hc.is_d_cluster_tilting(hc.Subcat.of(idx, S), 2)) for S in cases]
+    assert not any(rep.ok for _, rep in reports)
+    for C, rep in reports:
+        assert not hasattr(rep, "__dict__")
+        assert rep.violations == _scan_is_d_cluster_tilting(C, 2).violations
+
+
 @pytest.mark.parametrize("name", sorted(CENSUS_ALGEBRAS))
 def test_members_required_at_d2_are_the_projectives_and_injectives(name):
     idx = arknit.knit_indecomposables(CENSUS_ALGEBRAS[name]())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from taukit import highercat as hc, modcat as mc
+from taukit import arknit, highercat as hc, modcat as mc
 from taukit.algebra import opposite, parse_algebra, quotient_by_idempotent
 from taukit.exactlin import Mat, quotient_coordinates, rank
 from tests.conftest import auslander_linear, d4, e7_linear, lambda3, nakayama_rad2
@@ -159,6 +159,30 @@ def test_decompose_direct_sum(L3, L3mods):
     dimvecs = sorted(X.dim_vector() for X, _ in cert.summands)
     assert dimvecs == [(0, 0, 1), (1, 1, 0)]
     assert cert.iso_to_sum.is_iso()
+
+
+@pytest.mark.parametrize("build", [lambda3, lambda: nakayama_rad2(5, p=2), lambda: e7_linear(p=2)],
+                         ids=["A3", "A5rad2-2", "E7-2"])
+def test_decompose_of_an_indecomposable_is_its_identity(build):
+    A = build()
+    for M in arknit.knit_indecomposables(A).modules:
+        cert = mc.decompose(M)
+        assert cert.summands == ((M, 1),)
+        assert cert.iso_to_sum.source is M and cert.sum.dims == M.dims
+        assert all(cert.iso_to_sum.mats[v] == Mat.identity(A.field, M.dims[v]) for v in A.vertices)
+
+
+def test_knitting_e7_still_splits_its_decomposable_seed(monkeypatch):
+    # I(3)/soc I(3) = I(2) + I(7) for the branch arrow 7 -> 3
+    split, parts = mc._split_once, []
+
+    def recorded(X, rng):
+        parts.append(split(X, rng))
+        return parts[-1]
+
+    monkeypatch.setattr(mc, "_split_once", recorded)
+    arknit.knit_indecomposables(e7_linear(p=2))
+    assert parts and all(K.total_dim and I.total_dim for (K, _), (I, _) in parts)
 
 
 def test_decompose_with_multiplicity_and_base_change(L3, L3mods):

@@ -683,3 +683,47 @@ def test_ambient_modules_are_the_rigid_cliques_of_full_support_rank(family):
         C = _nakayama_rad2_ct(idx, n)
     keys = [key for key, _ in tt.support_tau2_tilting_modules(A, C)]
     assert keys == sorted(_rigid_cliques_with_support_rank(idx, C))
+
+
+# -- the support complement off the census support bitmasks, against the old scan ----
+
+
+def _old_is_support_tau2_tilting(S, idx, definition):
+    """The scan as it read before the support bitmasks: e per vertex, before any rigidity."""
+    ambient = definition == "ambient"
+    e = _support_complement(idx, S)
+    mask = sum(1 << i for i in S)
+
+    def rigid(kill):
+        return not any(idx.tau2_row(kill, j)[1] & mask for j in S)
+
+    if ambient and not rigid(frozenset()):
+        return tt.NotSupportTau2("not tau2-rigid over A: Hom_A(T, tau2 T) nonzero")
+    if (e or not ambient) and not rigid(e):
+        return tt.NotSupportTau2("Hom(T, tau2 T) nonzero over the support quotient")
+    source = idx.quotient_projectives(e)
+    terms = tt._coresolution(idx, source, S, 2, mono_start=not ambient)
+    if terms is None:
+        start = "A/<e>" if ambient else "0 -> A/<e>"
+        return tt.NotSupportTau2(f"no add-T coresolution {start} -> T0 -> T1 -> T2 -> 0")
+    return tt.SupportTau2Cert(S, e, source, terms)
+
+
+@pytest.mark.parametrize("definition", tt.DEFINITIONS)
+@pytest.mark.parametrize("family", ["A3rad2", "A5rad2", "A7rad2", "A9rad2", "auslander3"])
+def test_support_bitmasks_give_the_old_scan(family, definition):
+    if family == "auslander3":
+        A = auslander_linear(3)
+        idx = arknit.knit_indecomposables(A)
+        C = auslander_ct(idx)
+    else:
+        n = int(family[1])
+        A = nakayama_rad2(n)
+        idx = arknit.knit_indecomposables(A)
+        C = _nakayama_rad2_ct(idx, n)
+    subsets = [S for r in range(len(C.members) + 1) for S in itertools.combinations(C.member_list(), r)]
+    for S in subsets:
+        assert tt._support_complement(idx, sum(1 << i for i in S)) == _support_complement(idx, S), S
+    old = sorted(((S, res) for S in subsets for res in [_old_is_support_tau2_tilting(S, idx, definition)]
+                  if isinstance(res, tt.SupportTau2Cert)), key=lambda t: t[0])
+    assert old and tt.support_tau2_tilting_modules(A, C, definition=definition) == old
