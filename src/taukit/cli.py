@@ -1,29 +1,43 @@
 """Command-line interface.
 
 Usage:
+    taukit [GLOBAL OPTIONS] SPEC_FILE [GLOBAL OPTIONS] COMMAND ...
     taukit SPEC_FILE info [--echo-spec]
     taukit SPEC_FILE indecs [--oracle] [--oracle-bound N]
     taukit SPEC_FILE ar [--dot]
     taukit SPEC_FILE ctfind [--d D]
     taukit SPEC_FILE ctcheck --gens LIST [--d D]
-    taukit SPEC_FILE torsion enum --ct LIST
+    taukit SPEC_FILE torsion enum --ct LIST [--certs]
     taukit SPEC_FILE tau2 enum --ct LIST
     taukit SPEC_FILE verify theorem1 --ct LIST
+    taukit -h | --help
 
+Global options, given before the command word:
+    --field Q            read the spec as if its field line said the prime Q
+    --max-indec N        knit at most N indecomposables (default 64)
+    --max-dim N          knit no module of dimension above N (default 64)
+    --subset-budget N    refuse a subset scan over more than N members (default 20)
+    --out PATH           write the report to PATH instead of stdout
+
+An option takes its value as `--opt V` or `--opt=V`, a unique prefix names
+it, the last of a repeated option counts, and `--` ends the options.
 Generators are named by dim vector, entries joined by dashes (e.g. 1-1-0);
 an ambiguous name takes an index suffix like 1-1-0#2.  Reports are JSON on
 stdout (DOT for `ar --dot`); identical runs produce byte-identical output.
 Exit codes: 0 success, 2 falsification witness, 3 budget or limit hit,
 4 usage error, 5 internal error (a failed self-check of the computation,
-including knitting's, or any other ValueError).
+including knitting's, or any other ValueError).  An argv that this usage
+does not allow is reported on stderr; every other error is a JSON record
+on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
+import re
 import sys
+import types
 
 from . import arknit, modcat as mc, tautilt as tt, torsion as tn
 from .algebra import NotAdmissibleError, SpecError, build_algebra, parse_spec, serialize_spec
@@ -50,8 +64,11 @@ def emit_report(result, fmt: str = "json") -> str:
 
 def _write(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -67,9 +84,9 @@ def _check_options(args):
 
 def _load_algebra(args):
     try:
-        with open(args.spec_path) as fh:
+        with open(args.spec_path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read spec file: {exc}") from None
     if args.field is not None:
         # read the text as if its field line said args.field, so coefficients reduce mod it
@@ -244,64 +261,131 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FALSIFIED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="taukit", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("spec_path", help="algebra spec file")
-    parser.add_argument("--field", type=int, default=None, help="read the spec as if its field line said this prime")
-    parser.add_argument("--max-indec", dest="max_indec", type=int, default=64)
-    parser.add_argument("--max-dim", dest="max_dim", type=int, default=64)
-    parser.add_argument("--subset-budget", dest="subset_budget", type=int, default=20)
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line.  Each command word maps to the actions it takes (none for
+# most) and to its own options; None maps to the global options, which go
+# before the command word.  An option maps to its type and default, and sets
+# the attribute named by its word with "-" read as "_"; type bool is a flag,
+# and a REQUIRED default must be given.
+REQUIRED = object()
+OPTIONS = {
+    None: ((), {"--field": (int, None), "--max-indec": (int, 64), "--max-dim": (int, 64),
+                "--subset-budget": (int, 20), "--out": (str, None)}),
+    "info": ((), {"--echo-spec": (bool, False)}),
+    "indecs": ((), {"--oracle": (bool, False), "--oracle-bound": (int, 1)}),
+    "ar": ((), {"--dot": (bool, False)}),
+    "ctfind": ((), {"--d": (int, 2)}),
+    "ctcheck": ((), {"--gens": (str, REQUIRED), "--d": (int, 2)}),
+    "torsion": (("enum",), {"--ct": (str, REQUIRED), "--certs": (bool, False)}),
+    "tau2": (("enum",), {"--ct": (str, REQUIRED)}),
+    "verify": (("theorem1",), {"--ct": (str, REQUIRED)}),
+}
 
-    p = sub.add_parser("info", help="algebra summary")
-    p.add_argument("--echo-spec", dest="echo_spec", action="store_true")
-    p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("indecs", help="indecomposable census by knitting")
-    p.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    p.add_argument("--oracle-bound", dest="oracle_bound", type=int, default=1)
-    p.set_defaults(func=cmd_indecs)
+def _option(token: str, options: dict):
+    """The option that token names, exactly or by a unique prefix, and its `=` value or None.
 
-    p = sub.add_parser("ar", help="AR quiver")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_ar)
+    The option is a key of options or "--help", "" for an unknown one, and
+    None for a token that reads as a word: one that does not start with "-",
+    "-" itself, a negative number, or one holding a space.
+    """
+    if not token.startswith("-") or token == "-":
+        return None, None
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if name == "-h":
+        return "--help", value
+    if name in options:
+        return name, value
+    hits = [opt for opt in (*options, "--help") if opt.startswith(name)] if name.startswith("--") else []
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {name} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None, None
+    return "", None
 
-    p = sub.add_parser("ctfind", help="test each subset for d-cluster-tilting on Ext tables")
-    p.add_argument("--d", type=int, default=2)
-    p.set_defaults(func=cmd_ctfind)
 
-    p = sub.add_parser("ctcheck", help="check a candidate d-cluster-tilting subcategory")
-    p.add_argument("--gens", required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.set_defaults(func=cmd_ctcheck)
+def _choose(what: str, word: str, choices):
+    if word not in choices:
+        raise UsageError(f"argument {what}: invalid choice: {word!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
 
-    p = sub.add_parser("torsion", help="torsion-pair commands")
-    p.add_argument("action", choices=["enum"])
-    p.add_argument("--ct", required=True, help="generators of the 2-CT subcategory")
-    p.add_argument("--certs", action="store_true",
-                   help="include finiteness certificates and canonical sequences")
-    p.set_defaults(func=cmd_torsion)
 
-    p = sub.add_parser("tau2", help="support tau2-tilting commands")
-    p.add_argument("action", choices=["enum"])
-    p.add_argument("--ct", required=True)
-    p.set_defaults(func=cmd_tau2)
+def _dest(opt: str) -> str:
+    return opt[2:].replace("-", "_")
 
-    p = sub.add_parser("verify", help="verify the main correspondence")
-    p.add_argument("action", choices=["theorem1"])
-    p.add_argument("--ct", required=True)
-    p.set_defaults(func=cmd_verify)
-    return parser
+
+def _defaults(options: dict) -> dict:
+    return {_dest(opt): default for opt, (_, default) in options.items()}
+
+
+def parse_args(argv):
+    """The arguments that argv gives, as attributes, or None when it asks for help.
+
+    Raises UsageError for an argv that the usage block does not allow.
+    """
+    actions, options = OPTIONS[None]
+    values = _defaults(options)
+    words, extras = [], []
+    literal = False  # true after "--": every later token is a word
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not literal:
+            literal = True
+            continue
+        opt, value = (None, None) if literal else _option(token, options)
+        if opt is None:  # the spec path, the command word, its action, or an extra word
+            if len(words) == 1:
+                _choose("command", token, [c for c in OPTIONS if c])
+                actions, options = OPTIONS[token]
+                values.update(_defaults(options))
+            elif len(words) == 2 and actions:
+                _choose("action", token, actions)
+            elif words:
+                extras.append(token)
+                continue
+            words.append(token)
+        elif not opt:
+            extras.append(token)
+        else:
+            kind = bool if opt == "--help" else options[opt][0]
+            if kind is bool:
+                if value is not None:
+                    raise UsageError(f"argument {opt}: ignored explicit argument {value!r}")
+                if opt == "--help":
+                    return None
+                value = True
+            elif value is None:
+                value = next(tokens, None)
+                if value is None or _option(value, options)[0] is not None:
+                    raise UsageError(f"argument {opt}: expected one argument")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"argument {opt}: invalid int value: {value!r}") from None
+            values[_dest(opt)] = value
+    names = ("spec_path", "command", "action")[:2 + bool(actions)]
+    missing = [*names[len(words):], *(opt for opt in options if values[_dest(opt)] is REQUIRED)]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    values.update(zip(names, words))
+    values["func"] = globals()["cmd_" + values["command"]]
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"taukit: error: {exc} (see taukit --help)\n")
+        return EXIT_USAGE
+    if args is None:
+        sys.stdout.write(__doc__ or "")
+        return EXIT_OK
     try:
         _check_options(args)
         return args.func(args)

@@ -380,6 +380,30 @@ def test_output_file(lambda3_file, tmp_path, capsys):
     assert json.loads(target.read_text())["dim"] == 5
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_file_is_a_usage_error(lambda3_file, tmp_path, capsys, where):
+    target = tmp_path / "missing" / "report.json" if where == "missing-dir" else tmp_path
+    code = main([lambda3_file, "--out", str(target), "info"])
+    captured = capsys.readouterr()
+    assert code == 4
+    report = json.loads(captured.out)
+    assert report["error"] == "UsageError"
+    assert report["detail"].startswith("cannot write report: ")
+    assert captured.err == ""
+
+
+def test_spec_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(LAMBDA3_TEXT.format(p=101).encode() + "# caf\xe9\n".encode("latin-1"))
+    code = main([str(path), "info"])
+    captured = capsys.readouterr()
+    assert code == 4
+    report = json.loads(captured.out)
+    assert report["error"] == "UsageError"
+    assert report["detail"].startswith("cannot read spec file: ")
+    assert captured.err == ""
+
+
 def test_module_entry_point(lambda3_file):
     proc = subprocess.run(
         [sys.executable, "-m", "taukit", lambda3_file, "info"],
@@ -394,7 +418,8 @@ def test_cli_imports_no_dataclasses_inspect_or_typing():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, taukit.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+         "import sys, taukit.cli; print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext'}"
+         " & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
