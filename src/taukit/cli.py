@@ -33,8 +33,10 @@ on stdout.
 
 from __future__ import annotations
 
+import errno
+import gc
 import itertools
-import json
+import os
 import re
 import sys
 import types
@@ -56,10 +58,100 @@ class UsageError(Exception):
 
 
 def emit_report(result, fmt: str = "json") -> str:
-    """Stable-order rendering; identical input gives byte-identical output."""
+    """Stable-order rendering; identical input gives byte-identical output.
+
+    The JSON is byte for byte `json.dumps(result, indent=2) + "\\n"`, written
+    without the json module: a report holds only dicts with str keys, lists
+    and tuples, str, int, bool and None, and anything else is a TypeError.
+    """
     if fmt == "dot":
         return result
-    return json.dumps(result, indent=2, sort_keys=False) + "\n"
+    out = []
+    _render(result, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+# json.dumps's escapes: the short ones, else \uXXXX, astral characters as a surrogate pair
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(c: str) -> str:
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _string(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _render(obj, out: list, nl: str):
+    """Append obj as json.dumps(indent=2) writes it at the depth whose line break is nl."""
+    if obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _render(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep)
+            out.append(_string(k))
+            out.append(": ")
+            _render(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _check_out(path: str):
+    """Reject an --out path that cannot be written, without creating or truncating it.
+
+    An existing path must be writable and not a directory; a new one needs a
+    writable directory to go in.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise UsageError(f"cannot write report: {OSError(code, os.strerror(code), path)}")
 
 
 def _write(text: str, out_path):
@@ -80,6 +172,8 @@ def _check_options(args):
             raise UsageError(f"{name.replace('_', '-')} must be >= {low}")
     if args.field is not None and not is_prime(args.field):
         raise UsageError(f"field order must be prime, got {args.field}")
+    if args.out:
+        _check_out(args.out)
 
 
 def _load_algebra(args):
@@ -378,6 +472,23 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
+    """Run the command that argv names and return its exit code.
+
+    The cyclic garbage collector is off while the command runs, and the
+    caller's setting comes back on return: a command builds many small tuples
+    and few reference cycles, so reference counting frees what it drops and
+    the collector's passes find almost nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:

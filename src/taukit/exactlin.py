@@ -16,6 +16,7 @@ mod p.  Code that calls `Mat(...)` directly must pass entries in [0, p).
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul as _times
 
 
 def is_prime(p: int) -> bool:
@@ -124,23 +125,15 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         p = self.field.p
-        ot = other.data
-        out = []
-        for r in self.data:
-            row = [0] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    ork = ot[k]
-                    for j in range(other.cols):
-                        row[j] += a * ork[j]
-            out.append(tuple(x % p for x in row))
-        return Mat(self.field, self.rows, other.cols, tuple(out))
+        columns = tuple(zip(*other.data)) if other.rows else ((),) * other.cols  # as in transpose
+        return Mat(self.field, self.rows, other.cols,
+                   tuple([tuple([sum(map(_times, r, c)) % p for c in columns]) for r in self.data]))
 
     def apply(self, vec) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         p = self.field.p
-        return tuple(sum(a * v for a, v in zip(r, vec)) % p for r in self.data)
+        return tuple([sum(map(_times, r, vec)) % p for r in self.data])
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -160,8 +153,9 @@ class Mat:
                    tuple(tuple((c * a) % p for a in r) for r in self.data))
 
     def transpose(self) -> "Mat":
+        # zip of no rows gives no columns, so a 0 x n matrix's n empty rows are made here
         return Mat(self.field, self.cols, self.rows,
-                   tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
+                   tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     @classmethod
     def hstack(cls, field: PrimeField, mats, rows: int | None = None) -> "Mat":

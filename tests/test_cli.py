@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -392,6 +393,70 @@ def test_unwritable_output_file_is_a_usage_error(lambda3_file, tmp_path, capsys,
     assert captured.err == ""
 
 
+def test_unwritable_output_file_is_refused_before_any_work(lambda3_file, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("knitting ran before --out was checked")
+
+    monkeypatch.setattr(arknit, "knit_indecomposables", refuse)
+    code = main([lambda3_file, "--out", str(tmp_path / "missing" / "x.json"), "ar"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out) == {
+        "error": "UsageError",
+        "detail": f"cannot write report: [Errno 2] No such file or directory: "
+                  f"'{tmp_path / 'missing' / 'x.json'}'"}
+    assert captured.err == ""
+
+
+def test_failed_command_neither_creates_nor_truncates_the_output_file(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("field 101\nvertex 1\narrow a 1 2\n")
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for target in (new, old):
+        code = main([str(bad), "--out", str(target), "info"])
+        assert code == 4
+        assert json.loads(capsys.readouterr().out)["error"] == "SpecError"
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, fail, expected", [
+    (["info"], None, 0),
+    (["verify", "theorem1", "--ct", CSTAR], None, 2),
+    (["info", "--no-such-option"], None, 4),
+    (["--field", "4", "info"], None, 4),
+    (["info"], ValueError("a self-check failed"), 5),
+    (["info"], KeyboardInterrupt(), KeyboardInterrupt),
+], ids=["ok", "falsified", "bad-argv", "bad-option-value", "internal", "escapes"])
+def test_main_runs_without_the_cyclic_collector_and_restores_it(lambda3_file, capsys, monkeypatch,
+                                                                 enabled, argv, fail, expected):
+    seen, check = [], cli._check_options
+
+    def probe(args):
+        seen.append(gc.isenabled())
+        if fail is not None:
+            raise fail
+        check(args)
+
+    monkeypatch.setattr(cli, "_check_options", probe)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if expected is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main([lambda3_file, *argv])
+        else:
+            assert main([lambda3_file, *argv]) == expected
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    # a command runs with the collector off; an argv that does not parse runs none
+    assert seen == ([] if argv[-1] == "--no-such-option" else [False])
+
+
 def test_spec_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "latin1.alg"
     path.write_bytes(LAMBDA3_TEXT.format(p=101).encode() + "# caf\xe9\n".encode("latin-1"))
@@ -418,8 +483,8 @@ def test_cli_imports_no_dataclasses_inspect_or_typing():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, taukit.cli; print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext'}"
-         " & set(sys.modules)))"],
+         "import sys, taukit.cli; print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext',"
+         " 'json'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr

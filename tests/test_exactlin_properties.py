@@ -111,6 +111,20 @@ def _ref_solve_matrix(m: Mat, bmat: Mat):
     return Mat.from_columns(m.field, cols, rows=m.cols)
 
 
+def _ref_mul(a: Mat, b: Mat) -> Mat:
+    p = a.field.p
+    return Mat(a.field, a.rows, b.cols, tuple(tuple(sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols)) % p
+                                                    for j in range(b.cols)) for i in range(a.rows)))
+
+
+def _ref_apply(m: Mat, vec) -> tuple:
+    return tuple(sum(m.entry(i, k) * vec[k] for k in range(m.cols)) % m.field.p for i in range(m.rows))
+
+
+def _ref_transpose(m: Mat) -> Mat:
+    return Mat(m.field, m.cols, m.rows, tuple(tuple(m.entry(i, j) for i in range(m.rows)) for j in range(m.cols)))
+
+
 # -- strategies ---------------------------------------------------------------
 
 
@@ -143,7 +157,27 @@ def systems(draw):
     return m, draw(matrices(rows=m.rows, cols=width, field=m.field))
 
 
+@st.composite
+def products(draw):
+    """(a, b, v): a is r x k, b is k x c and v has length k, each of r, k and c often 0."""
+    field = draw(st.sampled_from(FIELDS))
+    r, k, c = (draw(st.one_of(st.just(0), st.integers(1, 5))) for _ in range(3))
+    a, b = draw(matrices(rows=r, cols=k, field=field)), draw(matrices(rows=k, cols=c, field=field))
+    return a, b, draw(st.lists(st.integers(-field.p, 2 * field.p), min_size=k, max_size=k))
+
+
 # -- properties ---------------------------------------------------------------
+
+
+@PROPERTY
+@given(products())
+def test_mul_apply_and_transpose_match_the_reference_on_every_shape(product):
+    a, b, v = product
+    assert a.mul(b) == _ref_mul(a, b)
+    assert a.apply(v) == _ref_apply(a, v)
+    assert a.transpose() == _ref_transpose(a)
+    assert (a.transpose().rows, a.transpose().cols) == (a.cols, a.rows)
+    assert a.transpose().transpose() == a
 
 
 @PROPERTY
