@@ -282,12 +282,13 @@ def cmd_ctfind(args) -> int:
     n = len(idx.modules)
     if n > args.subset_budget:
         raise tn.TooLargeError(f"{n} indecomposables exceed the subset budget")
-    found = []
+    found, make, d = [], tuple.__new__, args.d
     for r in range(n + 1):
-        for S in itertools.combinations(range(n), r):
-            # indices drawn from range(n) need no check from Subcat.of
-            if is_d_cluster_tilting(Subcat(idx, frozenset(S)), args.d).ok:
-                found.append([_dimvec_name(idx.modules[i]) for i in S])
+        # indices drawn from range(n) need no check from Subcat.of, nor the namedtuple's Python-level __new__
+        for members in map(frozenset, itertools.combinations(range(n), r)):
+            C = make(Subcat, (idx, members))
+            if is_d_cluster_tilting(C, d).ok:
+                found.append([_dimvec_name(idx.modules[i]) for i in sorted(C.members)])
     _write(emit_report({"d": args.d, "subcategories": found}), args.out)
     return EXIT_OK
 

@@ -10,7 +10,10 @@ reduces what it is given, the arithmetic methods reduce what they compute,
 and the rest only move entries.  The one elimination, `eliminate`, relies on
 this: `rref`, `rank`, `kernel_basis`, `solve` and `solve_matrix` copy a
 matrix's rows into lists and reduce them in place, with no second pass
-mod p.  Code that calls `Mat(...)` directly must pass entries in [0, p).
+mod p.  Code that calls `Mat(...)` directly must pass entries in [0, p), and
+so must callers of `from_reduced_columns`, which transposes its columns once
+and reduces nothing: they promise columns of one length, with entries already
+in [0, p), such as vectors read off other matrices or computed by them.
 """
 
 from __future__ import annotations
@@ -91,6 +94,17 @@ class Mat:
             return cls.zeros(field, rows, 0)
         return cls.from_rows(field, zip(*cols, strict=True), cols=len(cols))
 
+    @classmethod
+    def from_reduced_columns(cls, field: PrimeField, columns, rows: int) -> "Mat":
+        """The matrix with these columns, each of length rows and with entries already in [0, p)."""
+        columns = list(columns)
+        if not columns:
+            return cls(field, rows, 0, ((),) * rows)
+        data = tuple(zip(*columns, strict=True))
+        if len(data) != rows:
+            raise ValueError(f"columns of length {len(data)}, not {rows}")
+        return cls(field, rows, len(columns), data)
+
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
 
@@ -101,7 +115,8 @@ class Mat:
         return tuple(r[j] for r in self.data)
 
     def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        # zip of no rows gives no columns, as in transpose
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -338,25 +353,42 @@ def column_space_basis(m: Mat) -> Mat:
     return Mat.from_columns(m.field, [m.col(j) for j in piv], rows=m.rows)
 
 
-def quotient_coordinates(m: Mat):
-    """(complement, reduce): the c with e_c outside U + span(e_0 .. e_{c-1}), U the column
-    space of m, and y's coordinates on those e_c modulo U.  The c left out are the last
-    nonzero entries of vectors of U: the pivots of its echelon form, coordinates reversed.
-    With no rows or no columns there is nothing to eliminate: U = 0."""
-    n, p = m.rows, m.field.p
-    if not n or not m.cols:
-        return list(range(n)), tuple
-    work = [[r[j] for r in reversed(m.data)] for j in range(m.cols)]
+def quotient_echelon(columns, n: int, p: int):
+    """(complement, rows) for U, the span of columns of length n with entries in [0, p).
+
+    complement lists the c with e_c outside U + span(e_0 .. e_{c-1}); the c left
+    out are the last nonzero entries of vectors of U.  rows are the (pivot, row)
+    of U's reduced echelon form with coordinates reversed, so the pivot n - 1 - c
+    is such an end c, and every other pivot is 0 on its row.
+    """
+    work = [list(reversed(col)) for col in columns]
+    if not work:
+        return list(range(n)), []
     pivots = eliminate(work, n, p)
     ends = {n - 1 - c for c in pivots}
-    complement = [c for c in range(n) if c not in ends]
-    rows = list(zip(pivots, work))
+    return [c for c in range(n) if c not in ends], list(zip(pivots, work))
+
+
+def quotient_reducer(complement: list, rows: list, n: int, p: int):
+    """The function reading y's coordinates modulo U on the e_c, c in complement, from
+    `quotient_echelon`; with no rows U = 0 and they are y's own entries."""
+    if not rows:
+        return tuple
+    back = [n - 1 - c for c in complement]
 
     def reduce(y) -> tuple:
         y = y[::-1]
         for c, row in rows:
-            if y[c]:
-                y = [(a - y[c] * b) % p for a, b in zip(y, row)]
-        return tuple(y[n - 1 - c] for c in complement)
+            f = y[c]
+            if f:
+                y = [(a - f * b) % p for a, b in zip(y, row)]
+        return tuple([y[c] for c in back])
 
-    return complement, reduce
+    return reduce
+
+
+def quotient_coordinates(m: Mat):
+    """(complement, reduce): `quotient_echelon` and `quotient_reducer` for U the column space of m."""
+    n, p = m.rows, m.field.p
+    complement, rows = quotient_echelon(m.columns(), n, p)
+    return complement, quotient_reducer(complement, rows, n, p)

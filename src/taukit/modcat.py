@@ -22,6 +22,8 @@ from .exactlin import (
     free_columns,
     kernel_basis,
     quotient_coordinates,
+    quotient_echelon,
+    quotient_reducer,
     rank,
     solve,
     solve_matrix,
@@ -431,36 +433,42 @@ def cokernel(f: ModMap):
     """Pointwise cokernel of f with its induced arrow action: (Q, projection target -> Q)."""
     A = f.source.algebra
     N = f.target
-    complement, reduce, action = _cokernel(A, N.action, f.mats)
+    complement, echelon, action = _cokernel(A, N.dims, N.action, {v: f.mats[v].columns() for v in A.vertices})
     Q = Module(A, {v: len(complement[v]) for v in A.vertices}, action, check=False)
-    proj = {v: _projection(A.field, complement[v], reduce[v], N.dims[v]) for v in A.vertices}
+    proj = {v: _projection(A.field, complement[v], echelon[v], N.dims[v]) for v in A.vertices}
     return Q, ModMap(N, Q, proj, check=False)
 
 
-def _cokernel(A: Algebra, action: dict, image: dict):
-    """The cokernel of the spans image[v] in a representation: at each v, the standard basis
-    vectors complement[v] that complete the image, reduce[v] reading coordinates on them,
-    and the induced action."""
-    complement, reduce = {}, {}
+def _cokernel(A: Algebra, dims: dict, action: dict, image: dict):
+    """The cokernel of the spans of the columns image[v] in a representation of dimensions dims:
+    at each v, the standard basis vectors complement[v] that complete the image and the
+    echelon rows of `quotient_echelon`, and the induced action, whose columns are the arrows'
+    columns at the complement, each read once and reduced modulo the image."""
+    p = A.field.p
+    complement, echelon, reduce = {}, {}, {}
     for v in A.vertices:
-        complement[v], reduce[v] = quotient_coordinates(image[v])
+        complement[v], echelon[v] = quotient_echelon(image[v], dims[v], p)
+        reduce[v] = quotient_reducer(complement[v], echelon[v], dims[v], p)
     quotient = {}
     for a in A.arrows:
-        cols = [reduce[a.target](action[a.name].col(c)) for c in complement[a.source]]
-        quotient[a.name] = Mat.from_columns(A.field, cols, rows=len(complement[a.target]))
-    return complement, reduce, quotient
+        cols = action[a.name].columns()
+        quotient[a.name] = Mat.from_reduced_columns(
+            A.field, [reduce[a.target](cols[c]) for c in complement[a.source]], len(complement[a.target]))
+    return complement, echelon, quotient
 
 
-def _projection(field, complement: list, reduce, n: int) -> Mat:
-    """The matrix of F^n ->> F^n / U on the coordinates of `quotient_coordinates`: column c is the
-    unit vector of c's place in complement when c is there, else e_c reduced modulo U."""
-    rows = [[0] * n for _ in complement]
+def _projection(field, complement: list, echelon: list, n: int) -> Mat:
+    """The matrix of F^n ->> F^n / U on the coordinates of `quotient_echelon`: column c is the
+    unit vector of c's place in complement when c is there, else e_c modulo U, which is its
+    echelon row (pivot n - 1 - c, the other pivots 0) negated, read on the complement."""
+    p, k = field.p, len(complement)
+    back = [n - 1 - c for c in complement]
+    cols = [None] * n
     for q, c in enumerate(complement):
-        rows[q][c] = 1
-    for c in set(range(n)).difference(complement):
-        for row, y in zip(rows, reduce(tuple(int(r == c) for r in range(n)))):
-            row[c] = y
-    return Mat(field, len(rows), n, tuple(map(tuple, rows)))
+        cols[c] = (0,) * q + (1,) + (0,) * (k - 1 - q)
+    for c, row in echelon:
+        cols[n - 1 - c] = tuple([-row[b] % p for b in back])
+    return Mat.from_reduced_columns(field, cols, k)
 
 
 def map_parts(f: ModMap) -> MapParts:
@@ -640,9 +648,11 @@ def cosyzygy(M: Module, k: int = 1) -> Module:
 
 def _top(A: Algebra, dims: dict, action: dict) -> list:
     """The top generators (v, j), basis vector j at v: at each vertex where X is nonzero,
-    the standard basis vectors that complete a basis of the radical."""
-    return [(v, c) for v in A.vertices if dims[v] for c in quotient_coordinates(Mat.hstack(
-        A.field, [action[a.name] for a in A.arrows if a.target == v], rows=dims[v]))[0]]
+    the standard basis vectors that complete a basis of the radical, the span of the
+    incoming arrows' columns, eliminated once."""
+    p = A.field.p
+    return [(v, c) for v in A.vertices if dims[v] for c in quotient_echelon(
+        [col for a in A.arrows if a.target == v for col in zip(*action[a.name].data)], dims[v], p)[0]]
 
 
 def _cover(A: Algebra, dims: dict, action: dict, tops: list):
@@ -656,7 +666,7 @@ def _cover(A: Algebra, dims: dict, action: dict, tops: list):
         for pth in A.paths_from(v):
             cols[pth.target].append(_word_image(action, images, pth.arrows))
             labels[pth.target].append((k, pth.arrows))
-    return {w: Mat.from_columns(A.field, cols[w], rows=dims[w]) for w in A.vertices}, labels
+    return {w: Mat.from_reduced_columns(A.field, cols[w], dims[w]) for w in A.vertices}, labels
 
 
 def _word_image(action: dict, images: dict, word: tuple) -> tuple:
@@ -673,7 +683,7 @@ def _kernel_action(A: Algebra, verts: list, kbas: dict) -> dict:
     action, acts = {}, _projective_sum_action(A, verts)
     for a in A.arrows:
         cols = [[y[f] for f in free[a.target]] for y in map(acts[a.name].apply, kbas[a.source])]
-        action[a.name] = Mat.from_columns(A.field, cols, rows=len(kbas[a.target]))
+        action[a.name] = Mat.from_reduced_columns(A.field, cols, len(kbas[a.target]))
     return action
 
 
@@ -682,8 +692,19 @@ def _projective_sum_action(A: Algebra, verts) -> dict:
     cache = A.__dict__.setdefault("_taukit_sum_cache", {})
     key = tuple(verts)
     if key not in cache:
-        cache[key] = {a.name: Mat.block_diag(A.field, [projective(A, v).action[a.name] for v in verts])
-                      for a in A.arrows}
+        summands = [projective(A, v).action for v in verts]
+        cache[key] = {a.name: Mat.block_diag(A.field, [P[a.name] for P in summands]) for a in A.arrows}
+    return cache[key]
+
+
+def _sum_offsets(A: Algebra, verts) -> dict:
+    """Where each summand starts in the sum of the P(v), v in verts, at each vertex, and the
+    sum's dimension last; kept per algebra and verts."""
+    cache = A.__dict__.setdefault("_taukit_offsets_cache", {})
+    key = tuple(verts)
+    if key not in cache:
+        dims = [projective(A, v).dims for v in verts]
+        cache[key] = {w: list(accumulate((d[w] for d in dims), initial=0)) for w in A.vertices}
     return cache[key]
 
 
@@ -759,19 +780,18 @@ def transpose(M: Module, pres: Presentation | None = None) -> Module:
     Aop = opposite(M.algebra)
     if pres is None:
         pres = minimal_presentation(M)
-    src, tgt = ({w: list(accumulate((projective(Aop, v).dims[w] for v in verts), initial=0))
-                 for w in Aop.vertices} for verts in (pres.verts0, pres.verts1))
-    grid = {w: [[0] * src[w][-1] for _ in range(tgt[w][-1])] for w in Aop.vertices}
+    src, tgt = _sum_offsets(Aop, pres.verts0), _sum_offsets(Aop, pres.verts1)
+    dims = {w: tgt[w][-1] for w in Aop.vertices}
+    image = {w: [[0] * dims[w] for _ in range(src[w][-1])] for w in Aop.vertices}
     for (j, i), terms in pres.elements.items():
         for w, block in _right_mult_map(Aop, pres.verts0[j], pres.verts1[i], terms).items():
-            for r, row in enumerate(block, tgt[w][i]):
-                grid[w][r][src[w][j]:src[w][j + 1]] = row
-    image = {w: Mat.from_rows(Aop.field, grid[w], cols=src[w][-1]) for w in Aop.vertices}
-    complement, reduce, quotient = _cokernel(Aop, _projective_sum_action(Aop, pres.verts1), image)
+            for c, part in enumerate(block, src[w][j]):
+                image[w][c][tgt[w][i]:tgt[w][i + 1]] = part
+    complement, echelon, quotient = _cokernel(Aop, dims, _projective_sum_action(Aop, pres.verts1), image)
     Tr = Module(Aop, {w: len(complement[w]) for w in Aop.vertices}, quotient, check=False)
 
     def carried() -> Presentation:
-        cover = {w: _projection(Aop.field, complement[w], reduce[w], tgt[w][-1]) for w in Aop.vertices}
+        cover = {w: _projection(Aop.field, complement[w], echelon[w], dims[w]) for w in Aop.vertices}
         # the basis is breadth-first, so the trivial path is the first basis vector of P_op(v) at v
         generators = [complement[v].index(tgt[v][i]) for i, v in enumerate(pres.verts1)]
         return Presentation(list(pres.verts1), list(pres.verts0),
@@ -785,31 +805,29 @@ def transpose(M: Module, pres: Presentation | None = None) -> Module:
 def _right_mult_map(Aop: Algebra, v_from, v_to, terms) -> dict:
     """Right multiplication P_op(v_from) -> P_op(v_to) by an element of paths v_to -> v_from
     of the original algebra (so an element of opposite paths v_to -> v_from reversed),
-    as the rows of its matrix over the opposite path bases at each vertex; kept per algebra."""
+    as the columns of its matrix over the opposite path bases at each vertex; kept per algebra."""
     cache = Aop.__dict__.setdefault("_taukit_right_mult_cache", {})
     key = (v_from, v_to, terms)
     if key not in cache:
-        cache[key] = _right_mult_rows(Aop, v_from, v_to, terms)
+        cache[key] = _right_mult_columns(Aop, v_from, v_to, terms)
     return cache[key]
 
 
-def _right_mult_rows(Aop: Algebra, v_from, v_to, terms) -> dict:
+def _right_mult_columns(Aop: Algebra, v_from, v_to, terms) -> dict:
     p = Aop.field.p
     pos, col = {}, dict.fromkeys(Aop.vertices, 0)
     for pth in Aop.paths_from(v_to):
         pos[pth.key()] = col[pth.target]
         col[pth.target] += 1
-    width = projective(Aop, v_from).dims
-    rows = {w: [[0] * width[w] for _ in range(col[w])] for w in Aop.vertices}
-    col = dict.fromkeys(Aop.vertices, 0)
+    cols = {w: [] for w in Aop.vertices}
     for q in Aop.paths_from(v_from):
-        w, c = q.target, col[q.target]
-        col[w] += 1
+        column = [0] * col[q.target]
         for coeff, word in terms:
             for c2, bidx in Aop.reduce_word(v_to, tuple(reversed(word)) + q.arrows):
                 r = pos[Aop.basis[bidx].key()]
-                rows[w][r][c] = (rows[w][r][c] + coeff * c2) % p
-    return rows
+                column[r] = (column[r] + coeff * c2) % p
+        cols[q.target].append(column)
+    return cols
 
 
 def tau(M: Module) -> Module:

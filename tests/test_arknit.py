@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from taukit import arknit, modcat as mc
+from taukit import algebra, arknit, modcat as mc
 from taukit.algebra import parse_algebra, quotient_by_idempotent
 from taukit.cli import emit_report
 from taukit.exactlin import Mat, kernel_of_rows, rank, solve, solve_matrix
@@ -751,6 +751,27 @@ def test_knitting_e7_presents_81_members_and_transposes_112(monkeypatch):
     idx = arknit.knit_indecomposables(e7_linear(p=2))
     assert (len(log["minimal_presentation"]), len(log["transpose"])) == (81, 112)
     assert len(log["compiled"]) == len(idx.modules)
+
+
+def test_knitting_e7_builds_no_kernel_matrix_by_re_reducing_its_entries(monkeypatch):
+    # the presentation, transpose and cokernel kernels build their matrices from entries already
+    # in [0, p), and read projective dims from per-algebra caches (2200, 1858 and 3464 calls before)
+    monkeypatch.setattr(algebra, "_OPPOSITE_CACHE", {})  # no opposite kept from another test: a fresh process
+    calls = Counter()
+
+    def counted(owner, name, kind=lambda f: f):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, kind(wrapper))
+
+    counted(Mat, "from_rows", staticmethod)
+    counted(Mat, "from_columns", staticmethod)
+    counted(mc, "projective")
+    assert len(arknit.knit_indecomposables(e7_linear(p=2)).modules) == 63
+    assert (calls["from_rows"], calls["from_columns"], calls["projective"]) == (308, 169, 186)
 
 
 def test_knitting_e7_and_its_json_solve_no_section(monkeypatch):

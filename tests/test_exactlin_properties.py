@@ -9,6 +9,7 @@ is unique, so every result must be equal, on F_2, F_3 and F_101 and on
 shapes with no rows or no columns.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from taukit import arknit, tautilt as tt
@@ -221,10 +222,16 @@ def _reduces_into(m: Mat, complement: list, y, z) -> bool:
 
 
 @st.composite
-def reductions(draw):
-    """(m, y): m of any shape, 0 x n and n x 0 drawn explicitly too, and y of m's height."""
+def shaped(draw):
+    """A matrix of any shape, 0 x n and n x 0 drawn explicitly too."""
     shape = draw(st.sampled_from(["any", "no rows", "no columns"]))
-    m = draw(matrices(rows=0 if shape == "no rows" else None, cols=0 if shape == "no columns" else None))
+    return draw(matrices(rows=0 if shape == "no rows" else None, cols=0 if shape == "no columns" else None))
+
+
+@st.composite
+def reductions(draw):
+    """(m, y): m of any shape, and y of m's height."""
+    m = draw(shaped())
     return m, draw(st.lists(st.integers(0, m.field.p - 1), min_size=m.rows, max_size=m.rows))
 
 
@@ -248,6 +255,35 @@ def test_from_rows_reduces_unreduced_and_negative_entries(field, rows, cols, dat
     got = Mat.from_rows(field, raw, cols=cols)
     assert got == Mat(field, rows, cols, tuple(tuple(int(x) % field.p for x in row) for row in raw))
     assert Mat.from_columns(field, [[row[c] for row in raw] for c in range(cols)], rows=rows) == got
+
+
+@PROPERTY
+@given(shaped(), st.booleans())
+def test_from_reduced_columns_equals_from_columns_on_reduced_input(m, as_lists):
+    columns = [m.col(j) for j in range(m.cols)]
+    assert m.columns() == columns
+    if as_lists:
+        columns = [list(c) for c in columns]
+    got = Mat.from_reduced_columns(m.field, columns, m.rows)
+    assert got == Mat.from_columns(m.field, columns, rows=m.rows) == m
+    assert (got.rows, got.cols) == (m.rows, m.cols)
+    assert got.data == tuple(map(tuple, got.data))
+
+
+@PROPERTY
+@given(shaped(), st.data())
+def test_from_reduced_columns_rejects_ragged_columns(m, data):
+    columns = [list(m.col(j)) for j in range(m.cols)] or [[0] * m.rows]
+    j = data.draw(st.integers(0, len(columns) - 1))
+    if m.rows and data.draw(st.booleans()):
+        columns[j] = columns[j][:-1]
+    else:
+        columns[j] = columns[j] + [0]
+    with pytest.raises(ValueError):
+        Mat.from_reduced_columns(m.field, columns, m.rows)
+    if len(columns) > 1:
+        with pytest.raises(ValueError):
+            Mat.from_columns(m.field, columns, rows=m.rows)
 
 
 @PROPERTY
