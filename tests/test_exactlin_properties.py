@@ -266,8 +266,6 @@ def test_from_reduced_columns_equals_from_columns_on_reduced_input(m, as_lists):
         columns = [list(c) for c in columns]
     got = Mat.from_reduced_columns(m.field, columns, m.rows)
     assert got == Mat.from_columns(m.field, columns, rows=m.rows) == m
-    assert (got.rows, got.cols) == (m.rows, m.cols)
-    assert got.data == tuple(map(tuple, got.data))
 
 
 @PROPERTY
