@@ -19,6 +19,7 @@ ideal is admissible.
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 
 from .exactlin import Mat, PrimeField, rref
@@ -228,6 +229,7 @@ class Algebra:
                 raise AssertionError("trivial path missing from basis")
             self.idempotents[v] = self.basis_index[key]
         self._mult = {}
+        self._opposite = None  # set by `opposite`: the opposite, or a weak reference to it
         self._build_mult_table()
 
     # -- construction helpers -------------------------------------------------
@@ -456,28 +458,29 @@ def parse_algebra(text: str) -> Algebra:
     return build_algebra(parse_spec(text))
 
 
-_OPPOSITE_CACHE: dict = {}
-
-
 def opposite(algebra: Algebra) -> Algebra:
     """The opposite algebra: arrows and relation paths reversed.
 
-    Each opposite is built once per spec and remembered in both directions:
-    later calls return the same Algebra objects, and the opposite of the
-    opposite is the algebra it was first built from.
+    Each opposite is built once and kept on the Algebra object, and the
+    opposite keeps a weak reference back, so the pair forms no reference
+    cycle: later calls return the same object, and the opposite of the
+    opposite is the algebra itself while that algebra is alive.
     """
-    spec = algebra.spec
-    if spec in _OPPOSITE_CACHE:
-        return _OPPOSITE_CACHE[spec]
-    arrows = tuple(Arrow(a.name, a.target, a.source) for a in spec.arrows)
-    relations = []
-    for rel in spec.relations:
-        terms = tuple(sorted((c, tuple(reversed(w))) for c, w in rel.terms))
-        relations.append(Relation(terms, rel.target, rel.source))
-    op_spec = QuiverSpec(spec.p, spec.vertices, arrows, tuple(sorted(relations, key=lambda r: r.terms)))
-    op = algebra if op_spec == spec else build_algebra(op_spec)
-    _OPPOSITE_CACHE[spec] = op
-    _OPPOSITE_CACHE[op_spec] = algebra
+    op = algebra._opposite
+    if isinstance(op, weakref.ref):
+        op = op()
+    if op is None:
+        spec = algebra.spec
+        arrows = tuple(Arrow(a.name, a.target, a.source) for a in spec.arrows)
+        relations = []
+        for rel in spec.relations:
+            terms = tuple(sorted((c, tuple(reversed(w))) for c, w in rel.terms))
+            relations.append(Relation(terms, rel.target, rel.source))
+        op_spec = QuiverSpec(spec.p, spec.vertices, arrows, tuple(sorted(relations, key=lambda r: r.terms)))
+        op = algebra if op_spec == spec else build_algebra(op_spec)
+        op._opposite = weakref.ref(algebra)
+        if op is not algebra:
+            algebra._opposite = op
     return op
 
 

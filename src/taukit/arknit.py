@@ -54,9 +54,11 @@ X_j is injective, on the census, and an index built by hand reads both when firs
 Maps between sums of members are rows of Hom-basis coordinates: `precompose`
 reads g -> g o F off the compose table, or h -> F o h in its Gamma^op reading.
 Into the injective member I(v) it is D of F's matrix at v, as Hom(M, I(v)) = D(M_v).
-`tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it, and
-`quotient_projectives` the projectives of A/<e>; both are computed once per
-connected piece of the quiver of A/<e>, since A/<e> is the product of its pieces' algebras.
+`quotient_projectives` reads the projectives of A/<e> off the census: P_{A/<e>}(v)
+is the largest member with top S(v) that e kills (Auslander-Reiten-Smalo, I.4 and II.2).
+`tau2_row` keeps tau_2 X_j over A/<e> with the members that map into it, computed once per
+connected piece of the quiver of A/<e>, since A/<e> is the product of its pieces' algebras;
+the row of a projective of the piece is empty, as its syzygy and so its tau_2 are 0.
 """
 
 from __future__ import annotations
@@ -273,28 +275,31 @@ class IndecIndex:
         return Mat.from_rows(field, out, cols=cols)
 
     def quotient_projectives(self, e: frozenset) -> tuple:
-        """Census indices of the indecomposable projectives of A/<e>, read as A-modules.
+        """Census indices of the indecomposable projectives of A/<e>, read as A-modules, in vertex order.
 
-        A/<e> is the product of the algebras A/<V - c> of the pieces c of its
-        quiver, and the projective of a product at v is that of the factor
-        holding v, up to isomorphism.  So each piece's projectives are placed
-        on the census once, over A/<V - c>, and each e reads them, in vertex order.
+        For v not in e, P_{A/<e>}(v) is the member with top S(v) (its one top
+        generator at v) that vanishes on e and has the largest total dimension:
+        every module with top S(v) that e kills is a quotient of P_{A/<e>}(v),
+        and that projective is one of them (Auslander-Reiten-Smalo, I.4 and
+        II.2).  So it is read off the census, with no quotient algebra built;
+        no such member, or two of the largest dimension, is an AssertionError.
         """
         if e not in self._quotient_projectives:
-            A = self.algebra
-            pieces = _pieces(A, e)
-            if len(pieces) > 1:
-                found = {}
-                for c in pieces:
-                    found.update(zip([v for v in A.vertices if v in c],
-                                     self.quotient_projectives(frozenset(A.vertices) - c)))
-                self._quotient_projectives[e] = tuple(found[v] for v in A.vertices if v not in e)
-            else:
-                Aq = quotient_by_idempotent(A, e) if e else A
-                found = [self.find_iso(mc.induce_module(mc.projective(Aq, v), A)) for v in Aq.vertices]
-                if None in found:
-                    raise AssertionError(f"a projective of A/<{sorted(e)}> is missing from the census")
-                self._quotient_projectives[e] = tuple(found)
+            vertices, supports = self.algebra.vertices, self.supports()
+            off = _mask(k for k, v in enumerate(vertices) if v in e)
+            ranked: dict = {}  # v -> (total dim, index) of the members with top S(v) that e kills
+            for i, X in enumerate(self.modules):
+                tops = self._generator_data(i).verts0
+                if len(tops) == 1 and not supports[i] & off:
+                    ranked.setdefault(tops[0], []).append((X.total_dim, i))
+            found = []
+            for v in vertices:
+                if v not in e:
+                    top = sorted(ranked.get(v, ()), reverse=True)[:2]
+                    if not top or len(top) == 2 and top[0][0] == top[1][0]:
+                        raise AssertionError(f"a projective of A/<{sorted(e)}> is missing from the census")
+                    found.append(top[0][1])
+            self._quotient_projectives[e] = tuple(found)
         return self._quotient_projectives[e]
 
     def tau2_row(self, e: frozenset, j: int) -> tuple:
@@ -305,9 +310,11 @@ class IndecIndex:
         X_j lives in one of them; Hom, tau and projectives over a product are
         those of the factor.  So tau_2 is computed over A/<V - c>, once per
         (c, j), and each e reads it: the module is returned up to isomorphism.
-        Hom between modules that e kills is the same over A and over A/<e>, so
-        the row is read over A, only at the X_i that vanish off c: an X_i that
-        e kills and that maps into tau_2 X_j lives in c.
+        When X_j is a projective of A/<V - c> (`quotient_projectives`), its
+        syzygy is 0 and so is tau_2 X_j = tau Omega X_j (Iyama 2007), with an
+        empty row and no module built.  Hom between modules that e kills is the
+        same over A and over A/<e>, so the row is read over A, only at the X_i
+        that vanish off c: an X_i that e kills and that maps into tau_2 X_j lives in c.
         """
         if (e, j) not in self._tau2:
             A, X = self.algebra, self.modules[j]
@@ -315,11 +322,14 @@ class IndecIndex:
                 raise ValueError(f"X_{j} does not vanish on {sorted(e)}")
             rest = frozenset(A.vertices) - _piece(A, e, [v for v in A.vertices if X.dims[v]])
             if (rest, j) not in self._tau2:
-                Aq = quotient_by_idempotent(A, rest) if rest else A
-                t = mc.induce_module(mc.tau_d(mc.restrict_module(X, Aq), 2), A)
-                row = _mask(i for i, Y in enumerate(self.modules)
-                            if not any(Y.dims[v] for v in rest) and mc.hom_dim(Y, t))
-                self._tau2[(rest, j)] = (t, row)
+                if j in self.quotient_projectives(rest):
+                    self._tau2[(rest, j)] = (mc.zero_module(A), 0)
+                else:
+                    Aq = quotient_by_idempotent(A, rest) if rest else A
+                    t = mc.induce_module(mc.tau_d(mc.restrict_module(X, Aq), 2), A)
+                    row = _mask(i for i, Y in enumerate(self.modules)
+                                if not any(Y.dims[v] for v in rest) and mc.hom_dim(Y, t))
+                    self._tau2[(rest, j)] = (t, row)
             self._tau2[(e, j)] = self._tau2[(rest, j)]
         return self._tau2[(e, j)]
 
@@ -981,15 +991,6 @@ def _piece(A: Algebra, e: frozenset, start) -> frozenset:
                 piece.update((a.source, a.target))
                 grew = True
     return frozenset(piece)
-
-
-def _pieces(A: Algebra, e: frozenset) -> list:
-    """The vertex sets of the connected pieces of the quiver of A/<e>."""
-    out = []
-    for v in A.vertices:
-        if v not in e and not any(v in c for c in out):
-            out.append(_piece(A, e, [v]))
-    return out
 
 
 def ar_quiver_dot(idx: IndecIndex) -> str:

@@ -350,7 +350,7 @@ def solve_matrix(m: Mat, bmat: Mat) -> Mat | None:
 def column_space_basis(m: Mat) -> Mat:
     """Deterministic basis of the column space: the pivot columns of m."""
     piv = _pivots(m)
-    return Mat.from_columns(m.field, [m.col(j) for j in piv], rows=m.rows)
+    return Mat.from_reduced_columns(m.field, [m.col(j) for j in piv], m.rows)
 
 
 def quotient_echelon(columns, n: int, p: int):

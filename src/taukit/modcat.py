@@ -253,8 +253,8 @@ def direct_sum(A: Algebra, modules) -> DirectSum:
         inc_mats, proj_mats = {}, {}
         for v in A.vertices:
             n, d, off = dims[v], m.dims[v], offsets[v]
-            inc = [[1 if i == off + j else 0 for j in range(d)] for i in range(n)]
-            inc_mats[v] = Mat.from_rows(A.field, inc, cols=d)
+            inc_mats[v] = Mat(A.field, n, d, tuple(tuple([1 if i == off + j else 0 for j in range(d)])
+                                                   for i in range(n)))
             proj_mats[v] = inc_mats[v].transpose()
             offsets[v] = off + d
         inclusions.append(ModMap(m, total, inc_mats, check=False))
@@ -424,7 +424,7 @@ def kernel(f: ModMap):
     """Pointwise kernel of f with its induced arrow action: (K, inclusion K -> source)."""
     A = f.source.algebra
     M = f.source
-    kbas = {v: Mat.from_columns(A.field, kernel_basis(f.mats[v]), rows=M.dims[v])
+    kbas = {v: Mat.from_reduced_columns(A.field, kernel_basis(f.mats[v]), M.dims[v])
             for v in A.vertices}
     return _stable_subspace(M, kbas)
 
@@ -534,7 +534,11 @@ def dual_map(f: ModMap) -> ModMap:
 
 
 def projective(A: Algebra, v) -> Module:
-    """P(v) = A e_v as a representation."""
+    """P(v) = A e_v as a representation.
+
+    Its dims and action are kept per algebra, and each call wraps them in a new
+    Module: a kept Module would refer back to A and put A in a reference cycle.
+    """
     if v not in A.vertex_index:
         raise ValueError(f"unknown vertex {v!r}")
     cache = getattr(A, "_taukit_proj_cache", None)
@@ -542,7 +546,7 @@ def projective(A: Algebra, v) -> Module:
         cache = {}
         A._taukit_proj_cache = cache
     if v in cache:
-        return cache[v]
+        return Module(A, *cache[v], check=False)
     paths = A.paths_from(v)
     by_target: dict = {w: [] for w in A.vertices}
     for pth in paths:
@@ -559,9 +563,9 @@ def projective(A: Algebra, v) -> Module:
             for coeff, bidx in A.reduce_word(v, pth.arrows + (a.name,)):
                 q = A.basis[bidx]
                 rows[pos[q.key()]][c] = (rows[pos[q.key()]][c] + coeff) % A.field.p
-        action[a.name] = Mat.from_rows(A.field, rows, cols=dims[a.source])
+        action[a.name] = Mat(A.field, dims[a.target], dims[a.source], tuple(map(tuple, rows)))
     P = Module(A, dims, action, check=True)
-    cache[v] = P
+    cache[v] = (P.dims, P.action)
     return P
 
 
@@ -601,7 +605,7 @@ def socle_columns(M: Module) -> dict:
         outgoing = [M.action[a.name] for a in A.arrows if a.source == v]
         stack = Mat.vstack(A.field, outgoing, cols=M.dims[v]) if outgoing \
             else Mat.zeros(A.field, 0, M.dims[v])
-        cols[v] = Mat.from_columns(A.field, kernel_basis(stack), rows=M.dims[v])
+        cols[v] = Mat.from_reduced_columns(A.field, kernel_basis(stack), M.dims[v])
     return cols
 
 
@@ -1257,6 +1261,39 @@ def _split_once(M: Module, rng):
     raise DecompositionError("no splitting found for a decomposable module")
 
 
+def _split_fully(X: Module, rng):
+    """(list of indecomposable modules, iso X -> direct sum of them), splitting with rng."""
+    A = X.algebra
+    if X.is_zero():
+        ds = direct_sum(A, [])
+        return [], ModMap(X, ds.module, {}, check=False)
+    if is_indecomposable(X):
+        ds = direct_sum(A, [X])
+        return [X], ds.inclusions[0]
+    (K, inc_k), (I, inc_i) = _split_once(X, rng)
+    field = A.field
+    mats = {}
+    for v in A.vertices:
+        full = Mat.hstack(field, [inc_k.mats[v], inc_i.mats[v]], rows=X.dims[v])
+        mats[v] = solve_matrix(full, Mat.identity(field, X.dims[v]))
+    pair = direct_sum(A, [K, I])
+    iso_pair = ModMap(X, pair.module, mats, check=False)
+    subs_k, iso_k = _split_fully(K, rng)
+    subs_i, iso_i = _split_fully(I, rng)
+    flat = subs_k + subs_i
+    ds_flat = direct_sum(A, flat)
+    ds_k = direct_sum(A, subs_k)
+    ds_i = direct_sum(A, subs_i)
+    blocks = {}
+    nk = len(subs_k)
+    for t in range(nk):
+        blocks[(t, 0)] = ds_k.projections[t].compose(iso_k)
+    for t in range(len(subs_i)):
+        blocks[(nk + t, 1)] = ds_i.projections[t].compose(iso_i)
+    spread = block_map(pair, ds_flat, blocks)
+    return flat, spread.compose(iso_pair)
+
+
 def decompose(M: Module) -> DecompCert:
     """Krull-Schmidt decomposition with an explicit isomorphism certificate.
 
@@ -1264,40 +1301,7 @@ def decompose(M: Module) -> DecompCert:
     into the one-term direct sum.
     """
     A = M.algebra
-    rng = random.Random(DECOMPOSE_SEED)
-
-    def rec(X: Module):
-        """Returns (list of indecomposable modules, iso X -> direct sum of them)."""
-        if X.is_zero():
-            ds = direct_sum(A, [])
-            return [], ModMap(X, ds.module, {}, check=False)
-        if is_indecomposable(X):
-            ds = direct_sum(A, [X])
-            return [X], ds.inclusions[0]
-        (K, inc_k), (I, inc_i) = _split_once(X, rng)
-        field = A.field
-        mats = {}
-        for v in A.vertices:
-            full = Mat.hstack(field, [inc_k.mats[v], inc_i.mats[v]], rows=X.dims[v])
-            mats[v] = solve_matrix(full, Mat.identity(field, X.dims[v]))
-        pair = direct_sum(A, [K, I])
-        iso_pair = ModMap(X, pair.module, mats, check=False)
-        subs_k, iso_k = rec(K)
-        subs_i, iso_i = rec(I)
-        flat = subs_k + subs_i
-        ds_flat = direct_sum(A, flat)
-        ds_k = direct_sum(A, subs_k)
-        ds_i = direct_sum(A, subs_i)
-        blocks = {}
-        nk = len(subs_k)
-        for t in range(nk):
-            blocks[(t, 0)] = ds_k.projections[t].compose(iso_k)
-        for t in range(len(subs_i)):
-            blocks[(nk + t, 1)] = ds_i.projections[t].compose(iso_i)
-        spread = block_map(pair, ds_flat, blocks)
-        return flat, spread.compose(iso_pair)
-
-    flat, iso_flat = rec(M)
+    flat, iso_flat = _split_fully(M, random.Random(DECOMPOSE_SEED))
     if len(flat) == 1:  # a split leaves two summands, so M is indecomposable: iso_flat is its inclusion
         if not iso_flat.is_iso():
             raise AssertionError("decomposition certificate is not an isomorphism")

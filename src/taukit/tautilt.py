@@ -6,12 +6,23 @@ and A/<e> stay on the census of A: tau_2 is additive, so rigidity is read off
 one tau_2 row per (e, summand), and the add-T coresolution of A/<e> is rank
 work on Hom-basis blocks (`_coresolution`).  A/<e> is the product of the
 algebras of the connected pieces of its quiver, so the census computes each
-tau_2 row and each projective of A/<e> once per piece, and returns the tau_2
-modules up to isomorphism.  Minimal left approximations and cokernels are
-additive, so the coresolution of A/<e> = +P_v runs one projective P_v at a
-time and sums their terms; each P_v's run reads only R(P_v), the summands
-of T it reaches by nonzero Hom chains inside T, and the census keeps it
-under that key for every candidate with the same R(P_v).  Two named
+tau_2 row once per piece, and returns the tau_2 modules up to isomorphism.
+Three answers are read off the census with no module built
+(Auslander-Reiten-Smalo, *Representation theory of Artin algebras*, I.4 and
+II.2; Adachi-Iyama-Reiten, *tau-tilting theory*, section 2):
+
+- the projective P_v of A/<e> is the largest member with top S(v) that e
+  kills, since every other such module is a quotient of it;
+- a projective of A/<e> has syzygy 0, so its tau_2 = tau Omega is 0 and its
+  row is empty;
+- a P_v that is a summand of T has the identity as its minimal left add-T
+  approximation, with cokernel 0, so it adds [[P_v]] to the coresolution.
+
+Minimal left approximations and cokernels are additive, so the coresolution
+of A/<e> = +P_v runs one projective P_v at a time and sums their terms; each
+other P_v's run reads only R(P_v), the summands of T it reaches by nonzero
+Hom chains inside T, and the census keeps it under that key for every
+candidate with the same R(P_v).  Two named
 readings of "support tau_2-tilting" are available (`DEFINITIONS`), as higher
 analogues of the support tau-tilting pairs of Adachi-Iyama-Reiten,
 *tau-tilting theory* (Compos. Math. 2014):
@@ -105,13 +116,19 @@ def _coresolution(idx, source, members, maxlen: int, mono_start: bool) -> list |
     only R(p), the members that p reaches by nonzero Hom chains inside
     +members.  Its result is kept on the census under (p, R(p), maxlen,
     mono_start) and shared by every T with the same R(p) (`_coresolve`).
+    A p that is itself a member has the identity as its minimal left add-T
+    approximation, with cokernel 0 (Auslander-Reiten-Smalo, I.4), so it adds
+    [[p]] with no run.
     """
     memo, terms = idx._coresolutions, []
     for p in source:
-        key = (p, _reach(idx, p, members), maxlen, mono_start)
-        if key not in memo:
-            memo[key] = _coresolve(idx, *key)
-        own = memo[key]
+        if p in members:
+            own = [[p]]
+        else:
+            key = (p, _reach(idx, p, members), maxlen, mono_start)
+            if key not in memo:
+                memo[key] = _coresolve(idx, *key)
+            own = memo[key]
         if own is None:
             return None
         terms += [[] for _ in own[len(terms):]]

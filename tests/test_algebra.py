@@ -183,6 +183,14 @@ def test_opposite_is_built_once(L3):
     assert opposite(opposite(op)) is op
 
 
+def test_opposite_of_the_opposite_is_the_algebra_itself(L3):
+    # each Algebra object keeps its own opposite, so a second parse of the same spec
+    # gets an opposite of its own, whose opposite is that second parse
+    again = parse_algebra(LAMBDA3_TEXT.format(p=101))
+    assert opposite(opposite(L3)) is L3 and opposite(opposite(again)) is again
+    assert opposite(again) == opposite(L3) and opposite(again) is not opposite(L3)
+
+
 def test_opposite_semisimple(SS3):
     assert opposite(SS3) == SS3
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from taukit import algebra, arknit, modcat as mc
+from taukit import arknit, modcat as mc
 from taukit.algebra import parse_algebra, quotient_by_idempotent
 from taukit.cli import emit_report
 from taukit.exactlin import Mat, kernel_of_rows, rank, solve, solve_matrix
@@ -754,9 +754,11 @@ def test_knitting_e7_presents_81_members_and_transposes_112(monkeypatch):
 
 
 def test_knitting_e7_builds_no_kernel_matrix_by_re_reducing_its_entries(monkeypatch):
-    # the presentation, transpose and cokernel kernels build their matrices from entries already
-    # in [0, p), and read projective dims from per-algebra caches (2200, 1858 and 3464 calls before)
-    monkeypatch.setattr(algebra, "_OPPOSITE_CACHE", {})  # no opposite kept from another test: a fresh process
+    # the presentation, transpose, cokernel, kernel and socle kernels, the column space bases,
+    # the direct sum inclusions and the projectives build their matrices from entries already
+    # in [0, p), and read projective dims from per-algebra caches (2200, 1858 and 3464 calls
+    # before the kernels, 308, 169 and 186 before the rest); each algebra keeps its own
+    # opposite, so a second knit of a fresh E7 in the same process does the same work
     calls = Counter()
 
     def counted(owner, name, kind=lambda f: f):
@@ -770,8 +772,10 @@ def test_knitting_e7_builds_no_kernel_matrix_by_re_reducing_its_entries(monkeypa
     counted(Mat, "from_rows", staticmethod)
     counted(Mat, "from_columns", staticmethod)
     counted(mc, "projective")
-    assert len(arknit.knit_indecomposables(e7_linear(p=2)).modules) == 63
-    assert (calls["from_rows"], calls["from_columns"], calls["projective"]) == (308, 169, 186)
+    for _ in range(2):
+        calls.clear()
+        assert len(arknit.knit_indecomposables(e7_linear(p=2)).modules) == 63
+        assert (calls["from_rows"], calls["from_columns"], calls["projective"]) == (34, 8, 186)
 
 
 def test_knitting_e7_and_its_json_solve_no_section(monkeypatch):
@@ -1186,17 +1190,26 @@ def test_ext_masks_solve_against_no_injective_member(name, monkeypatch):
 
 # -- the support-quotient tables, read per connected piece of A/<e> -----------------
 
+SUPPORT_ALGEBRAS = {**HOM_ALGEBRAS,
+                    "E7-101": lambda: e7_linear(p=101),
+                    "A7rad2-2": lambda: nakayama_rad2(7, p=2),
+                    "A7rad2-101": lambda: nakayama_rad2(7, p=101),
+                    "auslander3-101": lambda: auslander_linear(3, p=101)}
 # the (e, j) with X_j vanishing on e, over every e in Q_0
-PIECE_ROWS = {"A5rad2-2": 112, "cycle2rad3-3": 8, "cycle3rad2-3": 18, "D4-101": 52, "auslander3-2": 324}
+PIECE_ROWS = {"A3-2": 16, "A3-101": 16, "A5rad2-2": 112, "A5rad2-101": 112, "A7rad2-2": 640,
+              "A7rad2-101": 640, "E7-2": 868, "E7-101": 868, "auslander3-2": 324, "auslander3-101": 324,
+              "cycle2rad3-3": 8, "cycle3rad2-3": 18, "D4-101": 52}
 
 
 @pytest.mark.parametrize("name", sorted(PIECE_ROWS))
 def test_support_quotient_tables_match_the_whole_quotient(name):
-    # A/<e> is the product of the algebras of its pieces, so each tau_2 row and each
-    # projective read over one piece is what the whole quotient A/<e> gives
-    A = HOM_ALGEBRAS[name]()
+    # each projective of A/<e>, read off the census as the largest member with top S(v) that
+    # e kills, is the projective of the quotient algebra induced to A and placed by find_iso;
+    # each tau_2 row, read over one piece of A/<e> and empty for a projective of that piece,
+    # is what module-level tau_d over the whole quotient A/<e> gives
+    A = SUPPORT_ALGEBRAS[name]()
     idx = arknit.knit_indecomposables(A)
-    rows = 0
+    rows, projective_rows = 0, 0
     for r in range(len(A.vertices) + 1):
         for e in map(frozenset, itertools.combinations(A.vertices, r)):
             Aq = quotient_by_idempotent(A, e) if e else A
@@ -1212,7 +1225,8 @@ def test_support_quotient_tables_match_the_whole_quotient(name):
                 assert (got_row, got.dim_vector()) == (row, t.dim_vector()), (e, j)
                 assert idx.summand_indices(got) == idx.summand_indices(t), (e, j)
                 rows += 1
-    assert rows == PIECE_ROWS[name]
+                projective_rows += j in idx.quotient_projectives(e)
+    assert rows == PIECE_ROWS[name] and 0 < projective_rows < rows
 
 
 def test_tau2_row_rejects_a_member_that_does_not_vanish_on_e():
